@@ -9,12 +9,15 @@ package ships a scripted mock and a replay transport.
 
 from __future__ import annotations
 
+import heapq
 import json
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -227,6 +230,24 @@ def build_prompt_items(
 # --- transports ----------------------------------------------------------------
 
 
+def request_key(target: RetrievalKey | SnippetPointer) -> dict:
+    """The key fields of a task-1 anchor or a task-2 snippet request."""
+    if isinstance(target, RetrievalKey):
+        key = target.to_dict()
+        key.pop("law", None)
+        return key
+    return {
+        "file_path": target.file_path,
+        "span": target.span.as_list(),
+        "commit_id": target.commit_id,
+    }
+
+
+def request_identity(model: str, task: str, law: str, key: Mapping) -> tuple[str, str, str, str]:
+    """Hashable identity of one request; its order is the canonical record order."""
+    return (model, task, law, json.dumps(dict(key), sort_keys=True))
+
+
 @dataclass(frozen=True)
 class TransportRequest:
     """One attempt-independent request; adapters may ignore the key fields."""
@@ -239,12 +260,11 @@ class TransportRequest:
     temperature: float
     max_tokens: int
     timeout_seconds: float
+    identity: tuple[str, str, str, str] = field(init=False, repr=False, compare=False)
 
-    def identity(self) -> str:
-        return json.dumps(
-            {"model": self.model, "task": self.task, "law": self.law, "key": dict(self.key)},
-            sort_keys=True,
-        )
+    def __post_init__(self) -> None:
+        identity = request_identity(self.model, self.task, self.law, self.key)
+        object.__setattr__(self, "identity", identity)
 
 
 class TransportFailure(RegevalError):
@@ -266,13 +286,14 @@ class MockTransport:
     def __init__(self, reply: Callable[[TransportRequest], str], fail_times: int = 0):
         self.reply = reply
         self.fail_times = fail_times
-        self.attempts: dict[str, int] = {}
+        self.attempts: dict[tuple, int] = {}
         self._lock = threading.Lock()
 
     def send(self, request: TransportRequest) -> str:
+        identity = request.identity
         with self._lock:
-            count = self.attempts.get(request.identity(), 0) + 1
-            self.attempts[request.identity()] = count
+            count = self.attempts.get(identity, 0) + 1
+            self.attempts[identity] = count
         if count <= self.fail_times:
             raise TransportFailure(f"scripted failure {count}/{self.fail_times}")
         return self.reply(request)
@@ -298,24 +319,19 @@ class ReplayTransport:
         self.path = Path(path)
         if not self.path.exists():
             raise TransportConfigError(f"replay file not found: {self.path}")
-        self._responses: dict[str, str] = {}
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            identity = json.dumps(
-                {
-                    "model": record["model"],
-                    "task": record["task"],
-                    "law": record["law"],
-                    "key": record["key"],
-                },
-                sort_keys=True,
-            )
-            self._responses[identity] = record["text"]
+        self._responses: dict[tuple, str] = {}
+        with open(self.path, encoding="utf-8") as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+                identity = request_identity(
+                    record["model"], record["task"], record["law"], record["key"]
+                )
+                self._responses[identity] = record["text"]
 
     def prepare(self, requests: Sequence[TransportRequest]) -> None:
-        missing = [r.identity() for r in requests if r.identity() not in self._responses]
+        missing = [r for r in requests if r.identity not in self._responses]
         if missing:
             raise TransportConfigError(
                 f"replay file lacks {len(missing)} of {len(requests)} requests"
@@ -323,9 +339,9 @@ class ReplayTransport:
 
     def send(self, request: TransportRequest) -> str:
         try:
-            return self._responses[request.identity()]
+            return self._responses[request.identity]
         except KeyError:
-            raise TransportFailure(f"no replayed response for {request.identity()}") from None
+            raise TransportFailure(f"no replayed response for {request.identity}") from None
 
 
 # --- run execution ---------------------------------------------------------------
@@ -343,30 +359,16 @@ class RunResult:
     log_path: Path
 
 
-def _item_request(
-    item: PromptItem,
-    model: str,
-    config: RunConfig,
-    templates: Mapping[str, PromptTemplate],
-) -> TransportRequest:
-    template = templates[item.law]
-    prompt = render_prompt(template, item)
+def _item_request(item: PromptItem, prompt: str, model: str, config: RunConfig) -> TransportRequest:
     if isinstance(item, LocalizationPromptItem):
-        task = "task1"
-        key = item.key.to_dict()
-        key.pop("law", None)
+        task, target = "task1", item.key
     else:
-        task = "task2"
-        key = {
-            "file_path": item.pointer.file_path,
-            "span": item.pointer.span.as_list(),
-            "commit_id": item.pointer.commit_id,
-        }
+        task, target = "task2", item.pointer
     return TransportRequest(
         model=model,
         task=task,
         law=item.law,
-        key=key,
+        key=request_key(target),
         prompt=prompt,
         temperature=config.temperature,
         max_tokens=config.max_tokens,
@@ -386,10 +388,12 @@ def execute_run(
 ) -> RunResult:
     """Attempt every (model, instance) pair and write the run artifacts.
 
-    Each model gets one serial request lane; lanes run concurrently. Transient
-    failures are retried up to `retries` times after the initial attempt; an
-    instance that exhausts its retries is recorded with empty text and scored
-    downstream as an empty prediction.
+    Each model gets one serial request lane; lanes run concurrently. Any
+    exception from `send` is a failed attempt, retried up to `retries` times
+    after the initial attempt; an instance that exhausts its retries is
+    recorded with empty text and scored downstream as an empty prediction.
+    Records are written in canonical identity order and the lanes' log lines
+    are merged in timestamp order.
     """
     if not config.models:
         raise TransportConfigError("run config lists no models")
@@ -400,8 +404,9 @@ def execute_run(
         raise TransportConfigError(f"no prompt template for laws: {missing}")
 
     items = build_prompt_items(views, corpus, config.context_window, tasks)
+    prompts = [render_prompt(templates[item.law], item) for item in items]
     requests_by_model = {
-        model: [_item_request(item, model, config, templates) for item in items]
+        model: [_item_request(item, prompt, model, config) for item, prompt in zip(items, prompts)]
         for model in config.models
     }
     prepare = getattr(transport, "prepare", None)
@@ -410,38 +415,39 @@ def execute_run(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    log_lock = threading.Lock()
-    log_lines: list[str] = []
-    records: list[dict] = []
-    records_lock = threading.Lock()
-
-    def log(message: str) -> None:
-        with log_lock:
-            log_lines.append(f"{_timestamp()} {message}")
-
+    log_lines = [
+        f"{_timestamp()} run start models={list(config.models)} "
+        f"requests={len(items) * len(config.models)}"
+    ]
     overrides = config.overrides()
-    log(f"run start models={list(config.models)} requests={len(items) * len(config.models)}")
     if overrides:
-        log(f"non-default settings: {json.dumps(overrides, sort_keys=True)}")
+        log_lines.append(f"{_timestamp()} non-default settings: {json.dumps(overrides, sort_keys=True)}")
 
-    def run_lane(model: str) -> None:
+    def run_lane(model: str) -> tuple[list[tuple[tuple, dict]], list[str]]:
+        """Send one model's requests in turn; return its (identity, record)
+        pairs and its timestamped log lines."""
+        entries: list[tuple[tuple, dict]] = []
+        log: list[str] = []
         done = 0
         failed = 0
         total = len(requests_by_model[model])
+        max_attempts = config.retries + 1
         for request in requests_by_model[model]:
             started = _timestamp()
             attempts = 0
             text = ""
             status = "exhausted_retries"
-            max_attempts = config.retries + 1
             while attempts < max_attempts:
                 attempts += 1
                 try:
                     text = transport.send(request)
                     status = "ok"
                     break
-                except TransportFailure as exc:
-                    log(f"{model} attempt {attempts}/{max_attempts} failed: {exc}")
+                except Exception as exc:  # whatever a send raises is one failed attempt
+                    log.append(
+                        f"{_timestamp()} {model} attempt {attempts}/{max_attempts} "
+                        f"failed: {type(exc).__name__}: {exc}"
+                    )
                     if attempts < max_attempts and config.backoff_seconds > 0:
                         time.sleep(config.backoff_seconds)
             if status == "ok":
@@ -452,22 +458,23 @@ def execute_run(
                 "model": model,
                 "task": request.task,
                 "law": request.law,
-                "key": dict(request.key),
+                "key": request.key,
                 "text": text if status == "ok" else "",
                 "status": status,
                 "attempts": attempts,
                 "timestamps": {"started": started, "finished": _timestamp()},
             }
-            with records_lock:
-                records.append(record)
-            log(f"{model} progress {done + failed}/{total} ok={done} failed={failed}")
+            entries.append((request.identity, record))
+            log.append(f"{_timestamp()} {model} progress {done + failed}/{total} ok={done} failed={failed}")
+        return entries, log
 
     with ThreadPoolExecutor(max_workers=config.effective_concurrency) as pool:
-        futures = [pool.submit(run_lane, model) for model in config.models]
-        for future in futures:
-            future.result()
+        lanes = list(pool.map(run_lane, config.models))
 
-    records.sort(key=lambda r: (r["model"], r["task"], r["law"], json.dumps(r["key"], sort_keys=True)))
+    entries = sorted((entry for lane_entries, _ in lanes for entry in lane_entries), key=itemgetter(0))
+    records = [record for _, record in entries]
+    # Timestamps are fixed-width ISO strings, so merging lines merges by time.
+    log_lines.extend(heapq.merge(*(log for _, log in lanes)))
 
     responses_path = out / "raw_responses.jsonl"
     with open(responses_path, "w", encoding="utf-8") as fh:
@@ -479,12 +486,9 @@ def execute_run(
     config_path.write_text(json.dumps(config_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     log_path = out / "run.log"
-    counters = {
-        model: sum(1 for r in records if r["model"] == model and r["status"] == "ok")
-        for model in config.models
-    }
-    summary = ", ".join(f"{model}: {count}/{len(items)} ok" for model, count in counters.items())
-    log(f"run complete ({summary})")
+    ok_counts = Counter(record["model"] for record in records if record["status"] == "ok")
+    summary = ", ".join(f"{model}: {ok_counts[model]}/{len(items)} ok" for model in config.models)
+    log_lines.append(f"{_timestamp()} run complete ({summary})")
     log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     return RunResult(records=records, responses_path=responses_path, config_path=config_path, log_path=log_path)
 

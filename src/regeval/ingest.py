@@ -269,8 +269,9 @@ def write_prediction_files(
         "config": dict(config_echo or {}),
         "predictions": [set_prediction_to_dict(p) for p in sets],
     }
-    t1.write_text(json.dumps(t1_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    t2.write_text(json.dumps(t2_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # Machine-only files: compact JSON keeps the C encoder (indent forces the Python one).
+    t1.write_text(json.dumps(t1_payload, sort_keys=True) + "\n", encoding="utf-8")
+    t2.write_text(json.dumps(t2_payload, sort_keys=True) + "\n", encoding="utf-8")
     return t1, t2
 
 

@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 from .corpus import LineSpan, RawInstance
 from .errors import InvalidSpec, RegevalError
+from .harness import request_identity, request_key
 from .jurisdiction import JurisdictionRegistry
 from .multilabel import SetPrediction
 from .retrieval import RankedPrediction, gold_keys_for_records
@@ -250,31 +251,18 @@ def profile_reply_fn(
 ):
     """Build a MockTransport reply function that answers like a profile."""
     scripted = scripted_model(profile, views, registry, seed)
-    by_t1 = {
-        json.dumps({"task": "task1", "law": p.key.law, "key": {k: v for k, v in p.key.to_dict().items() if k != "law"}}, sort_keys=True): p.ranking
+    # Answers are indexed by request identity without its leading model name.
+    answers = {
+        request_identity("", "task1", p.key.law, request_key(p.key))[1:]: p.ranking
         for p in scripted.ranked
     }
-    by_t2 = {
-        json.dumps(
-            {
-                "task": "task2",
-                "law": p.law,
-                "key": {
-                    "file_path": p.pointer.file_path,
-                    "span": p.pointer.span.as_list(),
-                    "commit_id": p.pointer.commit_id,
-                },
-            },
-            sort_keys=True,
-        ): p.labels
+    answers.update(
+        (request_identity("", "task2", p.law, request_key(p.pointer))[1:], p.labels)
         for p in scripted.sets
-    }
+    )
 
     def reply(request) -> str:
-        identity = json.dumps(
-            {"task": request.task, "law": request.law, "key": dict(request.key)}, sort_keys=True
-        )
-        labels = by_t1.get(identity) if request.task == "task1" else by_t2.get(identity)
+        labels = answers.get(request.identity[1:])
         if labels is None:
             return "no violations found"
         return render_response_text(labels, registry.get(request.law))

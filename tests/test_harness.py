@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
+from datetime import datetime
 
 import pytest
 
@@ -218,29 +220,138 @@ class TestExecuteRun:
         assert "model-x" in log_text and "model-y" in log_text
         assert "run complete" in log_text
 
+    def test_run_log_merges_lanes_in_time_order(self, registry, tmp_path):
+        corpus = small_corpus(registry, files=2)
+        views = shape_views(corpus)
+        transport = MockTransport(profile_reply_fn(views, registry, "PERFECT"), fail_times=2)
+        result = self._run(registry, tmp_path, views=views, corpus=corpus, transport=transport)
+        lines = result.log_path.read_text().splitlines()
+        stamps = [datetime.fromisoformat(line.split(" ", 1)[0]) for line in lines]
+        assert stamps == sorted(stamps)
+        assert lines[0].split(" ", 1)[1].startswith("run start ")
+        assert lines[-1].split(" ", 1)[1].startswith("run complete (")
+        per_request = len(result.records) // 2
+        for model in ("model-x", "model-y"):
+            events = [
+                line.split(" ", 1)[1] for line in lines if line.split(" ", 2)[1] == model
+            ]
+            # each request: exactly two failed attempts, then its progress line
+            expected = []
+            for n in range(1, per_request + 1):
+                expected += [
+                    f"{model} attempt 1/4 failed: TransportFailure: scripted failure 1/2",
+                    f"{model} attempt 2/4 failed: TransportFailure: scripted failure 2/2",
+                    f"{model} progress {n}/{per_request} ok={n} failed=0",
+                ]
+            assert events == expected
+
+    def test_many_lanes_keep_exact_retry_counts(self, registry, tmp_path):
+        corpus = small_corpus(registry, files=2)
+        views = shape_views(corpus)
+        transport = MockTransport(profile_reply_fn(views, registry, "PERFECT"), fail_times=2)
+        models = tuple(f"m{i}" for i in range(6))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = self._run(
+                registry,
+                tmp_path,
+                views=views,
+                corpus=corpus,
+                transport=transport,
+                config=RunConfig(models=models, backoff_seconds=0.0),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert {r["model"] for r in result.records} == set(models)
+        assert all(r["status"] == "ok" and r["attempts"] == 3 for r in result.records)
+        assert len(transport.attempts) == len(result.records)
+        assert set(transport.attempts.values()) == {3}
+
+    def test_unexpected_send_exception_is_a_failed_attempt(self, registry, tmp_path):
+        corpus = small_corpus(registry, files=2)
+        views = shape_views(corpus)
+        inner = profile_reply_fn(views, registry, "PERFECT")
+        sent = []
+
+        class TimeoutOnSeventh:
+            def send(self, request):
+                sent.append(request)
+                if len(sent) == 7:
+                    raise TimeoutError("read timed out")
+                return inner(request)
+
+        result = self._run(
+            registry,
+            tmp_path,
+            out="timeout",
+            views=views,
+            corpus=corpus,
+            transport=TimeoutOnSeventh(),
+            config=RunConfig(models=("model-x",), backoff_seconds=0.0),
+        )
+        for name in ("raw_responses.jsonl", "run_config.json", "run.log"):
+            assert (tmp_path / "timeout" / name).is_file()
+        timed_out = sent[6]
+        [record] = [
+            r for r in result.records
+            if (r["task"], r["law"], r["key"]) == (timed_out.task, timed_out.law, timed_out.key)
+        ]
+        assert record["status"] == "ok" and record["attempts"] == 2
+        assert record["text"] == inner(timed_out)
+        assert all(r["attempts"] == 1 for r in result.records if r is not record)
+        assert "model-x attempt 1/4 failed: TimeoutError: read timed out" in result.log_path.read_text()
+
+    def test_always_raising_transport_exhausts_retries(self, registry, tmp_path):
+        class Broken:
+            def send(self, request):
+                raise ConnectionResetError("peer went away")
+
+        result = self._run(
+            registry,
+            tmp_path,
+            transport=Broken(),
+            config=RunConfig(models=("model-x",), retries=1, backoff_seconds=0.0),
+        )
+        assert result.records
+        assert all(r["status"] == "exhausted_retries" for r in result.records)
+        assert all(r["attempts"] == 2 and r["text"] == "" for r in result.records)
+
 
 class TestReplayTransport:
     def test_round_trip(self, registry, tmp_path):
         corpus = small_corpus(registry, files=2)
         views = shape_views(corpus)
+        config = RunConfig(models=("model-y", "model-x"), backoff_seconds=0.0)
         first = execute_run(
-            RunConfig(models=("model-x",), backoff_seconds=0.0),
+            config,
             views,
-            MockTransport(profile_reply_fn(views, registry, "PERFECT")),
+            MockTransport(profile_reply_fn(views, registry, "RANDOM"), fail_times=2),
             tmp_path / "orig",
             registry,
             corpus=corpus,
         )
-        replay = ReplayTransport(first.responses_path)
+        assert all(r["status"] == "ok" and r["attempts"] == 3 for r in first.records)
         second = execute_run(
-            RunConfig(models=("model-x",), backoff_seconds=0.0),
+            config,
             views,
-            replay,
+            ReplayTransport(first.responses_path),
             tmp_path / "replayed",
             registry,
             corpus=corpus,
         )
-        assert strip_timestamps(first.records) == strip_timestamps(second.records)
+        assert len(second.records) == len(first.records)
+        for old, new in zip(first.records, second.records):
+            assert new["status"] == "ok" and new["attempts"] == 1
+            assert {k: new[k] for k in ("model", "task", "law", "key", "text")} == {
+                k: old[k] for k in ("model", "task", "law", "key", "text")
+            }
+        order = [
+            (r["model"], r["task"], r["law"], json.dumps(r["key"], sort_keys=True))
+            for r in load_responses(second.responses_path)
+        ]
+        assert order == sorted(order)
+        assert {r["model"] for r in second.records} == {"model-x", "model-y"}
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(TransportConfigError):
