@@ -14,7 +14,6 @@ from .composites import (
     crgs,
     mahalanobis,
     ocs,
-    rcs,
     rcs_scores,
     sgs,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "normalized_coverage_error",
     "ocs",
     "r_precision",
-    "rcs",
     "rcs_scores",
     "save_dataset",
     "sgs",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import report as report_mod
 from .composites import CompositeConfig, compose_from_rcs
-from .corpus import corpus_stats, load_dataset, save_dataset
+from .corpus import corpus_stats, load_dataset, save_dataset, write_json
 from .errors import RegevalError
 from .harness import (
     FailingTransport,
@@ -32,8 +32,8 @@ from .ingest import (
     write_prediction_files,
 )
 from .jurisdiction import JurisdictionRegistry
-from .multilabel import evaluate_task2
-from .retrieval import evaluate_task1
+from .multilabel import score_task2
+from .retrieval import score_task1
 from .shaping import (
     DEFAULT_EXCLUDE_PATTERNS,
     ShapedViews,
@@ -70,11 +70,6 @@ def _composite_config(args) -> CompositeConfig:
     )
 
 
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _load_views(views_dir: str, laws: list[str] | None = None) -> dict[str, ShapedViews]:
     views: dict[str, ShapedViews] = {}
     for t1_path in sorted(Path(views_dir).glob("task1_*.json")):
@@ -101,7 +96,7 @@ def cmd_stats(args) -> int:
         },
         "stats": stats.to_dict(),
     }
-    _write_json(Path(args.out), payload)
+    write_json(args.out, payload)
     print(f"wrote {args.out}")
     return 0
 
@@ -200,8 +195,6 @@ def cmd_parse(args) -> int:
 def cmd_eval(args) -> int:
     registry = _registry(args)
     views = _load_views(args.views_dir, args.law.split(",") if args.law else None)
-    all_task1 = [rec for view in views.values() for rec in view.task1]
-    all_task2 = [rec for view in views.values() for rec in view.task2]
 
     prediction_dirs = [Path(p) for p in args.predictions]
     ranked_by_model: dict[str, list] = {}
@@ -224,12 +217,10 @@ def cmd_eval(args) -> int:
         bound = bind_predictions(views, ranked, sets, args.policy)
         diagnostics[model] = bound.to_dict()
         per_model_task1[model] = (
-            evaluate_task1(all_task1, ranked, registry, args.policy)
-            if args.task in ("both", "task1")
-            else {}
+            score_task1(bound.task1, registry) if args.task in ("both", "task1") else {}
         )
         per_model_task2[model] = (
-            evaluate_task2(all_task2, sets, registry) if args.task in ("both", "task2") else {}
+            score_task2(bound.task2, registry) if args.task in ("both", "task2") else {}
         )
 
     base = report_mod.build_base_results(
@@ -243,7 +234,7 @@ def cmd_eval(args) -> int:
         },
     )
     base["diagnostics"] = diagnostics
-    _write_json(Path(args.out), base)
+    write_json(args.out, base)
     print(f"wrote {args.out}")
     return 0
 
@@ -260,8 +251,7 @@ def cmd_compose(args) -> int:
             "models": {},
             "composites": report.to_dict(),
         }
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = report_mod.write_results_json(out_dir / "results.json", payload)
+        path = write_json(out_dir / "results.json", payload)
         print(f"wrote {path}")
         return 0
     base = json.loads(Path(args.base).read_text(encoding="utf-8"))

@@ -124,10 +124,6 @@ def rcs_scores(cohort: Sequence[Sequence[float]], config: CompositeConfig) -> li
     return scores
 
 
-def rcs(cohort: Sequence[Sequence[float]], index: int, config: CompositeConfig) -> float:
-    return rcs_scores(cohort, config)[index]
-
-
 def crgs(per_law_scores: Sequence[float], beta: float = 2.0, epsilon: float = 1e-6) -> float:
     """Variance-penalized geometric mean of per-law scores."""
     if not per_law_scores:
@@ -210,6 +206,9 @@ def compose(
         raise MissingLaw("task 1 and task 2 cover different model sets")
     if not models:
         raise RegevalError("no models to compose")
+    for task, other, metrics in (("task1", "task2", task1_metrics), ("task2", "task1", task2_metrics)):
+        if not any(metrics[model] for model in models):
+            raise MissingLaw(f"no {task} metrics in base (eval --task {other}); compose needs both tasks")
     laws = sorted({law for model in models for law in task1_metrics[model]})
     for model in models:
         if sorted(task1_metrics[model]) != laws or sorted(task2_metrics[model]) != laws:

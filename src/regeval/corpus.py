@@ -9,11 +9,12 @@ anything that assembles model inputs.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvalidPath, RegevalError
 from .jurisdiction import THEME_ANCHORS, THEMES, JurisdictionRegistry
@@ -179,8 +180,26 @@ def load_dataset(path: str | Path, registry: JurisdictionRegistry, law: str | No
 
 
 def save_dataset(path: str | Path, corpus: Sequence[RawInstance], registry: JurisdictionRegistry) -> None:
-    records = [instance_to_record(inst, registry) for inst in corpus]
-    Path(path).write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, [instance_to_record(inst, registry) for inst in corpus])
+
+
+def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
+    """Write `payload` as key-sorted JSON plus a newline, atomically.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces `path`, so a reader never sees a partly written file. `indent=None`
+    writes compact JSON, which keeps the C encoder (any indent forces the
+    Python one).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, indent=indent, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
 
 
 @dataclass
@@ -267,10 +286,3 @@ def corpus_stats(
 
     stats.total_instances = len(corpus)
     return stats
-
-
-def group_by_law(corpus: Iterable[RawInstance]) -> dict[str, list[RawInstance]]:
-    grouped: dict[str, list[RawInstance]] = {}
-    for inst in corpus:
-        grouped.setdefault(inst.law, []).append(inst)
-    return grouped

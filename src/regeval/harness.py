@@ -15,13 +15,13 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .corpus import RawInstance
+from .corpus import RawInstance, write_json
 from .errors import LawMismatch, RegevalError, TransportConfigError
 from .jurisdiction import THEMES, Jurisdiction, JurisdictionRegistry
 from .retrieval import RetrievalKey, gold_keys_for_records
@@ -38,28 +38,24 @@ class RunConfig:
     timeout_seconds: float = 180.0
     retries: int = 3
     backoff_seconds: float = 2.0
-    concurrency: int | None = None
     context_window: int = 3
 
-    _DEFAULTS = {
-        "temperature": 0.0,
-        "max_tokens": 2048,
-        "timeout_seconds": 180.0,
-        "retries": 3,
-        "backoff_seconds": 2.0,
-        "concurrency": None,
-        "context_window": 3,
-    }
+    def __post_init__(self) -> None:
+        repeated = sorted(name for name, count in Counter(self.models).items() if count > 1)
+        if repeated:
+            raise TransportConfigError(f"model names repeat: {repeated}")
 
     @property
     def effective_concurrency(self) -> int:
-        return self.concurrency if self.concurrency is not None else max(len(self.models), 1)
+        """One lane per model."""
+        return max(len(self.models), 1)
 
     def overrides(self) -> dict:
+        """Settings that differ from the reference defaults."""
         return {
-            name: getattr(self, name)
-            for name, default in self._DEFAULTS.items()
-            if getattr(self, name) != default
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "models" and getattr(self, f.name) != f.default
         }
 
     def to_dict(self) -> dict:
@@ -236,11 +232,7 @@ def request_key(target: RetrievalKey | SnippetPointer) -> dict:
         key = target.to_dict()
         key.pop("law", None)
         return key
-    return {
-        "file_path": target.file_path,
-        "span": target.span.as_list(),
-        "commit_id": target.commit_id,
-    }
+    return target.to_dict()
 
 
 def request_identity(model: str, task: str, law: str, key: Mapping) -> tuple[str, str, str, str]:
@@ -481,9 +473,8 @@ def execute_run(
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    config_path = out / "run_config.json"
     config_payload = {"run": config.to_dict(), "overrides": config.overrides()}
-    config_path.write_text(json.dumps(config_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    config_path = write_json(out / "run_config.json", config_payload)
 
     log_path = out / "run.log"
     ok_counts = Counter(record["model"] for record in records if record["status"] == "ok")
@@ -494,8 +485,5 @@ def execute_run(
 
 
 def load_responses(path: str | Path) -> list[dict]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]

@@ -15,15 +15,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import LineSpan
+from .corpus import write_json
 from .errors import OutOfUniverse, RegevalError
 from .jurisdiction import Jurisdiction, JurisdictionRegistry
-from .multilabel import PointerMatchReport, SetPrediction
+from .multilabel import SetPrediction, Task2Match, match_task2
 from .retrieval import (
     RankedPrediction,
     RetrievalKey,
+    Task1Match,
     gold_keys_for_records,
-    match_keys,
+    match_task1,
 )
 from .shaping import ShapedViews, SnippetPointer
 
@@ -131,28 +132,6 @@ def parse_prediction_text(
 # --- response records -> prediction tables -------------------------------------
 
 
-def _key_from_dict(law: str, data: Mapping) -> RetrievalKey:
-    span = data.get("span")
-    return RetrievalKey(
-        law=law,
-        repo_url=data["repo_url"],
-        app_name=data["app_name"],
-        commit_id=data["commit_id"],
-        file_path=data["file_path"],
-        granularity=data["granularity"],
-        module=data.get("module"),
-        span=LineSpan(*span) if span else None,
-    )
-
-
-def _pointer_from_dict(data: Mapping) -> SnippetPointer:
-    return SnippetPointer(
-        file_path=data["file_path"],
-        span=LineSpan(*data["span"]),
-        commit_id=data["commit_id"],
-    )
-
-
 @dataclass
 class ParseSummary:
     responses: int = 0
@@ -186,15 +165,14 @@ def parse_responses(
             summary.empty_predictions += 1
         model = record.get("model", "")
         if task == "task1":
-            ranked.append(
-                RankedPrediction(key=_key_from_dict(law, record["key"]), ranking=parsed.ids, model=model)
-            )
+            key = RetrievalKey.from_dict(law, record["key"])
+            ranked.append(RankedPrediction(key=key, ranking=parsed.ids, model=model))
         elif task == "task2":
             pointer = record.get("pointer", record.get("key"))
             sets.append(
                 SetPrediction(
                     law=law,
-                    pointer=_pointer_from_dict(pointer),
+                    pointer=SnippetPointer.from_dict(pointer),
                     labels=parsed.ids,
                     model=model,
                 )
@@ -218,9 +196,7 @@ def ranked_prediction_to_dict(pred: RankedPrediction) -> dict:
 def set_prediction_to_dict(pred: SetPrediction) -> dict:
     return {
         "law": pred.law,
-        "file_path": pred.pointer.file_path,
-        "span": pred.pointer.span.as_list(),
-        "commit_id": pred.pointer.commit_id,
+        **pred.pointer.to_dict(),
         "labels": list(pred.labels),
         **({"model": pred.model} if pred.model else {}),
     }
@@ -233,7 +209,7 @@ def ranked_prediction_from_dict(data: Mapping, registry: JurisdictionRegistry) -
         article = registry.canonicalize_article(str(raw), law).article
         if article not in ids:
             ids.append(article)
-    return RankedPrediction(key=_key_from_dict(law, data), ranking=tuple(ids), model=data.get("model", ""))
+    return RankedPrediction(key=RetrievalKey.from_dict(law, data), ranking=tuple(ids), model=data.get("model", ""))
 
 
 def set_prediction_from_dict(data: Mapping, registry: JurisdictionRegistry) -> SetPrediction:
@@ -245,7 +221,7 @@ def set_prediction_from_dict(data: Mapping, registry: JurisdictionRegistry) -> S
             ids.append(article)
     return SetPrediction(
         law=law,
-        pointer=_pointer_from_dict(data),
+        pointer=SnippetPointer.from_dict(data),
         labels=tuple(ids),
         model=data.get("model", ""),
     )
@@ -258,9 +234,6 @@ def write_prediction_files(
     config_echo: Mapping | None = None,
 ) -> tuple[Path, Path]:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t1 = out / "predictions_task1.json"
-    t2 = out / "predictions_task2.json"
     t1_payload = {
         "config": dict(config_echo or {}),
         "predictions": [ranked_prediction_to_dict(p) for p in ranked],
@@ -269,10 +242,11 @@ def write_prediction_files(
         "config": dict(config_echo or {}),
         "predictions": [set_prediction_to_dict(p) for p in sets],
     }
-    # Machine-only files: compact JSON keeps the C encoder (indent forces the Python one).
-    t1.write_text(json.dumps(t1_payload, sort_keys=True) + "\n", encoding="utf-8")
-    t2.write_text(json.dumps(t2_payload, sort_keys=True) + "\n", encoding="utf-8")
-    return t1, t2
+    # Machine-only files: compact, so the C encoder writes them.
+    return (
+        write_json(out / "predictions_task1.json", t1_payload, indent=None),
+        write_json(out / "predictions_task2.json", t2_payload, indent=None),
+    )
 
 
 def load_prediction_files(
@@ -296,18 +270,18 @@ def load_prediction_files(
 
 @dataclass
 class BindResult:
-    """Alignment of parsed predictions to gold anchors, plus diagnostics."""
+    """The one join of a model's predictions to gold: per-slice task-1 and
+    per-law task-2 matches, which scoring reads, plus diagnostics."""
 
-    task1_alignment: dict[RetrievalKey, RankedPrediction] = field(default_factory=dict)
-    task1_reports: dict[tuple[str, str], dict] = field(default_factory=dict)
-    task2_report: dict[str, PointerMatchReport] = field(default_factory=dict)
+    task1: dict[tuple[str, str], Task1Match] = field(default_factory=dict)
+    task2: dict[str, Task2Match] = field(default_factory=dict)
     orphan_task1: list[dict] = field(default_factory=list)
     cardinality: dict[str, dict[str, dict[int, int]]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
-            "task1": {f"{law}/{gran}": rep for (law, gran), rep in sorted(self.task1_reports.items())},
-            "task2": {law: rep.to_dict() for law, rep in sorted(self.task2_report.items())},
+            "task1": {f"{law}/{gran}": m.report.to_dict() for (law, gran), m in sorted(self.task1.items())},
+            "task2": {law: m.report.to_dict() for law, m in sorted(self.task2.items())},
             "orphan_task1_predictions": self.orphan_task1,
             "label_cardinality": {
                 law: {task: dict(sorted(hist.items())) for task, hist in tasks.items()}
@@ -323,47 +297,15 @@ def bind_predictions(
     policy: str,
 ) -> BindResult:
     """Join predictions to gold keys/pointers and report coverage."""
-    result = BindResult()
-    gold_keys: dict[RetrievalKey, frozenset[str]] = {}
-    for view in views.values():
-        gold_keys.update(gold_keys_for_records(view.task1))
-
-    slices = sorted({(k.law, k.granularity) for k in gold_keys})
-    known_keys = set(gold_keys)
-    matched_keys: set[RetrievalKey] = set()
-    for law, gran in slices:
-        slice_gold = [k for k in gold_keys if k.law == law and k.granularity == gran]
-        slice_preds = [p for p in ranked if p.key.law == law and p.key.granularity == gran]
-        alignment, report = match_keys(sorted(slice_gold, key=lambda k: k.sort_key()), slice_preds, policy)
-        result.task1_alignment.update(alignment)
-        result.task1_reports[(law, gran)] = report.to_dict()
-        matched_keys.update(p.key for p in alignment.values())
+    gold = gold_keys_for_records([rec for view in views.values() for rec in view.task1])
+    result = BindResult(
+        task1=match_task1(gold, ranked, policy),
+        task2=match_task2([rec for view in views.values() for rec in view.task2], sets),
+    )
+    matched_keys = {p.key for m in result.task1.values() for p in m.alignment.values()}
     for pred in ranked:
-        if pred.key not in known_keys and pred.key not in matched_keys:
+        if pred.key not in gold and pred.key not in matched_keys:
             result.orphan_task1.append({"key": pred.key.to_dict(), "model": pred.model})
-
-    gold_pointers: dict[str, set[SnippetPointer]] = {}
-    for law, view in views.items():
-        gold_pointers[law] = {rec.pointer for rec in view.task2}
-    for law, pointers in sorted(gold_pointers.items()):
-        report = PointerMatchReport(gold_pointers=len(pointers))
-        law_preds = [p for p in sets if p.law == law]
-        seen = set()
-        for pred in law_preds:
-            if pred.pointer in pointers:
-                if pred.pointer not in seen:
-                    report.matched_pointers += 1
-                    seen.add(pred.pointer)
-            else:
-                report.orphans.append(
-                    {
-                        "file_path": pred.pointer.file_path,
-                        "span": pred.pointer.span.as_list(),
-                        "commit_id": pred.pointer.commit_id,
-                        "model": pred.model,
-                    }
-                )
-        result.task2_report[law] = report
 
     for pred in ranked:
         hist = result.cardinality.setdefault(pred.key.law, {}).setdefault("task1", {})

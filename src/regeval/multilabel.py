@@ -208,6 +208,16 @@ class PointerMatchReport:
 
 
 @dataclass
+class Task2Match:
+    """One law's gold label sets in record order and, for each, the output
+    order of its matched prediction (empty when no prediction matched)."""
+
+    golds: list[frozenset[str]]
+    orders: list[tuple[str, ...]]
+    report: PointerMatchReport
+
+
+@dataclass
 class Task2Evaluation:
     metrics: JudgmentMetrics
     report: PointerMatchReport
@@ -216,16 +226,15 @@ class Task2Evaluation:
         return {"metrics": self.metrics.to_dict(), "coverage": self.report.to_dict()}
 
 
-def evaluate_task2(
+def match_task2(
     records: Sequence[Task2Record],
     predictions: Sequence[SetPrediction],
-    registry: JurisdictionRegistry,
-    empty_empty_is_one: bool = True,
-) -> dict[str, Task2Evaluation]:
-    """Per-law oriented metric vector with strict pointer matching.
+) -> dict[str, Task2Match]:
+    """Strict pointer matching per law.
 
-    Gold pointers without a prediction score as empty predictions; predictions
-    whose pointer matches no gold record are reported as orphans and excluded.
+    The first prediction for a pointer is kept. A prediction whose pointer
+    matches no gold record is an orphan, listed once per pointer (the first
+    one) in the law's report and excluded from scoring.
     """
     by_law: dict[str, list[Task2Record]] = {}
     for rec in records:
@@ -235,41 +244,55 @@ def evaluate_task2(
     for pred in predictions:
         predicted.setdefault((pred.law, pred.pointer), pred)
 
-    results: dict[str, Task2Evaluation] = {}
+    matches: dict[str, Task2Match] = {}
     for law, law_records in sorted(by_law.items()):
-        universe = registry.get(law).universe
         report = PointerMatchReport(gold_pointers=len(law_records))
-        golds: list[frozenset[str]] = []
-        pred_orders: list[tuple[str, ...]] = []
-        known = set()
+        orders: list[tuple[str, ...]] = []
         for rec in law_records:
-            known.add((law, rec.pointer))
-            golds.append(rec.gold)
             pred = predicted.get((law, rec.pointer))
             if pred is None:
-                pred_orders.append(())
+                orders.append(())
             else:
                 report.matched_pointers += 1
-                pred_orders.append(pred.labels)
-        for (pred_law, pointer), pred in predicted.items():
-            if pred_law == law and (pred_law, pointer) not in known:
-                report.orphans.append(
-                    {
-                        "file_path": pointer.file_path,
-                        "span": pointer.span.as_list(),
-                        "commit_id": pointer.commit_id,
-                        "model": pred.model,
-                    }
-                )
-        pred_sets = [frozenset(order) for order in pred_orders]
+                orders.append(pred.labels)
+        known = {rec.pointer for rec in law_records}
+        report.orphans = [
+            {**pointer.to_dict(), "model": pred.model}
+            for (pred_law, pointer), pred in predicted.items()
+            if pred_law == law and pointer not in known
+        ]
+        matches[law] = Task2Match(golds=[rec.gold for rec in law_records], orders=orders, report=report)
+    return matches
+
+
+def score_task2(
+    matches: Mapping[str, Task2Match],
+    registry: JurisdictionRegistry,
+) -> dict[str, Task2Evaluation]:
+    """Per-law oriented metric vector; unmatched gold pointers score as empty
+    predictions."""
+    results: dict[str, Task2Evaluation] = {}
+    for law, match in matches.items():
+        universe = registry.get(law).universe
+        golds = match.golds
+        pred_sets = [frozenset(order) for order in match.orders]
         micro, macro, weighted = f1_suite(golds, pred_sets, universe)
         metrics = JudgmentMetrics(
             micro_f1=micro,
             macro_f1=macro,
             weighted_f1=weighted,
-            jaccard=jaccard_samples(golds, pred_sets, empty_empty_is_one),
-            one_minus_coverage_error=1.0 - normalized_coverage_error(golds, pred_orders, universe),
+            jaccard=jaccard_samples(golds, pred_sets),
+            one_minus_coverage_error=1.0 - normalized_coverage_error(golds, match.orders, universe),
             one_minus_hamming=1.0 - hamming_loss(golds, pred_sets, universe),
         )
-        results[law] = Task2Evaluation(metrics=metrics, report=report)
+        results[law] = Task2Evaluation(metrics=metrics, report=match.report)
     return results
+
+
+def evaluate_task2(
+    records: Sequence[Task2Record],
+    predictions: Sequence[SetPrediction],
+    registry: JurisdictionRegistry,
+) -> dict[str, Task2Evaluation]:
+    """Per-law metrics of `predictions` against `records`."""
+    return score_task2(match_task2(records, predictions), registry)

@@ -8,11 +8,11 @@ one radar-axis row per (model, law, level) for external plotting.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Mapping
 
 from .composites import CompositeConfig, compose
+from .corpus import write_json
 from .multilabel import T2_METRIC_NAMES, JudgmentMetrics, Task2Evaluation
 from .retrieval import T1_METRIC_NAMES, RetrievalMetrics, Task1Evaluation
 from .shaping import GRANULARITIES
@@ -70,12 +70,6 @@ def compose_results(base: Mapping, config: CompositeConfig | None = None) -> dic
     payload = dict(base)
     payload["composites"] = report.to_dict()
     return payload
-
-
-def write_results_json(path: str | Path, payload: Mapping) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 def _fmt(value) -> str:
@@ -167,7 +161,7 @@ def emit_results(
     out.mkdir(parents=True, exist_ok=True)
     payload = compose_results(base, config)
     return {
-        "results": write_results_json(out / "results.json", payload),
+        "results": write_json(out / "results.json", payload),
         "report": write_report_txt(out / "report.txt", payload),
         "plot_data": write_plot_data_csv(out / "plot_data.csv", payload),
     }

@@ -164,6 +164,21 @@ class RetrievalKey:
             payload["span"] = self.span.as_list()
         return payload
 
+    @classmethod
+    def from_dict(cls, law: str, data: Mapping) -> "RetrievalKey":
+        """Inverse of `to_dict`; `law` is passed because request keys omit it."""
+        span = data.get("span")
+        return cls(
+            law=law,
+            repo_url=data["repo_url"],
+            app_name=data["app_name"],
+            commit_id=data["commit_id"],
+            file_path=data["file_path"],
+            granularity=data["granularity"],
+            module=data.get("module"),
+            span=LineSpan(*span) if span else None,
+        )
+
 
 @dataclass(frozen=True)
 class RankedPrediction:
@@ -278,6 +293,17 @@ def match_keys(
 
 
 @dataclass
+class Task1Match:
+    """One (law, granularity) slice: its gold anchors and the predictions
+    aligned to them. `gold` keeps the order of the expanded gold keys, which
+    fixes the order in which the metric means are summed."""
+
+    gold: dict[RetrievalKey, frozenset[str]]
+    alignment: dict[RetrievalKey, RankedPrediction]
+    report: KeyMatchReport
+
+
+@dataclass
 class Task1Evaluation:
     metrics: RetrievalMetrics
     report: KeyMatchReport
@@ -291,54 +317,74 @@ class Task1Evaluation:
         }
 
 
-def evaluate_task1(
-    records: Sequence[Task1Record],
+def match_task1(
+    gold: Mapping[RetrievalKey, frozenset[str]],
     predictions: Sequence[RankedPrediction],
-    registry: JurisdictionRegistry,
     policy: str = STRICT,
-    line_overlap_tolerant: bool = False,
+) -> dict[tuple[str, str], Task1Match]:
+    """Align predictions to gold anchors, one `match_keys` call per
+    (law, granularity) slice of every law that has gold."""
+    gold_by_slice: dict[tuple[str, str], dict[RetrievalKey, frozenset[str]]] = {}
+    for key, gold_set in gold.items():
+        if not gold_set:
+            raise EmptyGold(f"gold set empty for key {key.to_dict()}")
+        gold_by_slice.setdefault((key.law, key.granularity), {})[key] = gold_set
+    preds_by_slice: dict[tuple[str, str], list[RankedPrediction]] = {}
+    for pred in predictions:
+        preds_by_slice.setdefault((pred.key.law, pred.key.granularity), []).append(pred)
+
+    matches: dict[tuple[str, str], Task1Match] = {}
+    for law in sorted({key.law for key in gold}):
+        for granularity in GRANULARITIES:
+            slice_gold = gold_by_slice.get((law, granularity), {})
+            alignment, report = match_keys(
+                sorted(slice_gold, key=lambda k: k.sort_key()),
+                preds_by_slice.get((law, granularity), []),
+                policy,
+            )
+            matches[(law, granularity)] = Task1Match(slice_gold, alignment, report)
+    return matches
+
+
+def score_task1(
+    matches: Mapping[tuple[str, str], Task1Match],
+    registry: JurisdictionRegistry,
 ) -> dict[tuple[str, str], Task1Evaluation]:
-    """Per-(law, granularity) metric means over all gold keys.
+    """Per-slice metric means over all gold keys.
 
     Unmatched gold keys contribute all-zero rows. Rankings longer than the
     label universe are truncated (extra ranks cannot contain hits) and the
     truncation is counted in the result.
     """
-    gold = gold_keys_for_records(records)
-    for key, gold_set in gold.items():
-        if not gold_set:
-            raise EmptyGold(f"gold set empty for key {key.to_dict()}")
     results: dict[tuple[str, str], Task1Evaluation] = {}
-    laws = sorted({key.law for key in gold})
-    for law in laws:
+    for (law, granularity), match in matches.items():
         universe_size = len(registry.get(law).universe)
-        for granularity in GRANULARITIES:
-            slice_gold = {k: v for k, v in gold.items() if k.law == law and k.granularity == granularity}
-            slice_preds = [
-                p for p in predictions if p.key.law == law and p.key.granularity == granularity
-            ]
-            alignment, report = match_keys(
-                sorted(slice_gold, key=lambda k: k.sort_key()),
-                slice_preds,
-                policy,
-                line_overlap_tolerant,
-            )
-            truncated = 0
-            totals = [0.0] * len(T1_METRIC_NAMES)
-            for key, gold_set in slice_gold.items():
-                pred = alignment.get(key)
-                if pred is None:
-                    continue
-                ranking = pred.ranking
-                if len(ranking) > universe_size:
-                    ranking = ranking[:universe_size]
-                    truncated += 1
-                row = score_ranking(gold_set, ranking)
-                for i, value in enumerate(row.as_tuple()):
-                    totals[i] += value
-            count = len(slice_gold)
-            mean = RetrievalMetrics(*(t / count for t in totals)) if count else RetrievalMetrics.zeros()
-            results[(law, granularity)] = Task1Evaluation(
-                metrics=mean, report=report, truncated_rankings=truncated
-            )
+        truncated = 0
+        totals = [0.0] * len(T1_METRIC_NAMES)
+        for key, gold_set in match.gold.items():
+            pred = match.alignment.get(key)
+            if pred is None:
+                continue
+            ranking = pred.ranking
+            if len(ranking) > universe_size:
+                ranking = ranking[:universe_size]
+                truncated += 1
+            row = score_ranking(gold_set, ranking)
+            for i, value in enumerate(row.as_tuple()):
+                totals[i] += value
+        count = len(match.gold)
+        mean = RetrievalMetrics(*(t / count for t in totals)) if count else RetrievalMetrics.zeros()
+        results[(law, granularity)] = Task1Evaluation(
+            metrics=mean, report=match.report, truncated_rankings=truncated
+        )
     return results
+
+
+def evaluate_task1(
+    records: Sequence[Task1Record],
+    predictions: Sequence[RankedPrediction],
+    registry: JurisdictionRegistry,
+    policy: str = STRICT,
+) -> dict[tuple[str, str], Task1Evaluation]:
+    """Per-(law, granularity) metrics of `predictions` against `records`."""
+    return score_task1(match_task1(gold_keys_for_records(records), predictions, policy), registry)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import LineSpan, RawInstance, derive_module_name
+from .corpus import LineSpan, RawInstance, derive_module_name, write_json
 from .errors import ConflictingSnippet, EmptyCorpus, RegevalError
 from .jurisdiction import JurisdictionRegistry
 
@@ -74,6 +74,13 @@ class SnippetPointer:
     file_path: str
     span: LineSpan
     commit_id: str
+
+    def to_dict(self) -> dict:
+        return {"file_path": self.file_path, "span": self.span.as_list(), "commit_id": self.commit_id}
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "SnippetPointer":
+        return cls(file_path=data["file_path"], span=LineSpan(*data["span"]), commit_id=data["commit_id"])
 
 
 @dataclass(frozen=True)
@@ -251,11 +258,7 @@ def task1_record_to_dict(record: Task1Record, registry: JurisdictionRegistry) ->
 def task2_record_to_dict(record: Task2Record, registry: JurisdictionRegistry) -> dict:
     jur = registry.get(record.law)
     return {
-        "pointer": {
-            "file_path": record.pointer.file_path,
-            "span": record.pointer.span.as_list(),
-            "commit_id": record.pointer.commit_id,
-        },
+        "pointer": record.pointer.to_dict(),
         "snippet": record.snippet,
         "gold": jur.sort_articles(record.gold),
         "provenance": {"repo_url": record.repo_url, "app_name": record.app_name},
@@ -284,14 +287,9 @@ def task1_record_from_dict(law: str, data: Mapping) -> Task1Record:
 
 
 def task2_record_from_dict(law: str, data: Mapping) -> Task2Record:
-    pointer = SnippetPointer(
-        file_path=data["pointer"]["file_path"],
-        span=LineSpan(*data["pointer"]["span"]),
-        commit_id=data["pointer"]["commit_id"],
-    )
     return Task2Record(
         law=law,
-        pointer=pointer,
+        pointer=SnippetPointer.from_dict(data["pointer"]),
         snippet=data["snippet"],
         gold=frozenset(data["gold"]),
         repo_url=data["provenance"]["repo_url"],
@@ -319,9 +317,7 @@ def dump_views(
                 "config": dict(config_echo or {}),
                 "records": [render(rec, registry) for rec in records],
             }
-            path = out / f"{task}_{law}.json"
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-            written.append(path)
+            written.append(write_json(out / f"{task}_{law}.json", payload))
     return written
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import LineSpan, RawInstance
+from .corpus import LineSpan, RawInstance, write_json
 from .errors import InvalidSpec, RegevalError
 from .harness import request_identity, request_key
 from .jurisdiction import JurisdictionRegistry
@@ -143,7 +143,7 @@ def generate_corpus(spec: CorpusSpec, registry: JurisdictionRegistry) -> list[Ra
 
 
 def write_spec(spec: CorpusSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, spec.to_dict())
 
 
 def load_spec(path: str | Path) -> CorpusSpec:

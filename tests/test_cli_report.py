@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import regeval.retrieval
 from regeval.cli import main
 from regeval.composites import CompositeConfig
 from regeval.multilabel import T2_METRIC_NAMES
@@ -154,6 +156,66 @@ class TestPipeline:
                     )
 
 
+class TestSingleJoin:
+    """`eval` joins each model's predictions to gold once; scores and
+    diagnostics are read from that one join."""
+
+    @pytest.fixture()
+    def cohort(self, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        views_dir = tmp_path / "views"
+        assert main(["synth", "--seed", "4", "--files", "4", "--laws", "LGPD,PDPA",
+                     "--profiles", "PERFECT,RANDOM", "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"),
+                     "--out-dir", str(views_dir)]) == 0
+        # Two predictions on one pointer that no gold record has.
+        t2_path = corpus_dir / "predictions_RANDOM" / "predictions_task2.json"
+        t2 = json.loads(t2_path.read_text())
+        stray = dict(t2["predictions"][0], file_path="app/Stray.kt")
+        t2["predictions"] += [stray, dict(stray, labels=[])]
+        t2_path.write_text(json.dumps(t2))
+        return views_dir, [corpus_dir / "predictions_PERFECT", corpus_dir / "predictions_RANDOM"]
+
+    def _eval(self, views_dir, pred_dirs, out):
+        argv = ["eval", "--views-dir", str(views_dir), "--out", str(out)]
+        for pred_dir in pred_dirs:
+            argv += ["--predictions", str(pred_dir)]
+        assert main(argv) == 0
+        return json.loads(out.read_text())
+
+    def test_diagnostics_equal_coverage(self, cohort, tmp_path):
+        base = self._eval(*cohort, tmp_path / "base.json")
+        assert sorted(base["diagnostics"]) == ["PERFECT", "RANDOM"]
+        for model, block in base["models"].items():
+            diagnostics = base["diagnostics"][model]
+            assert diagnostics["task1"] == {
+                f"{law}/{gran}": report
+                for law, by_gran in block["coverage"]["task1"].items()
+                for gran, report in by_gran.items()
+            }
+            assert diagnostics["task2"] == block["coverage"]["task2"]
+
+    def test_duplicate_orphan_pointer_listed_once(self, cohort, tmp_path):
+        base = self._eval(*cohort, tmp_path / "base.json")
+        orphans = base["models"]["RANDOM"]["coverage"]["task2"]["LGPD"]["orphan_predictions"]
+        assert [o["file_path"] for o in orphans] == ["app/Stray.kt"]
+        assert base["diagnostics"]["RANDOM"]["task2"]["LGPD"]["orphan_predictions"] == orphans
+
+    def test_match_keys_called_once_per_slice(self, cohort, tmp_path, monkeypatch):
+        calls = []
+        original = regeval.retrieval.match_keys
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("regeval") and getattr(module, "match_keys", None) is original:
+                monkeypatch.setattr(module, "match_keys", counting)
+        self._eval(*cohort, tmp_path / "base.json")
+        assert len(calls) == 2 * 2 * 3  # models x laws x granularities
+
+
 class TestComposeFromFixture:
     def test_reference_fixture_recomputation(self, tmp_path):
         out_dir = tmp_path / "composed"
@@ -215,6 +277,45 @@ class TestCliErrors:
         base = json.loads(out.read_text())
         assert base["models"]["m"]["task1"] == {}
         assert base["models"]["m"]["task2"]["LGPD"]["micro_f1"] == 1.0
+
+    def test_duplicate_model_names_rejected(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        views_dir = tmp_path / "views"
+        main(["synth", "--seed", "3", "--files", "2", "--laws", "LGPD", "--out-dir", str(corpus_dir)])
+        main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)])
+        capsys.readouterr()
+        code = main(["run", "--views-dir", str(views_dir), "--models", "a,a", "--backoff", "0",
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "TransportConfigError"
+        assert "a" in payload["message"]
+        assert not (tmp_path / "run").exists()
+
+    def test_compose_after_task1_eval_names_missing_task(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        views_dir = tmp_path / "views"
+        run_dir = tmp_path / "run"
+        steps = [
+            ["synth", "--seed", "3", "--files", "3", "--out-dir", str(corpus_dir)],
+            ["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)],
+            ["run", "--views-dir", str(views_dir), "--models", "a,b", "--backoff", "0",
+             "--out-dir", str(run_dir)],
+            ["parse", "--responses", str(run_dir / "raw_responses.jsonl"),
+             "--out-dir", str(tmp_path / "parsed")],
+            ["eval", "--views-dir", str(views_dir), "--task", "task1",
+             "--predictions", str(tmp_path / "parsed"), "--out", str(tmp_path / "base.json")],
+        ]
+        for argv in steps:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        code = main(["compose", "--base", str(tmp_path / "base.json"),
+                     "--out-dir", str(tmp_path / "final")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["message"] == (
+            "no task2 metrics in base (eval --task task1); compose needs both tasks"
+        )
 
     def test_failing_transport_still_produces_artifacts(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

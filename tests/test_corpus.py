@@ -19,6 +19,7 @@ from regeval.corpus import (
     normalize_path,
     save_dataset,
     split_pointer_path,
+    write_json,
 )
 from regeval.errors import InvalidPath, RegevalError
 
@@ -150,6 +151,15 @@ class TestDatasetIO:
         save_dataset(path, instances, registry)
         loaded = load_dataset(path, registry)
         assert loaded == instances
+
+    def test_write_json_bytes_and_no_temp_file_left(self, tmp_path):
+        path = tmp_path / "nested" / "out.json"
+        payload = {"b": [1, 2], "a": {"y": 1, "x": None}}
+        assert write_json(path, payload) == path
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        write_json(path, payload, indent=None)
+        assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.json"]
 
     def test_scalar_and_list_article_id(self, registry):
         base = {

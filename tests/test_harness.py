@@ -46,6 +46,10 @@ class TestRunConfig:
         assert config.effective_concurrency == 2
         assert config.overrides() == {}
 
+    def test_duplicate_model_names_rejected(self):
+        with pytest.raises(TransportConfigError, match="'a'"):
+            RunConfig(models=("a", "b", "a"))
+
     def test_overrides_reported(self):
         config = RunConfig(models=("a",), backoff_seconds=0.0, timeout_seconds=10.0)
         assert config.overrides() == {"backoff_seconds": 0.0, "timeout_seconds": 10.0}

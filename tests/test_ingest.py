@@ -188,7 +188,7 @@ class TestBindPredictions:
             model="m",
         )
         result = bind_predictions(views, [good], [orphan_t2], "strict")
-        assert result.task2_report["LGPD"].orphans
+        assert result.task2["LGPD"].report.orphans
         data = result.to_dict()
         assert data["label_cardinality"]["LGPD"]["task1"] == {1: 1}
 

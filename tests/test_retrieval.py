@@ -23,7 +23,7 @@ from regeval.retrieval import (
     r_precision,
     score_ranking,
 )
-from regeval.shaping import shape_task1
+from regeval.shaping import SnippetPointer, shape_task1, shape_task2
 from test_corpus import make_instance
 
 VOCAB = ["a", "b", "c", "d", "e"]
@@ -119,6 +119,26 @@ def _key(granularity="file", law="LGPD", file_path="app/A.kt", **kw):
     )
     defaults.update(kw)
     return RetrievalKey(**defaults)
+
+
+class TestKeyCodec:
+    @pytest.mark.parametrize("granularity", ["file", "module", "line"])
+    def test_retrieval_key_round_trip(self, granularity):
+        records = shape_task1([make_instance(path="app/A.kt", span=(3, 5))])
+        [key] = [k for k in gold_keys_for_records(records) if k.granularity == granularity]
+        assert RetrievalKey.from_dict(key.law, key.to_dict()) == key
+
+    def test_request_key_omits_law(self):
+        key = _key("line", span=LineSpan(3, 5))
+        data = key.to_dict()
+        del data["law"]
+        assert RetrievalKey.from_dict("LGPD", data) == key
+
+    def test_snippet_pointer_round_trip(self):
+        [record] = shape_task2([make_instance(path="app/A.kt", span=(3, 5))])
+        data = record.pointer.to_dict()
+        assert data == {"file_path": "app/A.kt", "span": [3, 5], "commit_id": record.pointer.commit_id}
+        assert SnippetPointer.from_dict(data) == record.pointer
 
 
 class TestMatchKeys:
