@@ -33,7 +33,7 @@ from .ingest import (
 )
 from .jurisdiction import JurisdictionRegistry
 from .multilabel import score_task2
-from .retrieval import score_task1
+from .retrieval import gold_keys_for_records, score_task1
 from .shaping import (
     DEFAULT_EXCLUDE_PATTERNS,
     ShapedViews,
@@ -196,6 +196,10 @@ def cmd_eval(args) -> int:
     registry = _registry(args)
     views = _load_views(args.views_dir, args.law.split(",") if args.law else None)
 
+    gold = gold_keys_for_records([rec for view in views.values() for rec in view.task1])
+
+    # Predictions for laws without loaded views (other laws than `--law`) are
+    # out of scope: dropped here, so they are neither orphans nor counted.
     prediction_dirs = [Path(p) for p in args.predictions]
     ranked_by_model: dict[str, list] = {}
     sets_by_model: dict[str, list] = {}
@@ -204,9 +208,13 @@ def cmd_eval(args) -> int:
             pred_dir / "predictions_task1.json", pred_dir / "predictions_task2.json", registry
         )
         for pred in ranked:
-            ranked_by_model.setdefault(pred.model or pred_dir.name, []).append(pred)
+            kept = ranked_by_model.setdefault(pred.model or pred_dir.name, [])
+            if pred.key.law in views:
+                kept.append(pred)
         for pred in sets:
-            sets_by_model.setdefault(pred.model or pred_dir.name, []).append(pred)
+            kept = sets_by_model.setdefault(pred.model or pred_dir.name, [])
+            if pred.law in views:
+                kept.append(pred)
 
     per_model_task1 = {}
     per_model_task2 = {}
@@ -214,7 +222,7 @@ def cmd_eval(args) -> int:
     for model in sorted(set(ranked_by_model) | set(sets_by_model)):
         ranked = ranked_by_model.get(model, [])
         sets = sets_by_model.get(model, [])
-        bound = bind_predictions(views, ranked, sets, args.policy)
+        bound = bind_predictions(views, gold, ranked, sets, args.policy)
         diagnostics[model] = bound.to_dict()
         per_model_task1[model] = (
             score_task1(bound.task1, registry) if args.task in ("both", "task1") else {}

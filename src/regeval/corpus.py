@@ -12,9 +12,10 @@ import json
 import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 from .errors import InvalidPath, RegevalError
 from .jurisdiction import THEME_ANCHORS, THEMES, JurisdictionRegistry
@@ -183,22 +184,37 @@ def save_dataset(path: str | Path, corpus: Sequence[RawInstance], registry: Juri
     write_json(path, [instance_to_record(inst, registry) for inst in corpus])
 
 
-def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
-    """Write `payload` as key-sorted JSON plus a newline, atomically.
+@contextmanager
+def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open `path` for streamed UTF-8 text writing, atomically.
 
-    The text goes to a temporary file in the same directory, which then
-    replaces `path`, so a reader never sees a partly written file. `indent=None`
-    writes compact JSON, which keeps the C encoder (any indent forces the
-    Python one).
+    The text goes to `.<name>.tmp` in the same directory, which replaces
+    `path` only when the block exits cleanly; on an exception the old file (if
+    any) stays and the temporary file is removed, so a reader never sees a
+    partly written file. `newline` is passed to `open` (CSV writers need "").
+    There is no fsync: this guards against an interrupted process, not power
+    loss.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(json.dumps(payload, indent=indent, sort_keys=True) + "\n", encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
+    """Write `payload` as key-sorted JSON plus a newline, atomically.
+
+    `indent=None` writes compact JSON, which keeps the C encoder (any indent
+    forces the Python one).
+    """
+    path = Path(path)
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
     return path
 
 

@@ -21,7 +21,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .corpus import RawInstance, write_json
+from .corpus import RawInstance, atomic_write, write_json
 from .errors import LawMismatch, RegevalError, TransportConfigError
 from .jurisdiction import THEMES, Jurisdiction, JurisdictionRegistry
 from .retrieval import RetrievalKey, gold_keys_for_records
@@ -469,7 +469,7 @@ def execute_run(
     log_lines.extend(heapq.merge(*(log for _, log in lanes)))
 
     responses_path = out / "raw_responses.jsonl"
-    with open(responses_path, "w", encoding="utf-8") as fh:
+    with atomic_write(responses_path) as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -480,7 +480,8 @@ def execute_run(
     ok_counts = Counter(record["model"] for record in records if record["status"] == "ok")
     summary = ", ".join(f"{model}: {ok_counts[model]}/{len(items)} ok" for model in config.models)
     log_lines.append(f"{_timestamp()} run complete ({summary})")
-    log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    with atomic_write(log_path) as fh:
+        fh.writelines(line + "\n" for line in log_lines)
     return RunResult(records=records, responses_path=responses_path, config_path=config_path, log_path=log_path)
 
 

@@ -9,29 +9,24 @@ list, which keeps line numbers in free-text rationale from being captured.
 from __future__ import annotations
 
 import json
-import re
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import write_json
 from .errors import OutOfUniverse, RegevalError
-from .jurisdiction import Jurisdiction, JurisdictionRegistry
+from .jurisdiction import JurisdictionRegistry
 from .multilabel import SetPrediction, Task2Match, match_task2
 from .retrieval import (
     RankedPrediction,
     RetrievalKey,
     Task1Match,
-    gold_keys_for_records,
     match_task1,
 )
 from .shaping import ShapedViews, SnippetPointer
 
 RANKED = "ranked"
 SET = "set"
-
-_CONNECTIVE = r"(?:\s*(?:,|;|/|&|\+|\band\b|\bor\b|\be\b)\s*)+"
 
 
 @dataclass(frozen=True)
@@ -46,59 +41,6 @@ class ParsedPrediction:
     @property
     def empty(self) -> bool:
         return not self.ids
-
-
-class _LawScanner:
-    """Compiled identifier grammar for one jurisdiction."""
-
-    def __init__(self, jur: Jurisdiction):
-        self.jur = jur
-        words = sorted((p for p in jur.prefixes if p != "§"), key=len, reverse=True)
-        prefix = rf"(?:§|(?<![A-Za-z])(?:{'|'.join(map(re.escape, words))})\s*\.?)"
-        # A trailing sentence dot is fine; a letter or a further numeric
-        # component (".3", "x") means the digits are part of something else.
-        tail_guard = r"(?![A-Za-z])(?!\.?\d)"
-        prefixed_token = rf"({jur.id_pattern}){tail_guard}"
-        bare_token = rf"(?<![A-Za-z\d.])({jur.id_pattern}){tail_guard}"
-        if jur.allow_bare_ids:
-            self.head = re.compile(rf"(?:{prefix}\s*)?{bare_token}", re.IGNORECASE)
-        else:
-            self.head = re.compile(rf"{prefix}\s*{prefixed_token}", re.IGNORECASE)
-        self.continuation = re.compile(
-            rf"{_CONNECTIVE}(?:{prefix}\s*)?{bare_token}", re.IGNORECASE
-        )
-
-    def scan(self, text: str) -> list[str]:
-        tokens: list[str] = []
-        pos = 0
-        while True:
-            head = self.head.search(text, pos)
-            if head is None:
-                break
-            tokens.append(head.group(1))
-            pos = head.end()
-            while True:
-                cont = self.continuation.match(text, pos)
-                if cont is None:
-                    break
-                tokens.append(cont.group(1))
-                pos = cont.end()
-        return tokens
-
-
-_SCANNERS: "weakref.WeakKeyDictionary[JurisdictionRegistry, dict[str, _LawScanner]]" = None  # type: ignore[assignment]
-
-
-def _scanner(registry: JurisdictionRegistry, law: str) -> _LawScanner:
-    global _SCANNERS
-    if _SCANNERS is None:
-        _SCANNERS = weakref.WeakKeyDictionary()
-    per_registry = _SCANNERS.setdefault(registry, {})
-    scanner = per_registry.get(law)
-    if scanner is None:
-        scanner = _LawScanner(registry.get(law))
-        per_registry[law] = scanner
-    return scanner
 
 
 def parse_prediction_text(
@@ -117,7 +59,7 @@ def parse_prediction_text(
     ids: list[str] = []
     dropped: list[str] = []
     seen: set[str] = set()
-    for token in _scanner(registry, law).scan(text or ""):
+    for token in registry.get(law).scan(text or ""):
         try:
             ref = registry.canonicalize_article(token, law)
         except OutOfUniverse:
@@ -202,27 +144,27 @@ def set_prediction_to_dict(pred: SetPrediction) -> dict:
     }
 
 
+def _canonical_ids(raw_ids: Iterable, law: str, registry: JurisdictionRegistry) -> tuple[str, ...]:
+    """Canonical ids of a stored id list, duplicates dropped, first occurrence kept."""
+    ids = {registry.canonicalize_article(str(raw), law).article: None for raw in raw_ids}
+    return tuple(ids)
+
+
 def ranked_prediction_from_dict(data: Mapping, registry: JurisdictionRegistry) -> RankedPrediction:
     law = data["law"]
-    ids: list[str] = []
-    for raw in data["ranking"]:
-        article = registry.canonicalize_article(str(raw), law).article
-        if article not in ids:
-            ids.append(article)
-    return RankedPrediction(key=RetrievalKey.from_dict(law, data), ranking=tuple(ids), model=data.get("model", ""))
+    return RankedPrediction(
+        key=RetrievalKey.from_dict(law, data),
+        ranking=_canonical_ids(data["ranking"], law, registry),
+        model=data.get("model", ""),
+    )
 
 
 def set_prediction_from_dict(data: Mapping, registry: JurisdictionRegistry) -> SetPrediction:
     law = data["law"]
-    ids: list[str] = []
-    for raw in data["labels"]:
-        article = registry.canonicalize_article(str(raw), law).article
-        if article not in ids:
-            ids.append(article)
     return SetPrediction(
         law=law,
         pointer=SnippetPointer.from_dict(data),
-        labels=tuple(ids),
+        labels=_canonical_ids(data["labels"], law, registry),
         model=data.get("model", ""),
     )
 
@@ -292,12 +234,16 @@ class BindResult:
 
 def bind_predictions(
     views: Mapping[str, ShapedViews],
+    gold: Mapping[RetrievalKey, frozenset[str]],
     ranked: Sequence[RankedPrediction],
     sets: Sequence[SetPrediction],
     policy: str,
 ) -> BindResult:
-    """Join predictions to gold keys/pointers and report coverage."""
-    gold = gold_keys_for_records([rec for view in views.values() for rec in view.task1])
+    """Join predictions to gold keys/pointers and report coverage.
+
+    `gold` is `gold_keys_for_records` of the views' task-1 records, expanded
+    once by the caller and shared by every model it binds.
+    """
     result = BindResult(
         task1=match_task1(gold, ranked, policy),
         task2=match_task2([rec for view in views.values() for rec in view.task2], sets),

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -42,9 +43,23 @@ class ArticleRef:
         return f"{self.law}:{self.article}"
 
 
+# Separators that continue an identifier list: "Art. 7, 12 and 15".
+_CONNECTIVE = r"(?:\s*(?:,|;|/|&|\+|\band\b|\bor\b|\be\b)\s*)+"
+# A trailing sentence dot is fine; a letter or a further numeric component
+# (".3", "x") means the digits are part of something else.
+_TAIL_GUARD = r"(?![A-Za-z])(?!\.?\d)"
+
+
 @dataclass(frozen=True)
 class Jurisdiction:
-    """One law's label universe plus the lexical rules for its identifiers."""
+    """One law's label universe plus the lexical rules for its identifiers.
+
+    The identifier grammar is compiled once per law: `head` and
+    `continuation` scan free text, `surface_form` matches one whole token.
+    Construction also builds a dict index over the universe and the map from
+    each universe member the surface form resolves to itself onto its shared
+    `ArticleRef`, so canonical ids skip the regex.
+    """
 
     code: str
     universe: tuple[str, ...]
@@ -52,22 +67,35 @@ class Jurisdiction:
     prefixes: tuple[str, ...]
     id_pattern: str
     allow_bare_ids: bool
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _canonical: dict[str, ArticleRef] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.universe:
             raise RegevalError(f"{self.code}: label universe must be non-empty")
-        if len(set(self.universe)) != len(self.universe):
+        index = {article: i for i, article in enumerate(self.universe)}
+        if len(index) != len(self.universe):
             raise RegevalError(f"{self.code}: label universe contains duplicates")
+        object.__setattr__(self, "_index", index)
+        canonical = {}
+        for article in self.universe:
+            try:
+                ref = self.resolve(article)
+            except (UnrecognizedIdentifier, OutOfUniverse):
+                continue
+            if ref.article == article:
+                canonical[article] = ref
+        object.__setattr__(self, "_canonical", canonical)
 
     def universe_index(self, article: str) -> int:
         """Position of an article in the stable universe order."""
         try:
-            return self.universe.index(article)
-        except ValueError:
+            return self._index[article]
+        except KeyError:
             raise OutOfUniverse(f"{self.code}: article {article!r} not in universe") from None
 
     def contains(self, article: str) -> bool:
-        return article in self.universe
+        return article in self._index
 
     def render(self, article: str) -> str:
         """Render a canonical id in this law's citation style."""
@@ -76,8 +104,72 @@ class Jurisdiction:
     def sort_articles(self, articles: Iterable[str]) -> list[str]:
         return sorted(articles, key=self.universe_index)
 
+    # --- identifier grammar ------------------------------------------------------
 
-def _canonical_token(token: str, id_pattern: str) -> str:
+    @cached_property
+    def _prefix(self) -> str:
+        """A citation prefix: "§", or a prefix word not glued to a preceding
+        letter, then an optional abbreviation dot."""
+        words = sorted((p for p in self.prefixes if p != "§"), key=len, reverse=True)
+        return rf"(?:§|(?<![A-Za-z])(?:{'|'.join(map(re.escape, words))}))\s*\.?"
+
+    @cached_property
+    def _bare_token(self) -> str:
+        return rf"(?<![A-Za-z\d.])({self.id_pattern}){_TAIL_GUARD}"
+
+    @cached_property
+    def head(self) -> re.Pattern[str]:
+        """First identifier of a list: prefixed, or bare where the law allows it."""
+        if self.allow_bare_ids:
+            return re.compile(rf"(?:{self._prefix}\s*)?{self._bare_token}", re.IGNORECASE)
+        return re.compile(rf"{self._prefix}\s*({self.id_pattern}){_TAIL_GUARD}", re.IGNORECASE)
+
+    @cached_property
+    def continuation(self) -> re.Pattern[str]:
+        """A further identifier joined to the previous one by a connective."""
+        return re.compile(rf"{_CONNECTIVE}(?:{self._prefix}\s*)?{self._bare_token}", re.IGNORECASE)
+
+    @cached_property
+    def surface_form(self) -> re.Pattern[str]:
+        """One whole token: optional brackets, quotes, prefix and trailing punctuation."""
+        return re.compile(
+            rf"^[\s\(\[\"']*(?:{self._prefix})?\s*({self.id_pattern})[\s\)\]\"'.,;:!?]*$",
+            re.IGNORECASE,
+        )
+
+    def scan(self, text: str) -> list[str]:
+        """Identifier tokens of free text, in order: each list starts at a
+        `head` match and runs on through `continuation` matches."""
+        tokens: list[str] = []
+        pos = 0
+        while True:
+            head = self.head.search(text, pos)
+            if head is None:
+                break
+            tokens.append(head.group(1))
+            pos = head.end()
+            while True:
+                cont = self.continuation.match(text, pos)
+                if cont is None:
+                    break
+                tokens.append(cont.group(1))
+                pos = cont.end()
+        return tokens
+
+    def resolve(self, raw: str) -> ArticleRef:
+        """Resolve one surface form through the grammar (the regex path)."""
+        if not raw or not raw.strip():
+            raise UnrecognizedIdentifier(f"{self.code}: empty identifier text")
+        match = self.surface_form.match(raw)
+        if match is None:
+            raise UnrecognizedIdentifier(f"{self.code}: no identifier in {raw!r}")
+        canonical = _canonical_token(match.group(1))
+        if not self.contains(canonical):
+            raise OutOfUniverse(f"{self.code}: article {canonical!r} not in universe")
+        return ArticleRef(self.code, canonical)
+
+
+def _canonical_token(token: str) -> str:
     """Strip leading zeros from the numeric components of an id token."""
     if re.fullmatch(r"\d+", token):
         return str(int(token))
@@ -92,7 +184,6 @@ class JurisdictionRegistry:
 
     def __init__(self, jurisdictions: Mapping[str, Jurisdiction]):
         self._by_code = dict(jurisdictions)
-        self._surface_re: dict[str, re.Pattern[str]] = {}
 
     @classmethod
     def from_config(cls, config: Mapping[str, Mapping]) -> "JurisdictionRegistry":
@@ -151,34 +242,17 @@ class JurisdictionRegistry:
             for code, jur in self._by_code.items()
         }
 
-    def _surface_form(self, jur: Jurisdiction) -> re.Pattern[str]:
-        pattern = self._surface_re.get(jur.code)
-        if pattern is None:
-            words = sorted((p for p in jur.prefixes if p != "§"), key=len, reverse=True)
-            prefix = rf"(?:§|(?<![A-Za-z])(?:{'|'.join(map(re.escape, words))}))"
-            pattern = re.compile(
-                rf"^[\s\(\[\"']*(?:{prefix}\s*\.?)?\s*({jur.id_pattern})[\s\)\]\"'.,;:!?]*$",
-                re.IGNORECASE,
-            )
-            self._surface_re[jur.code] = pattern
-        return pattern
-
     def canonicalize_article(self, raw: str, law: str) -> ArticleRef:
         """Resolve one identifier surface form to its canonical ArticleRef.
 
-        Raises UnrecognizedIdentifier when the text is not an identifier at all
-        and OutOfUniverse when it parses but names an unknown provision.
+        A universe member already in canonical form is one dict lookup; any
+        other text goes through the law's surface-form grammar. Raises
+        UnrecognizedIdentifier when the text is not an identifier at all and
+        OutOfUniverse when it parses but names an unknown provision.
         """
         jur = self.get(law)
-        if not raw or not raw.strip():
-            raise UnrecognizedIdentifier(f"{law}: empty identifier text")
-        match = self._surface_form(jur).match(raw)
-        if match is None:
-            raise UnrecognizedIdentifier(f"{law}: no identifier in {raw!r}")
-        canonical = _canonical_token(match.group(1), jur.id_pattern)
-        if not jur.contains(canonical):
-            raise OutOfUniverse(f"{law}: article {canonical!r} not in universe")
-        return ArticleRef(law, canonical)
+        ref = jur._canonical.get(raw)
+        return ref if ref is not None else jur.resolve(raw)
 
 
 def theme_anchor(theme: str, law: str, registry: JurisdictionRegistry | None = None) -> ArticleRef:

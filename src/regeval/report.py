@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .composites import CompositeConfig, compose
-from .corpus import write_json
+from .corpus import atomic_write, write_json
 from .multilabel import T2_METRIC_NAMES, JudgmentMetrics, Task2Evaluation
 from .retrieval import T1_METRIC_NAMES, RetrievalMetrics, Task1Evaluation
 from .shaping import GRANULARITIES
@@ -124,7 +124,8 @@ def render_report_txt(payload: Mapping) -> str:
 
 def write_report_txt(path: str | Path, payload: Mapping) -> Path:
     path = Path(path)
-    path.write_text(render_report_txt(payload), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(render_report_txt(payload))
     return path
 
 
@@ -132,7 +133,7 @@ def write_plot_data_csv(path: str | Path, payload: Mapping) -> Path:
     """Radar-axis rows: task-1 levels use the retrieval metric order, the
     snippet row uses the oriented judgment order (axis_1..axis_6)."""
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "law", "level"] + [f"axis_{i}" for i in range(1, 7)])
         for model, block in sorted(payload.get("models", {}).items()):

@@ -81,6 +81,12 @@ def ndcg_at_5(gold: Iterable[str], ranking: Sequence[str]) -> float:
     return dcg / ideal
 
 
+# Rank discounts 1/log2(p + 1) for p = 1..5, and the ideal DCG@5 for
+# 1..5 gold items, each summed exactly as `ndcg_at_5` sums it.
+_DISCOUNTS = tuple(1.0 / math.log2(position + 1) for position in range(1, 6))
+_IDEAL_DCG = tuple(sum(_DISCOUNTS[:n]) for n in range(1, 6))
+
+
 @dataclass(frozen=True)
 class RetrievalMetrics:
     """Higher-is-better six-vector for one (law, granularity) slice."""
@@ -108,14 +114,32 @@ class RetrievalMetrics:
 
 
 def score_ranking(gold: Iterable[str], ranking: Sequence[str]) -> RetrievalMetrics:
+    """All six metrics of one ranking, equal bit for bit to the per-metric
+    functions above. MRR, MAP and nDCG@5 come from one pass over the ranking,
+    summed in the same order; the set-based metrics keep their intersections,
+    so rankings with repeated ids score as they do there."""
     gold = frozenset(gold)
+    _require_gold(gold)
+    size = len(gold)
+    reciprocal_rank = 0.0
+    precision_sum = 0.0
+    gains: list[float] = []
+    hits = 0
+    for position, item in enumerate(ranking, start=1):
+        if item in gold:
+            hits += 1
+            if hits == 1:
+                reciprocal_rank = 1.0 / position
+            precision_sum += hits / position
+            if position <= 5:
+                gains.append(_DISCOUNTS[position - 1])
     return RetrievalMetrics(
-        acc_at_1=acc_at_k(gold, ranking, 1),
-        acc_at_5=acc_at_k(gold, ranking, 5),
-        r_precision=r_precision(gold, ranking),
-        mrr=mrr(gold, ranking),
-        map=map_score(gold, ranking),
-        ndcg_at_5=ndcg_at_5(gold, ranking),
+        acc_at_1=len(gold.intersection(ranking[:1])) / size,
+        acc_at_5=len(gold.intersection(ranking[:5])) / size,
+        r_precision=len(gold.intersection(ranking[:size])) / size,
+        mrr=reciprocal_rank,
+        map=precision_sum / size,
+        ndcg_at_5=sum(gains) / _IDEAL_DCG[min(size, 5) - 1],
     )
 
 

@@ -9,7 +9,10 @@ fixed-point merging for the span rule.
 from __future__ import annotations
 
 import math
+import re
 from typing import Sequence
+
+from regeval.errors import OutOfUniverse, UnrecognizedIdentifier
 
 
 def _relevance_vector(gold: set[str], ranking: Sequence[str]) -> list[int]:
@@ -58,6 +61,32 @@ def oracle_ndcg_at_5(gold: set[str], ranking: Sequence[str]) -> float:
     ideal_hits = min(len(gold), 5)
     idcg = sum(1.0 / math.log2(pos + 1) for pos in range(1, ideal_hits + 1))
     return dcg / idcg
+
+
+def oracle_canonicalize(jur, raw: str) -> str | type:
+    """Canonical id of one surface form, or the exception type it must raise.
+
+    The surface-form rule written out on its own: opening brackets or quotes,
+    an optional citation prefix ("§", or a prefix word not glued to a
+    preceding letter) with an optional dot, the id, then closing punctuation.
+    Numeric components lose their leading zeros, and the result must be a
+    member of the universe.
+    """
+    if not raw.strip():
+        return UnrecognizedIdentifier
+    words = "|".join(re.escape(p) for p in sorted(jur.prefixes, key=len, reverse=True) if p != "§")
+    prefix = rf"(?:§|(?<![A-Za-z])(?:{words}))"
+    match = re.match(
+        rf"^[\s\(\[\"']*(?:{prefix}\s*\.?)?\s*({jur.id_pattern})[\s\)\]\"'.,;:!?]*$",
+        raw,
+        re.IGNORECASE,
+    )
+    if match is None:
+        return UnrecognizedIdentifier
+    token = match.group(1)
+    if re.fullmatch(r"\d+(?:\.\d+)?", token):
+        token = ".".join(str(int(part)) for part in token.split("."))
+    return token if token in jur.universe else OutOfUniverse
 
 
 def bit_matrix(samples: Sequence[set[str]], universe: Sequence[str]) -> list[list[int]]:

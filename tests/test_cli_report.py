@@ -216,6 +216,35 @@ class TestSingleJoin:
         assert len(calls) == 2 * 2 * 3  # models x laws x granularities
 
 
+class TestEvalLawFilter:
+    """`eval --law` scores the selected laws only: predictions of other laws
+    are out of scope, not orphans, and not counted."""
+
+    def test_other_laws_are_neither_orphans_nor_counted(self, tmp_path):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "3", "--files", "3", "--profiles", "PERFECT",
+                     "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"),
+                     "--out-dir", str(views_dir)]) == 0
+        argv = ["eval", "--views-dir", str(views_dir),
+                "--predictions", str(corpus_dir / "predictions_PERFECT")]
+        assert main(argv + ["--out", str(tmp_path / "all.json")]) == 0
+        assert main(argv + ["--law", "LGPD", "--out", str(tmp_path / "lgpd.json")]) == 0
+        full = json.loads((tmp_path / "all.json").read_text())
+        lgpd = json.loads((tmp_path / "lgpd.json").read_text())
+
+        diagnostics = lgpd["diagnostics"]["PERFECT"]
+        assert diagnostics["orphan_task1_predictions"] == []
+        assert sorted(diagnostics["label_cardinality"]) == ["LGPD"]
+        assert sorted(diagnostics["task2"]) == ["LGPD"]
+        assert {key.split("/")[0] for key in diagnostics["task1"]} == {"LGPD"}
+        full_diagnostics = full["diagnostics"]["PERFECT"]
+        assert diagnostics["label_cardinality"]["LGPD"] == full_diagnostics["label_cardinality"]["LGPD"]
+        # The selected law scores as it does in an unfiltered eval.
+        for task in ("task1", "task2"):
+            assert lgpd["models"]["PERFECT"][task] == {"LGPD": full["models"]["PERFECT"][task]["LGPD"]}
+
+
 class TestComposeFromFixture:
     def test_reference_fixture_recomputation(self, tmp_path):
         out_dir = tmp_path / "composed"

@@ -11,6 +11,7 @@ from regeval.corpus import (
     CorpusStats,
     LineSpan,
     RawInstance,
+    atomic_write,
     corpus_stats,
     derive_module_name,
     instance_from_record,
@@ -22,6 +23,8 @@ from regeval.corpus import (
     write_json,
 )
 from regeval.errors import InvalidPath, RegevalError
+from regeval.multilabel import T2_METRIC_NAMES
+from regeval.report import write_plot_data_csv
 
 COMMIT = "a" * 40
 
@@ -160,6 +163,28 @@ class TestDatasetIO:
         write_json(path, payload, indent=None)
         assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
         assert [p.name for p in path.parent.iterdir()] == ["out.json"]
+
+    def test_interrupted_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "raw_responses.jsonl"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("new first line\n")
+                raise RuntimeError("interrupted mid-write")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["raw_responses.jsonl"]
+
+    def test_failing_csv_row_keeps_old_plot_data(self, tmp_path):
+        path = tmp_path / "plot_data.csv"
+        path.write_text("old\n")
+        # The second model's row cannot be rendered, after the header and the
+        # first model's rows have been written.
+        row = {name: 0.5 for name in T2_METRIC_NAMES}
+        payload = {"models": {"a": {"task2": {"LGPD": row}}, "b": {"task2": {"LGPD": {}}}}}
+        with pytest.raises(KeyError):
+            write_plot_data_csv(path, payload)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["plot_data.csv"]
 
     def test_scalar_and_list_article_id(self, registry):
         base = {

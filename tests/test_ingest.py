@@ -15,10 +15,11 @@ from regeval.ingest import (
     parse_responses,
     write_prediction_files,
 )
-from regeval.multilabel import SetPrediction
-from regeval.retrieval import RankedPrediction, gold_keys_for_records
+from regeval.jurisdiction import JurisdictionRegistry
+from regeval.multilabel import SetPrediction, score_task2
+from regeval.retrieval import RankedPrediction, gold_keys_for_records, score_task1
 from regeval.shaping import SnippetPointer, shape_views
-from regeval.synthetic import render_response_text
+from regeval.synthetic import CorpusSpec, generate_corpus, render_response_text, scripted_model
 from test_corpus import make_instance
 
 
@@ -93,6 +94,12 @@ class TestGrammar:
     def test_case_insensitive(self, registry):
         parsed = parse_prediction_text("ARTICLE 12; SEC. 13", "LGPD", RANKED, registry)
         assert "12" in parsed.ids
+
+    def test_scan_takes_the_prefixes_of_the_surface_form(self, registry):
+        # One prefix grammar: "§." is a prefix in free text as in a single token.
+        assert registry.canonicalize_article("§. 24", "PDPA").article == "24"
+        parsed = parse_prediction_text("see §. 24 and § .13", "PDPA", RANKED, registry)
+        assert parsed.ids == ("24", "13")
 
     def test_mid_word_digits_not_identifiers(self, registry):
         parsed = parse_prediction_text("v4.3beta ships 4.3x", "PIPEDA", RANKED, registry)
@@ -187,17 +194,47 @@ class TestBindPredictions:
             labels=("7",),
             model="m",
         )
-        result = bind_predictions(views, [good], [orphan_t2], "strict")
+        result = bind_predictions(views, keys, [good], [orphan_t2], "strict")
         assert result.task2["LGPD"].report.orphans
         data = result.to_dict()
         assert data["label_cardinality"]["LGPD"]["task1"] == {1: 1}
 
     def test_coverage_ratio(self, registry):
         views = self._views()
-        keys = sorted(gold_keys_for_records(views["LGPD"].task1), key=lambda k: k.sort_key())
+        gold = gold_keys_for_records(views["LGPD"].task1)
+        keys = sorted(gold, key=lambda k: k.sort_key())
         preds = [RankedPrediction(key=k, ranking=("7",), model="m") for k in keys[:3]]
-        result = bind_predictions(views, preds, [], "strict")
+        result = bind_predictions(views, gold, preds, [], "strict")
         total_gold = sum(rep["gold_keys"] for rep in result.to_dict()["task1"].values())
         total_matched = sum(rep["matched_keys"] for rep in result.to_dict()["task1"].values())
         assert total_gold == 6  # 2 files x (file + module + line)
         assert total_matched == 3
+
+
+class TestEvalPermutationInvariance:
+    """Eval scores do not depend on the order of duplicate-free predictions."""
+
+    _registry = JurisdictionRegistry.default()
+    _views = shape_views(generate_corpus(CorpusSpec(seed=3, files_per_law={"LGPD": 3, "PIPEDA": 3}), _registry))
+    _gold = gold_keys_for_records([rec for view in _views.values() for rec in view.task1])
+    _scripted = scripted_model("RANDOM", _views, _registry, seed=3)
+
+    def _scores(self, ranked, sets):
+        bound = bind_predictions(self._views, self._gold, ranked, sets, "strict")
+        task1 = score_task1(bound.task1, self._registry)
+        task2 = score_task2(bound.task2, self._registry)
+        return (
+            {slice_: ev.to_dict() for slice_, ev in task1.items()},
+            {law: ev.to_dict() for law, ev in task2.items()},
+            bound.to_dict(),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_scores_invariant_under_permutation(self, data):
+        # Some gold keys and pointers go unpredicted, so coverage is partial.
+        ranked = [p for p in self._scripted.ranked if data.draw(st.integers(0, 4), label="keep") > 0]
+        sets = [p for p in self._scripted.sets if data.draw(st.integers(0, 4), label="keep") > 0]
+        shuffled_ranked = data.draw(st.permutations(ranked))
+        shuffled_sets = data.draw(st.permutations(sets))
+        assert self._scores(shuffled_ranked, shuffled_sets) == self._scores(ranked, sets)

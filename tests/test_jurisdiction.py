@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from regeval.errors import OutOfUniverse, RegevalError, UnrecognizedIdentifier
 from regeval.jurisdiction import (
     LAWS,
@@ -157,3 +160,104 @@ def test_registry_rejects_duplicate_universe():
 def test_unknown_jurisdiction(registry):
     with pytest.raises(RegevalError):
         registry.get("GDPR")
+
+
+# --- the canonical fast path keeps every result and exception type -------------
+
+# Universe members that are not their own canonical form: "05" resolves to the
+# unknown "5" (ZP) or to the member "5" (ZQ); "010" resolves to the unknown "10".
+_ODD_REGISTRY = JurisdictionRegistry.from_config(
+    {
+        "ZP": {
+            "citation_style": "Art. {id}",
+            "universe": {"ids": ["05", "7", "010"]},
+            "prefixes": ["art", "s"],
+            "id_pattern": "\\d+",
+        },
+        "ZQ": {
+            "citation_style": "{id}",
+            "universe": {"ids": ["05", "5"]},
+            "prefixes": [],
+            "id_pattern": "\\d+",
+        },
+    }
+)
+_DEFAULT_REGISTRY = JurisdictionRegistry.default()
+_CASES = [(_DEFAULT_REGISTRY, law) for law in _DEFAULT_REGISTRY.codes] + [
+    (_ODD_REGISTRY, law) for law in _ODD_REGISTRY.codes
+]
+
+
+@st.composite
+def surface_forms(draw, jur):
+    """Identifier text as models and files write it: universe members, zero
+    padded, prefixed, bracketed, out of universe, or not an identifier."""
+    member = st.sampled_from(jur.universe)
+    core = draw(
+        st.one_of(
+            member,
+            st.tuples(st.sampled_from(["0", "00"]), member).map("".join),
+            member.map(lambda a: ".".join(p.zfill(2) for p in a.split("."))),
+            st.integers(0, 999).map(str),
+            st.tuples(st.integers(0, 12), st.integers(0, 12)).map(lambda t: f"{t[0]}.{t[1]}"),
+            st.text(alphabet="aS§.,;()[]'\" 0123456789x", max_size=8),
+        )
+    )
+    prefix = draw(
+        st.sampled_from(["", "§", "§ ", "§.", "Art. ", "ART", "article ", "s.", "Section ",
+                         "principle ", "smart ", "x"])
+    )
+    opening = draw(st.sampled_from(["", " ", "(", "[", '"', "'", " ("]))
+    closing = draw(st.sampled_from(["", " ", ")", "]", ".", ",", ";", "'", "):", "x"]))
+    return opening + prefix + core + closing
+
+
+def _outcome(registry, raw, law):
+    try:
+        ref = registry.canonicalize_article(raw, law)
+    except (UnrecognizedIdentifier, OutOfUniverse) as exc:
+        return type(exc)
+    assert ref == ArticleRef(law, ref.article)
+    return ref.article
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonicalize_matches_surface_form_oracle(data):
+    registry, law = data.draw(st.sampled_from(_CASES))
+    jur = registry.get(law)
+    raw = data.draw(st.one_of(surface_forms(jur), st.text(max_size=12)))
+    assert _outcome(registry, raw, law) == oracles.oracle_canonicalize(jur, raw)
+    # The fast path and the grammar alone agree too.
+    try:
+        resolved = jur.resolve(raw).article
+    except (UnrecognizedIdentifier, OutOfUniverse) as exc:
+        resolved = type(exc)
+    assert _outcome(registry, raw, law) == resolved
+
+
+def test_non_canonical_universe_ids_keep_their_outcome():
+    with pytest.raises(OutOfUniverse):
+        _ODD_REGISTRY.canonicalize_article("05", "ZP")
+    with pytest.raises(OutOfUniverse):
+        _ODD_REGISTRY.canonicalize_article("010", "ZP")
+    assert _ODD_REGISTRY.canonicalize_article("05", "ZQ") == ArticleRef("ZQ", "5")
+    assert _ODD_REGISTRY.canonicalize_article("Art. 007", "ZP") == ArticleRef("ZP", "7")
+
+
+def test_canonical_ids_share_one_ref(registry):
+    for law in registry.codes:
+        for article in registry.get(law).universe:
+            ref = registry.canonicalize_article(article, law)
+            assert ref is registry.canonicalize_article(article, law)
+            assert ref == ArticleRef(law, article)
+
+
+def test_universe_index_and_contains(registry):
+    pipeda = registry.get("PIPEDA")
+    for i, article in enumerate(pipeda.universe):
+        assert pipeda.universe_index(article) == i
+        assert pipeda.contains(article)
+    assert not pipeda.contains("4.11")
+    with pytest.raises(OutOfUniverse):
+        pipeda.universe_index("04.3")

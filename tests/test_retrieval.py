@@ -85,6 +85,34 @@ class TestOracleEquivalence:
         )
 
 
+class TestOnePassScoring:
+    """`score_ranking` equals the six per-metric functions exactly."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        gold=st.sets(st.sampled_from(VOCAB + ["f", "g"]), min_size=1, max_size=7).map(frozenset),
+        ranking=st.one_of(
+            st.just(()),
+            st.lists(st.sampled_from(VOCAB + ["f", "g", "x", "y"]), max_size=12).map(tuple),
+        ),
+    )
+    def test_bit_identical_to_per_metric_functions(self, gold, ranking):
+        # Rankings may repeat ids, be empty, or be shorter than |gold|.
+        reference = (
+            acc_at_k(gold, ranking, 1),
+            acc_at_k(gold, ranking, 5),
+            r_precision(gold, ranking),
+            mrr(gold, ranking),
+            map_score(gold, ranking),
+            ndcg_at_5(gold, ranking),
+        )
+        assert score_ranking(gold, ranking).as_tuple() == reference
+
+    def test_empty_gold_raises(self):
+        with pytest.raises(EmptyGold):
+            score_ranking(set(), ("a",))
+
+
 class TestProperties:
     @settings(max_examples=300, deadline=None)
     @given(gold=gold_sets, ranking=rankings)
