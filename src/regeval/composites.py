@@ -6,20 +6,24 @@ task), a variance-penalized geometric mean across laws, and a cross-task
 coupling that is aggregated across laws the same way. Variances and standard
 deviations are population (divide-by-n) throughout; that convention reproduces
 released composite values from their published inputs.
+
+numpy is imported inside the three RCS functions, the only ones that use it,
+so a process that never computes RCS does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import MissingLaw, RegevalError, SingularCovariance
 from .multilabel import JudgmentMetrics
 from .retrieval import T1_METRIC_NAMES, RetrievalMetrics
 from .shaping import GRANULARITIES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,8 @@ def regularized_covariance(cohort: np.ndarray, ridge: float) -> np.ndarray:
 
     A singleton cohort has zero deviations, so it degrades to ridge * I.
     """
+    import numpy as np
+
     matrix = np.asarray(cohort, dtype=float)
     if matrix.ndim != 2:
         raise RegevalError("cohort must be a 2-D (models x metrics) array")
@@ -94,6 +100,8 @@ def regularized_covariance(cohort: np.ndarray, ridge: float) -> np.ndarray:
 
 def mahalanobis(x: Sequence[float], y: Sequence[float], cov: np.ndarray) -> float:
     """sqrt((x - y)^T C^{-1} (x - y)) via a direct solve of the K x K system."""
+    import numpy as np
+
     diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     try:
         solved = np.linalg.solve(cov, diff)
@@ -108,6 +116,8 @@ def mahalanobis(x: Sequence[float], y: Sequence[float], cov: np.ndarray) -> floa
 def rcs_scores(cohort: Sequence[Sequence[float]], config: CompositeConfig) -> list[float]:
     """TOPSIS closeness to the all-ones ideal under Mahalanobis geometry,
     one score per cohort row. The covariance is estimated once per cohort."""
+    import numpy as np
+
     matrix = np.asarray(cohort, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise RegevalError("cohort must contain at least one metric vector")
@@ -261,17 +271,7 @@ def compose(
 
     report.rcs_task1 = cohort_scores(t1_vectors)
     report.rcs_task2 = cohort_scores(t2_vectors)
-
-    for model in models:
-        t1 = [report.rcs_task1[model][law] for law in laws]
-        t2 = [report.rcs_task2[model][law] for law in laws]
-        report.crgs_task1[model] = crgs(t1, config.beta, config.epsilon)
-        report.crgs_task2[model] = crgs(t2, config.beta, config.epsilon)
-        pairs = {law: (report.rcs_task1[model][law], report.rcs_task2[model][law]) for law in laws}
-        overall, coupled = ocs(pairs, config)
-        report.coupled[model] = coupled
-        report.ocs_scores[model] = overall
-    return report
+    return _aggregate_laws(report)
 
 
 def compose_from_rcs(
@@ -283,8 +283,7 @@ def compose_from_rcs(
     rcs_values: model -> {"task1": {law: score}, "task2": {law: score}}.
     Used to recompute the cross-law layers from released per-law composites.
     """
-    config = config or CompositeConfig()
-    report = CompositeReport(config=config)
+    report = CompositeReport(config=config or CompositeConfig())
     for model, tasks in sorted(rcs_values.items()):
         t1 = dict(tasks["task1"])
         t2 = dict(tasks["task2"])
@@ -293,9 +292,19 @@ def compose_from_rcs(
         laws = sorted(t1)
         report.rcs_task1[model] = {law: float(t1[law]) for law in laws}
         report.rcs_task2[model] = {law: float(t2[law]) for law in laws}
-        report.crgs_task1[model] = crgs([t1[law] for law in laws], config.beta, config.epsilon)
-        report.crgs_task2[model] = crgs([t2[law] for law in laws], config.beta, config.epsilon)
-        overall, coupled = ocs({law: (t1[law], t2[law]) for law in laws}, config)
+    return _aggregate_laws(report)
+
+
+def _aggregate_laws(report: CompositeReport) -> CompositeReport:
+    """Fill CRGS per task, the per-law coupling and OCS of every model from
+    the per-law RCS tables already in `report` (their keys are sorted laws)."""
+    config = report.config
+    for model in sorted(report.rcs_task1):
+        t1 = report.rcs_task1[model]
+        t2 = report.rcs_task2[model]
+        report.crgs_task1[model] = crgs(list(t1.values()), config.beta, config.epsilon)
+        report.crgs_task2[model] = crgs(list(t2.values()), config.beta, config.epsilon)
+        overall, coupled = ocs({law: (t1[law], t2[law]) for law in t1}, config)
         report.coupled[model] = coupled
         report.ocs_scores[model] = overall
     return report

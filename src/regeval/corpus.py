@@ -250,7 +250,10 @@ def corpus_stats(
 
     All counts are permutation-invariant. The theme overlap entry for a law
     pair counts themes whose anchor article appears in both laws' instances.
+    `top_k` bounds each law's label ranking; 0 keeps every label.
     """
+    if top_k < 0:
+        raise RegevalError(f"top_k must be >= 0, got {top_k}")
     stats = CorpusStats()
     files: dict[str, set] = {law: set() for law in registry.codes}
     modules: dict[str, set] = {law: set() for law in registry.codes}

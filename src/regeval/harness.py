@@ -44,6 +44,14 @@ class RunConfig:
         repeated = sorted(name for name, count in Counter(self.models).items() if count > 1)
         if repeated:
             raise TransportConfigError(f"model names repeat: {repeated}")
+        if self.retries < 0:
+            raise TransportConfigError(f"retries must be >= 0, got {self.retries}")
+        if self.max_tokens < 1:
+            raise TransportConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.timeout_seconds <= 0:
+            raise TransportConfigError(f"timeout_seconds must be > 0, got {self.timeout_seconds}")
+        if self.backoff_seconds < 0:
+            raise TransportConfigError(f"backoff_seconds must be >= 0, got {self.backoff_seconds}")
 
     @property
     def effective_concurrency(self) -> int:
@@ -375,7 +383,6 @@ def execute_run(
     out_dir: str | Path,
     registry: JurisdictionRegistry,
     corpus: Sequence[RawInstance] | None = None,
-    templates: Mapping[str, PromptTemplate] | None = None,
     tasks: Sequence[str] = ("task1", "task2"),
 ) -> RunResult:
     """Attempt every (model, instance) pair and write the run artifacts.
@@ -389,11 +396,7 @@ def execute_run(
     """
     if not config.models:
         raise TransportConfigError("run config lists no models")
-    if templates is None:
-        templates = {law: default_template(registry.get(law)) for law in views}
-    missing = [law for law in views if law not in templates]
-    if missing:
-        raise TransportConfigError(f"no prompt template for laws: {missing}")
+    templates = {law: default_template(registry.get(law)) for law in views}
 
     items = build_prompt_items(views, corpus, config.context_window, tasks)
     prompts = [render_prompt(templates[item.law], item) for item in items]

@@ -260,7 +260,6 @@ def match_keys(
     gold_keys: Iterable[RetrievalKey],
     predictions: Sequence[RankedPrediction],
     policy: str = STRICT,
-    line_overlap_tolerant: bool = False,
 ) -> tuple[dict[RetrievalKey, RankedPrediction], KeyMatchReport]:
     """Align predictions to gold anchors.
 
@@ -282,24 +281,13 @@ def match_keys(
             )
         else:
             strict_index[pred.key] = pred
-        file_index.setdefault(pred.key.file_identity(), []).append(pred)
+        if policy == RELAXED:
+            file_index.setdefault(pred.key.file_identity(), []).append(pred)
 
     alignment: dict[RetrievalKey, RankedPrediction] = {}
     for key in gold_keys:
         report.gold_keys += 1
         pred = strict_index.get(key)
-        if pred is None and key.granularity == "line" and line_overlap_tolerant and key.span:
-            overlapping = [
-                p
-                for p in file_index.get(key.file_identity(), [])
-                if p.key.span and p.key.span.overlaps(key.span)
-            ]
-            if overlapping:
-                pred = overlapping[0]
-                if len(overlapping) > 1:
-                    report.duplicates.append(
-                        {"key": key.to_dict(), "policy": "line-overlap", "action": "first kept"}
-                    )
         if pred is None and policy == RELAXED:
             candidates = file_index.get(key.file_identity(), [])
             if candidates:

@@ -321,6 +321,36 @@ class TestCliErrors:
         assert "a" in payload["message"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--retries", "-1"), ("--max-tokens", "0"), ("--timeout", "0"), ("--backoff", "-1")],
+    )
+    def test_out_of_range_run_settings_exit_2_before_any_request(self, tmp_path, capsys, flag, value):
+        corpus_dir = tmp_path / "corpus"
+        views_dir = tmp_path / "views"
+        main(["synth", "--seed", "3", "--files", "2", "--out-dir", str(corpus_dir)])
+        main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)])
+        capsys.readouterr()
+        code = main(["run", "--views-dir", str(views_dir), "--models", "m", "--backoff", "0",
+                     flag, value, "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "TransportConfigError"
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_stats_top_k_exits_2(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        main(["synth", "--seed", "3", "--files", "2", "--laws", "LGPD", "--out-dir", str(corpus_dir)])
+        capsys.readouterr()
+        out = tmp_path / "stats.json"
+        code = main(["stats", "--dataset", str(corpus_dir / "dataset.json"), "--top-k", "-1",
+                     "--out", str(out)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "RegevalError"
+        assert "top_k" in payload["message"]
+        assert not out.exists()
+
     def test_compose_after_task1_eval_names_missing_task(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         views_dir = tmp_path / "views"

@@ -283,6 +283,18 @@ class TestCorpusStats:
         stats_b = corpus_stats(shuffled, registry).to_dict()
         assert stats_a == stats_b
 
+    def test_top_k_bounds_ranking_and_zero_keeps_all(self, registry):
+        corpus = [
+            make_instance(path="app/A.kt", span=(1, 1), articles=("7", "12")),
+            make_instance(path="app/B.kt", span=(2, 2), articles=("7", "5")),
+            make_instance(path="app/C.kt", span=(3, 3), articles=("11",)),
+        ]
+        full = corpus_stats(corpus, registry, top_k=0).label_frequencies["LGPD"]
+        assert len(full) == 4
+        assert corpus_stats(corpus, registry, top_k=2).label_frequencies["LGPD"] == full[:2]
+        with pytest.raises(RegevalError, match="top_k"):
+            corpus_stats(corpus, registry, top_k=-1)
+
     def test_label_frequency_ranking(self, registry):
         corpus = [
             make_instance(path="app/A.kt", span=(1, 1), articles=("7", "12")),

@@ -54,6 +54,25 @@ class TestRunConfig:
         config = RunConfig(models=("a",), backoff_seconds=0.0, timeout_seconds=10.0)
         assert config.overrides() == {"backoff_seconds": 0.0, "timeout_seconds": 10.0}
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"retries": -1},
+            {"max_tokens": 0},
+            {"timeout_seconds": 0.0},
+            {"timeout_seconds": -1.0},
+            {"backoff_seconds": -0.5},
+        ],
+    )
+    def test_out_of_range_settings_rejected(self, setting):
+        (name,) = setting
+        with pytest.raises(TransportConfigError, match=name):
+            RunConfig(models=("a",), **setting)
+
+    def test_boundary_settings_accepted(self):
+        config = RunConfig(models=("a",), retries=0, max_tokens=1, backoff_seconds=0.0)
+        assert config.overrides() == {"retries": 0, "max_tokens": 1, "backoff_seconds": 0.0}
+
 
 class TestRenderPrompt:
     def _template(self, registry, law="LGPD"):

@@ -218,13 +218,13 @@ class TestMatchKeys:
         assert alignment[gold[0]].model == "first"
         assert len(report.duplicates) == 1
 
-    def test_line_overlap_tolerant_extension(self):
+    def test_strict_overlapping_line_span_does_not_match(self):
         gold = [_key("line", span=LineSpan(10, 12))]
         preds = [RankedPrediction(key=_key("line", span=LineSpan(12, 14)), ranking=("7",))]
-        _, default_report = match_keys(gold, preds, "strict")
-        assert default_report.matched_keys == 0
-        alignment, report = match_keys(gold, preds, "strict", line_overlap_tolerant=True)
-        assert report.matched_keys == 1
+        alignment, report = match_keys(gold, preds, "strict")
+        assert alignment == {}
+        assert report.matched_keys == 0
+        assert report.unmatched == gold
 
 
 class TestEvaluateTask1:
