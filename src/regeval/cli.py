@@ -26,6 +26,7 @@ from .harness import (
     load_responses,
 )
 from .ingest import (
+    GoldIndex,
     bind_predictions,
     load_prediction_files,
     parse_responses,
@@ -33,7 +34,7 @@ from .ingest import (
 )
 from .jurisdiction import JurisdictionRegistry
 from .multilabel import score_task2
-from .retrieval import gold_keys_for_records, score_task1
+from .retrieval import score_task1
 from .shaping import (
     DEFAULT_EXCLUDE_PATTERNS,
     ShapedViews,
@@ -193,28 +194,34 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    prediction_dirs = [Path(p) for p in args.predictions]
+    resolved = [p.resolve() for p in prediction_dirs]
+    repeated = sorted({str(p) for p in resolved if resolved.count(p) > 1})
+    if repeated:
+        raise RegevalError(f"--predictions names a directory more than once: {', '.join(repeated)}")
     registry = _registry(args)
     views = _load_views(args.views_dir, args.law.split(",") if args.law else None)
+    gold = GoldIndex.from_views(views)
 
-    gold = gold_keys_for_records([rec for view in views.values() for rec in view.task1])
-
-    # Predictions for laws without loaded views (other laws than `--law`) are
-    # out of scope: dropped here, so they are neither orphans nor counted.
-    prediction_dirs = [Path(p) for p in args.predictions]
+    # Rows are task-1 (anchor, ranking, model) and task-2 (law, pointer
+    # anchor, labels, model), and an anchor starts with its law. Predictions
+    # for laws without loaded views (other laws than `--law`) are out of
+    # scope: dropped here, so they are neither orphans nor counted.
     ranked_by_model: dict[str, list] = {}
     sets_by_model: dict[str, list] = {}
+    memo: dict[str, dict[str, str]] = {}
     for pred_dir in prediction_dirs:
         ranked, sets = load_prediction_files(
-            pred_dir / "predictions_task1.json", pred_dir / "predictions_task2.json", registry
+            pred_dir / "predictions_task1.json", pred_dir / "predictions_task2.json", registry, memo
         )
-        for pred in ranked:
-            kept = ranked_by_model.setdefault(pred.model or pred_dir.name, [])
-            if pred.key.law in views:
-                kept.append(pred)
-        for pred in sets:
-            kept = sets_by_model.setdefault(pred.model or pred_dir.name, [])
-            if pred.law in views:
-                kept.append(pred)
+        for row in ranked:
+            kept = ranked_by_model.setdefault(row[2] or pred_dir.name, [])
+            if row[0][0] in views:
+                kept.append(row)
+        for row in sets:
+            kept = sets_by_model.setdefault(row[3] or pred_dir.name, [])
+            if row[0] in views:
+                kept.append(row)
 
     per_model_task1 = {}
     per_model_task2 = {}
@@ -222,7 +229,7 @@ def cmd_eval(args) -> int:
     for model in sorted(set(ranked_by_model) | set(sets_by_model)):
         ranked = ranked_by_model.get(model, [])
         sets = sets_by_model.get(model, [])
-        bound = bind_predictions(views, gold, ranked, sets, args.policy)
+        bound = bind_predictions(gold, ranked, sets, args.policy)
         diagnostics[model] = bound.to_dict()
         per_model_task1[model] = (
             score_task1(bound.task1, registry) if args.task in ("both", "task1") else {}

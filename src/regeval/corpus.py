@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Iterator, Mapping, Sequence, TextIO
 
-from .errors import InvalidPath, RegevalError
+from .errors import InvalidPath, MalformedPrediction, RegevalError
 from .jurisdiction import THEME_ANCHORS, THEMES, JurisdictionRegistry
 
 _WINDOWS_DRIVE = re.compile(r"^[A-Za-z]:")
@@ -83,6 +83,18 @@ class LineSpan:
         start = int(match.group(1))
         end = int(match.group(2)) if match.group(2) else start
         return cls(start, end)
+
+
+def decode_span(value) -> tuple[int, int]:
+    """(start, end) of a stored `[start, end]` span, checked by `LineSpan`'s
+    rules without building one: two integers with 1 <= start <= end."""
+    try:
+        start, end = value
+    except (TypeError, ValueError):
+        start = end = None
+    if type(start) is not int or type(end) is not int or not 1 <= start <= end:
+        raise MalformedPrediction(f"span must be two integers with 1 <= start <= end, got {value!r}")
+    return start, end
 
 
 def split_pointer_path(raw: str) -> tuple[str, LineSpan]:

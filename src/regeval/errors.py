@@ -57,3 +57,8 @@ class TransportConfigError(RegevalError):
 
 class InvalidSpec(RegevalError):
     """Synthetic corpus specification is malformed."""
+
+
+class MalformedPrediction(RegevalError):
+    """A prediction entry, or a task-1 key or task-2 pointer read from a file,
+    lacks a field or holds a value of the wrong type or shape."""

@@ -9,21 +9,26 @@ list, which keeps line numbers in free-text rationale from being captured.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import write_json
-from .errors import OutOfUniverse, RegevalError
+from .errors import MalformedPrediction, OutOfUniverse, RegevalError
 from .jurisdiction import JurisdictionRegistry
-from .multilabel import SetPrediction, Task2Match, match_task2
+from .multilabel import GoldPointers, SetPrediction, Task2Match, index_pointers, match_task2
 from .retrieval import (
+    GoldSlice,
     RankedPrediction,
     RetrievalKey,
     Task1Match,
+    decode_anchor,
+    gold_keys_for_records,
+    index_gold_keys,
     match_task1,
 )
-from .shaping import ShapedViews, SnippetPointer
+from .shaping import ShapedViews, SnippetPointer, decode_pointer
 
 RANKED = "ranked"
 SET = "set"
@@ -144,31 +149,6 @@ def set_prediction_to_dict(pred: SetPrediction) -> dict:
     }
 
 
-def _canonical_ids(raw_ids: Iterable, law: str, registry: JurisdictionRegistry) -> tuple[str, ...]:
-    """Canonical ids of a stored id list, duplicates dropped, first occurrence kept."""
-    ids = {registry.canonicalize_article(str(raw), law).article: None for raw in raw_ids}
-    return tuple(ids)
-
-
-def ranked_prediction_from_dict(data: Mapping, registry: JurisdictionRegistry) -> RankedPrediction:
-    law = data["law"]
-    return RankedPrediction(
-        key=RetrievalKey.from_dict(law, data),
-        ranking=_canonical_ids(data["ranking"], law, registry),
-        model=data.get("model", ""),
-    )
-
-
-def set_prediction_from_dict(data: Mapping, registry: JurisdictionRegistry) -> SetPrediction:
-    law = data["law"]
-    return SetPrediction(
-        law=law,
-        pointer=SnippetPointer.from_dict(data),
-        labels=_canonical_ids(data["labels"], law, registry),
-        model=data.get("model", ""),
-    )
-
-
 def write_prediction_files(
     out_dir: str | Path,
     ranked: Sequence[RankedPrediction],
@@ -191,23 +171,95 @@ def write_prediction_files(
     )
 
 
+def _canonical_ids(
+    raw_ids, law: str, registry: JurisdictionRegistry, memo: dict[str, dict[str, str]]
+) -> tuple[str, ...]:
+    """Canonical ids of a stored id list, duplicates dropped, first occurrence
+    kept. `memo[law]` maps the text of each id already resolved for `law` to
+    its canonical id; only successes are stored, so any other id goes through
+    `canonicalize_article` and still raises there."""
+    if type(raw_ids) is not list:
+        raise MalformedPrediction(f"ids must be a list, got {raw_ids!r}")
+    known = memo.setdefault(law, {})
+    ids: dict[str, None] = {}
+    for raw in raw_ids:
+        try:
+            article = known[raw]
+        except (KeyError, TypeError):
+            text = str(raw)
+            article = known[text] = registry.canonicalize_article(text, law).article
+        ids[article] = None
+    return tuple(ids)
+
+
+def _prediction_fields(entry) -> tuple[str, str]:
+    """An entry's law and model, both strings."""
+    law = entry["law"]
+    model = entry.get("model", "")
+    if type(law) is not str or type(model) is not str:
+        raise MalformedPrediction(f"law and model must be strings, got {law!r} and {model!r}")
+    return law, model
+
+
+def _decode_entries(path: str | Path, decode) -> list[tuple]:
+    """`decode` of each entry of a prediction file; a malformed entry raises
+    MalformedPrediction naming the file and the entry's index."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    entries = data.get("predictions") if isinstance(data, dict) else None
+    if type(entries) is not list:
+        raise MalformedPrediction(f"{path}: no 'predictions' list")
+    rows = []
+    for index, entry in enumerate(entries):
+        try:
+            rows.append(decode(entry))
+        except KeyError as exc:
+            raise MalformedPrediction(f"{path}: prediction {index}: missing field {exc.args[0]!r}") from None
+        except (MalformedPrediction, TypeError) as exc:
+            raise MalformedPrediction(f"{path}: prediction {index}: {exc}") from None
+    return rows
+
+
 def load_prediction_files(
     t1_path: str | Path,
     t2_path: str | Path,
     registry: JurisdictionRegistry,
-) -> tuple[list[RankedPrediction], list[SetPrediction]]:
-    ranked = []
-    sets = []
-    t1_data = json.loads(Path(t1_path).read_text(encoding="utf-8"))
-    for entry in t1_data["predictions"]:
-        ranked.append(ranked_prediction_from_dict(entry, registry))
-    t2_data = json.loads(Path(t2_path).read_text(encoding="utf-8"))
-    for entry in t2_data["predictions"]:
-        sets.append(set_prediction_from_dict(entry, registry))
-    return ranked, sets
+    memo: dict[str, dict[str, str]] | None = None,
+) -> tuple[list[tuple], list[tuple]]:
+    """Decode both prediction files straight to the rows `eval` joins:
+    task 1 (anchor, ranking, model) and task 2 (law, pointer anchor, labels,
+    model), ids canonical. `memo` holds the canonical ids resolved so far
+    (see `_canonical_ids`); pass one dict to every call of one `eval`."""
+    memo = {} if memo is None else memo
+
+    def ranked_row(entry) -> tuple:
+        law, model = _prediction_fields(entry)
+        return (decode_anchor(law, entry), _canonical_ids(entry["ranking"], law, registry, memo), model)
+
+    def set_row(entry) -> tuple:
+        law, model = _prediction_fields(entry)
+        return (law, decode_pointer(entry), _canonical_ids(entry["labels"], law, registry, memo), model)
+
+    return _decode_entries(t1_path, ranked_row), _decode_entries(t2_path, set_row)
 
 
 # --- binding -------------------------------------------------------------------
+
+
+@dataclass
+class GoldIndex:
+    """The gold anchors (per law and granularity) and task-2 pointers (per
+    law) of the loaded views, indexed once per `eval` and shared by every
+    model's join."""
+
+    task1: dict[tuple[str, str], GoldSlice]
+    task2: dict[str, GoldPointers]
+
+    @classmethod
+    def from_views(cls, views: Mapping[str, ShapedViews]) -> "GoldIndex":
+        return cls(
+            task1=index_gold_keys(gold_keys_for_records([rec for view in views.values() for rec in view.task1])),
+            task2=index_pointers([rec for view in views.values() for rec in view.task2]),
+        )
 
 
 @dataclass
@@ -233,30 +285,23 @@ class BindResult:
 
 
 def bind_predictions(
-    views: Mapping[str, ShapedViews],
-    gold: Mapping[RetrievalKey, frozenset[str]],
-    ranked: Sequence[RankedPrediction],
-    sets: Sequence[SetPrediction],
+    gold: GoldIndex,
+    ranked: Sequence[tuple],
+    sets: Sequence[tuple],
     policy: str,
 ) -> BindResult:
-    """Join predictions to gold keys/pointers and report coverage.
-
-    `gold` is `gold_keys_for_records` of the views' task-1 records, expanded
-    once by the caller and shared by every model it binds.
-    """
-    result = BindResult(
-        task1=match_task1(gold, ranked, policy),
-        task2=match_task2([rec for view in views.values() for rec in view.task2], sets),
-    )
-    matched_keys = {p.key for m in result.task1.values() for p in m.alignment.values()}
-    for pred in ranked:
-        if pred.key not in gold and pred.key not in matched_keys:
-            result.orphan_task1.append({"key": pred.key.to_dict(), "model": pred.model})
-
-    for pred in ranked:
-        hist = result.cardinality.setdefault(pred.key.law, {}).setdefault("task1", {})
-        hist[len(pred.ranking)] = hist.get(len(pred.ranking), 0) + 1
-    for pred in sets:
-        hist = result.cardinality.setdefault(pred.law, {}).setdefault("task2", {})
-        hist[len(pred.labels)] = hist.get(len(pred.labels), 0) + 1
+    """Join one model's prediction rows (as `load_prediction_files` decodes
+    them) to the gold index and report coverage."""
+    task1, orphans = match_task1(gold.task1, ranked, policy)
+    result = BindResult(task1=task1, task2=match_task2(gold.task2, sets))
+    result.orphan_task1 = [
+        {"key": RetrievalKey.from_anchor(anchor).to_dict(), "model": model} for anchor, _ranking, model in orphans
+    ]
+    sizes = {
+        "task1": Counter((anchor[0], len(ranking)) for anchor, ranking, _model in ranked),
+        "task2": Counter((law, len(labels)) for law, _anchor, labels, _model in sets),
+    }
+    for task, counts in sizes.items():
+        for (law, size), count in counts.items():
+            result.cardinality.setdefault(law, {}).setdefault(task, {})[size] = count
     return result

@@ -187,6 +187,10 @@ class SetPrediction:
     def label_set(self) -> frozenset[str]:
         return frozenset(self.labels)
 
+    def row(self) -> tuple:
+        """The prediction as `eval` joins it: (law, pointer anchor, labels, model)."""
+        return (self.law, self.pointer.anchor(), self.labels, self.model)
+
 
 @dataclass
 class PointerMatchReport:
@@ -226,42 +230,70 @@ class Task2Evaluation:
         return {"metrics": self.metrics.to_dict(), "coverage": self.report.to_dict()}
 
 
+@dataclass
+class GoldPointers:
+    """One law's gold task-2 records, indexed once per `eval` and shared by
+    every model's join: their gold sets in record order, a slot per distinct
+    pointer anchor, and each record's slot."""
+
+    golds: list[frozenset[str]] = field(default_factory=list)
+    slot: dict[tuple, int] = field(default_factory=dict)
+    record_slots: list[int] = field(default_factory=list)
+
+
+def index_pointers(records: Sequence[Task2Record]) -> dict[str, GoldPointers]:
+    """Index task-2 records per law, laws in sorted order."""
+    by_law: dict[str, GoldPointers] = {}
+    for rec in records:
+        gold = by_law.setdefault(rec.law, GoldPointers())
+        gold.golds.append(rec.gold)
+        gold.record_slots.append(gold.slot.setdefault(rec.pointer.anchor(), len(gold.slot)))
+    return dict(sorted(by_law.items()))
+
+
 def match_task2(
-    records: Sequence[Task2Record],
-    predictions: Sequence[SetPrediction],
+    index: Mapping[str, GoldPointers],
+    predictions: Sequence[tuple],
 ) -> dict[str, Task2Match]:
-    """Strict pointer matching per law.
+    """Strict pointer matching per law of prediction rows, (law, pointer
+    anchor, labels, model): one anchor lookup per prediction.
 
     The first prediction for a pointer is kept. A prediction whose pointer
     matches no gold record is an orphan, listed once per pointer (the first
-    one) in the law's report and excluded from scoring.
+    one) in the law's report and excluded from scoring. Predictions of laws
+    without gold records are ignored.
     """
-    by_law: dict[str, list[Task2Record]] = {}
-    for rec in records:
-        by_law.setdefault(rec.law, []).append(rec)
-
-    predicted: dict[tuple[str, SnippetPointer], SetPrediction] = {}
-    for pred in predictions:
-        predicted.setdefault((pred.law, pred.pointer), pred)
+    rows_by_law: dict[str, list[tuple]] = {law: [] for law in index}
+    for row in predictions:
+        rows = rows_by_law.get(row[0])
+        if rows is not None:
+            rows.append(row)
 
     matches: dict[str, Task2Match] = {}
-    for law, law_records in sorted(by_law.items()):
-        report = PointerMatchReport(gold_pointers=len(law_records))
+    for law, gold in index.items():
+        slot_of = gold.slot
+        found: list[tuple[str, ...] | None] = [None] * len(slot_of)
+        orphans: dict[tuple, str] = {}
+        for _law, anchor, labels, model in rows_by_law[law]:
+            slot = slot_of.get(anchor)
+            if slot is None:
+                orphans.setdefault(anchor, model)
+            elif found[slot] is None:
+                found[slot] = labels
+        report = PointerMatchReport(gold_pointers=len(gold.golds))
         orders: list[tuple[str, ...]] = []
-        for rec in law_records:
-            pred = predicted.get((law, rec.pointer))
-            if pred is None:
+        for slot in gold.record_slots:
+            labels = found[slot]
+            if labels is None:
                 orders.append(())
             else:
                 report.matched_pointers += 1
-                orders.append(pred.labels)
-        known = {rec.pointer for rec in law_records}
+                orders.append(labels)
         report.orphans = [
-            {**pointer.to_dict(), "model": pred.model}
-            for (pred_law, pointer), pred in predicted.items()
-            if pred_law == law and pointer not in known
+            {**SnippetPointer.from_anchor(anchor).to_dict(), "model": model}
+            for anchor, model in orphans.items()
         ]
-        matches[law] = Task2Match(golds=[rec.gold for rec in law_records], orders=orders, report=report)
+        matches[law] = Task2Match(golds=gold.golds, orders=orders, report=report)
     return matches
 
 
@@ -295,4 +327,6 @@ def evaluate_task2(
     registry: JurisdictionRegistry,
 ) -> dict[str, Task2Evaluation]:
     """Per-law metrics of `predictions` against `records`."""
-    return score_task2(match_task2(records, predictions), registry)
+    return score_task2(
+        match_task2(index_pointers(records), [pred.row() for pred in predictions]), registry
+    )

@@ -8,11 +8,13 @@ rows, so coverage gaps lower the averages instead of hiding inside them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import LineSpan
-from .errors import EmptyGold
+from .corpus import LineSpan, decode_span
+from .errors import EmptyGold, MalformedPrediction
 from .jurisdiction import JurisdictionRegistry
 from .shaping import GRANULARITIES, Task1Record
 
@@ -115,11 +117,17 @@ class RetrievalMetrics:
 
 def score_ranking(gold: Iterable[str], ranking: Sequence[str]) -> RetrievalMetrics:
     """All six metrics of one ranking, equal bit for bit to the per-metric
-    functions above. MRR, MAP and nDCG@5 come from one pass over the ranking,
-    summed in the same order; the set-based metrics keep their intersections,
-    so rankings with repeated ids score as they do there."""
+    functions above."""
     gold = frozenset(gold)
     _require_gold(gold)
+    return RetrievalMetrics(*_metric_row(gold, ranking))
+
+
+def _metric_row(gold: frozenset[str], ranking: Sequence[str]) -> tuple[float, ...]:
+    """`score_ranking` of a non-empty gold set as a plain tuple. MRR, MAP and
+    nDCG@5 come from one pass over the ranking, summed in the same order as
+    the per-metric functions; the set-based metrics keep their
+    intersections, so rankings with repeated ids score as they do there."""
     size = len(gold)
     reciprocal_rank = 0.0
     precision_sum = 0.0
@@ -133,13 +141,13 @@ def score_ranking(gold: Iterable[str], ranking: Sequence[str]) -> RetrievalMetri
             precision_sum += hits / position
             if position <= 5:
                 gains.append(_DISCOUNTS[position - 1])
-    return RetrievalMetrics(
-        acc_at_1=len(gold.intersection(ranking[:1])) / size,
-        acc_at_5=len(gold.intersection(ranking[:5])) / size,
-        r_precision=len(gold.intersection(ranking[:size])) / size,
-        mrr=reciprocal_rank,
-        map=precision_sum / size,
-        ndcg_at_5=sum(gains) / _IDEAL_DCG[min(size, 5) - 1],
+    return (
+        len(gold.intersection(ranking[:1])) / size,
+        len(gold.intersection(ranking[:5])) / size,
+        len(gold.intersection(ranking[:size])) / size,
+        reciprocal_rank,
+        precision_sum / size,
+        sum(gains) / _IDEAL_DCG[min(size, 5) - 1],
     )
 
 
@@ -156,8 +164,22 @@ class RetrievalKey:
     module: str | None = None
     span: LineSpan | None = None
 
-    def file_identity(self) -> tuple:
-        return (self.law, self.repo_url, self.app_name, self.commit_id, self.file_path, self.granularity)
+    def anchor(self) -> tuple:
+        """The key as a plain tuple, which `eval` joins on: (law, granularity,
+        repo_url, app_name, commit_id, file_path, module, span_start,
+        span_end), with None for a missing module or span."""
+        span = self.span
+        return (
+            self.law,
+            self.granularity,
+            self.repo_url,
+            self.app_name,
+            self.commit_id,
+            self.file_path,
+            self.module,
+            span.start if span else None,
+            span.end if span else None,
+        )
 
     def sort_key(self) -> tuple:
         span = self.span.as_list() if self.span else [0, 0]
@@ -189,19 +211,55 @@ class RetrievalKey:
         return payload
 
     @classmethod
-    def from_dict(cls, law: str, data: Mapping) -> "RetrievalKey":
-        """Inverse of `to_dict`; `law` is passed because request keys omit it."""
-        span = data.get("span")
+    def from_anchor(cls, anchor: tuple) -> "RetrievalKey":
+        law, granularity, repo_url, app_name, commit_id, file_path, module, start, end = anchor
         return cls(
             law=law,
-            repo_url=data["repo_url"],
-            app_name=data["app_name"],
-            commit_id=data["commit_id"],
-            file_path=data["file_path"],
-            granularity=data["granularity"],
-            module=data.get("module"),
-            span=LineSpan(*span) if span else None,
+            repo_url=repo_url,
+            app_name=app_name,
+            commit_id=commit_id,
+            file_path=file_path,
+            granularity=granularity,
+            module=module,
+            span=None if start is None else LineSpan(start, end),
         )
+
+    @classmethod
+    def from_dict(cls, law: str, data: Mapping) -> "RetrievalKey":
+        """Inverse of `to_dict`; `law` is passed because request keys omit it."""
+        return cls.from_anchor(decode_anchor(law, data))
+
+
+def decode_anchor(law: str, data: Mapping) -> tuple:
+    """`RetrievalKey.anchor()` of the key a dict encodes, read without
+    building the key: the one reader of task-1 key fields from a dict."""
+    try:
+        granularity = data["granularity"]
+        repo_url = data["repo_url"]
+        app_name = data["app_name"]
+        commit_id = data["commit_id"]
+        file_path = data["file_path"]
+    except KeyError as exc:
+        raise MalformedPrediction(f"missing key field {exc.args[0]!r}") from None
+    module = data.get("module")
+    if (
+        type(granularity) is not str
+        or type(repo_url) is not str
+        or type(app_name) is not str
+        or type(commit_id) is not str
+        or type(file_path) is not str
+        or (module is not None and type(module) is not str)
+    ):
+        raise MalformedPrediction("key fields must be strings")
+    span = data.get("span")
+    start, end = (None, None) if span is None else decode_span(span)
+    return (law, granularity, repo_url, app_name, commit_id, file_path, module, start, end)
+
+
+def file_identity(anchor: tuple) -> tuple:
+    """(law, granularity, repo_url, app_name, commit_id, file_path): the
+    anchor fields the relaxed policy falls back to."""
+    return anchor[:6]
 
 
 @dataclass(frozen=True)
@@ -211,6 +269,10 @@ class RankedPrediction:
     key: RetrievalKey
     ranking: tuple[str, ...]
     model: str = ""
+
+    def row(self) -> tuple:
+        """The prediction as `eval` joins it: (anchor, ranking, model)."""
+        return (self.key.anchor(), self.ranking, self.model)
 
 
 def gold_keys_for_records(records: Sequence[Task1Record]) -> dict[RetrievalKey, frozenset[str]]:
@@ -232,6 +294,45 @@ def gold_keys_for_records(records: Sequence[Task1Record]) -> dict[RetrievalKey, 
 
 
 @dataclass
+class GoldSlice:
+    """The gold anchors of one (law, granularity) slice, indexed once per
+    `eval` and shared by every model's join. Slot i holds `keys[i]` and its
+    gold set `golds[i]`, in the order the keys were expanded, which fixes the
+    order in which the metric means are summed; `slot` maps each key's anchor
+    to its slot."""
+
+    keys: list[RetrievalKey] = field(default_factory=list)
+    golds: list[frozenset[str]] = field(default_factory=list)
+    slot: dict[tuple, int] = field(default_factory=dict)
+
+    def add(self, key: RetrievalKey, gold_set: frozenset[str]) -> None:
+        if not gold_set:
+            raise EmptyGold(f"gold set empty for key {key.to_dict()}")
+        self.slot[key.anchor()] = len(self.keys)
+        self.keys.append(key)
+        self.golds.append(gold_set)
+
+    @cached_property
+    def sort_order(self) -> list[int]:
+        """Slots in `RetrievalKey.sort_key` order: the order in which the
+        relaxed fallback visits the gold keys and logs its collisions."""
+        return sorted(range(len(self.keys)), key=lambda slot: self.keys[slot].sort_key())
+
+
+def index_gold_keys(gold: Mapping[RetrievalKey, frozenset[str]]) -> dict[tuple[str, str], GoldSlice]:
+    """Slice expanded gold keys by (law, granularity): every granularity of
+    every law with gold, laws in sorted order, empty slices included."""
+    slices = {
+        (law, granularity): GoldSlice()
+        for law in sorted({key.law for key in gold})
+        for granularity in GRANULARITIES
+    }
+    for key, gold_set in gold.items():
+        slices[(key.law, key.granularity)].add(key, gold_set)
+    return slices
+
+
+@dataclass
 class KeyMatchReport:
     """Coverage of gold anchors by predictions under one matching policy."""
 
@@ -245,6 +346,10 @@ class KeyMatchReport:
     def coverage(self) -> float:
         return self.matched_keys / self.gold_keys if self.gold_keys else 0.0
 
+    def first_kept(self, key: RetrievalKey, policy: str) -> None:
+        """Log that several predictions claimed `key` and the first one won."""
+        self.duplicates.append({"key": key.to_dict(), "policy": policy, "action": "first kept"})
+
     def to_dict(self) -> dict:
         return {
             "policy": self.policy,
@@ -256,63 +361,17 @@ class KeyMatchReport:
         }
 
 
-def match_keys(
-    gold_keys: Iterable[RetrievalKey],
-    predictions: Sequence[RankedPrediction],
-    policy: str = STRICT,
-) -> tuple[dict[RetrievalKey, RankedPrediction], KeyMatchReport]:
-    """Align predictions to gold anchors.
-
-    Strict matching needs full pointer equality. Relaxed matching falls back
-    to file-path identity when the full pointer misses, as a coverage-ceiling
-    diagnostic. When several predictions claim one gold key the first wins and
-    the collision is logged, never raised.
-    """
-    if policy not in (STRICT, RELAXED):
-        raise ValueError(f"unknown policy: {policy!r}")
-    report = KeyMatchReport(policy=policy)
-
-    strict_index: dict[RetrievalKey, RankedPrediction] = {}
-    file_index: dict[tuple, list[RankedPrediction]] = {}
-    for pred in predictions:
-        if pred.key in strict_index:
-            report.duplicates.append(
-                {"key": pred.key.to_dict(), "policy": STRICT, "action": "first kept"}
-            )
-        else:
-            strict_index[pred.key] = pred
-        if policy == RELAXED:
-            file_index.setdefault(pred.key.file_identity(), []).append(pred)
-
-    alignment: dict[RetrievalKey, RankedPrediction] = {}
-    for key in gold_keys:
-        report.gold_keys += 1
-        pred = strict_index.get(key)
-        if pred is None and policy == RELAXED:
-            candidates = file_index.get(key.file_identity(), [])
-            if candidates:
-                pred = candidates[0]
-                if len(candidates) > 1:
-                    report.duplicates.append(
-                        {"key": key.to_dict(), "policy": RELAXED, "action": "first kept"}
-                    )
-        if pred is None:
-            report.unmatched.append(key)
-        else:
-            alignment[key] = pred
-            report.matched_keys += 1
-    return alignment, report
-
-
 @dataclass
 class Task1Match:
-    """One (law, granularity) slice: its gold anchors and the predictions
-    aligned to them. `gold` keeps the order of the expanded gold keys, which
-    fixes the order in which the metric means are summed."""
+    """One slice's join. `aligned[i]` is the prediction row matched to gold
+    slot i, or None; `orphans` are the slice's rows that match no gold anchor
+    (and, under the relaxed policy, serve as no fallback), in prediction
+    order."""
 
-    gold: dict[RetrievalKey, frozenset[str]]
-    alignment: dict[RetrievalKey, RankedPrediction]
+    gold: GoldSlice
+    aligned: list[tuple | None]
     report: KeyMatchReport
+    orphans: list[tuple]
 
 
 @dataclass
@@ -329,33 +388,81 @@ class Task1Evaluation:
         }
 
 
-def match_task1(
-    gold: Mapping[RetrievalKey, frozenset[str]],
-    predictions: Sequence[RankedPrediction],
-    policy: str = STRICT,
-) -> dict[tuple[str, str], Task1Match]:
-    """Align predictions to gold anchors, one `match_keys` call per
-    (law, granularity) slice of every law that has gold."""
-    gold_by_slice: dict[tuple[str, str], dict[RetrievalKey, frozenset[str]]] = {}
-    for key, gold_set in gold.items():
-        if not gold_set:
-            raise EmptyGold(f"gold set empty for key {key.to_dict()}")
-        gold_by_slice.setdefault((key.law, key.granularity), {})[key] = gold_set
-    preds_by_slice: dict[tuple[str, str], list[RankedPrediction]] = {}
-    for pred in predictions:
-        preds_by_slice.setdefault((pred.key.law, pred.key.granularity), []).append(pred)
+def match_keys(gold: GoldSlice, predictions: Sequence[tuple], policy: str = STRICT) -> Task1Match:
+    """Align one slice's prediction rows, (anchor, ranking, model), to its
+    gold anchors: one anchor lookup per prediction.
 
-    matches: dict[tuple[str, str], Task1Match] = {}
-    for law in sorted({key.law for key in gold}):
-        for granularity in GRANULARITIES:
-            slice_gold = gold_by_slice.get((law, granularity), {})
-            alignment, report = match_keys(
-                sorted(slice_gold, key=lambda k: k.sort_key()),
-                preds_by_slice.get((law, granularity), []),
-                policy,
-            )
-            matches[(law, granularity)] = Task1Match(slice_gold, alignment, report)
-    return matches
+    Strict matching needs anchor equality. Relaxed matching falls back to
+    file identity when the anchor misses, as a coverage-ceiling diagnostic.
+    When several predictions claim one gold key the first wins and the
+    collision is logged, never raised.
+    """
+    if policy not in (STRICT, RELAXED):
+        raise ValueError(f"unknown policy: {policy!r}")
+    report = KeyMatchReport(policy=policy, gold_keys=len(gold.keys))
+    aligned: list[tuple | None] = [None] * len(gold.keys)
+    slot_of = gold.slot
+    strays: list[tuple] = []
+    stray_anchors: set[tuple] = set()
+    for row in predictions:
+        slot = slot_of.get(row[0])
+        if slot is None:
+            if row[0] in stray_anchors:
+                report.first_kept(RetrievalKey.from_anchor(row[0]), STRICT)
+            else:
+                stray_anchors.add(row[0])
+            strays.append(row)
+        elif aligned[slot] is None:
+            aligned[slot] = row
+        else:
+            report.first_kept(gold.keys[slot], STRICT)
+    report.matched_keys = len(gold.keys) - aligned.count(None)
+
+    if policy == RELAXED:
+        by_file: dict[tuple, list[tuple]] = {}
+        for row in predictions:
+            by_file.setdefault(file_identity(row[0]), []).append(row)
+        fallbacks: set[tuple] = set()
+        for slot in gold.sort_order:
+            if aligned[slot] is not None:
+                continue
+            candidates = by_file.get(file_identity(gold.keys[slot].anchor()))
+            if candidates:
+                aligned[slot] = candidates[0]
+                fallbacks.add(candidates[0][0])
+                report.matched_keys += 1
+                if len(candidates) > 1:
+                    report.first_kept(gold.keys[slot], RELAXED)
+        strays = [row for row in strays if row[0] not in fallbacks]
+
+    report.unmatched = [gold.keys[slot] for slot, row in enumerate(aligned) if row is None]
+    return Task1Match(gold, aligned, report, strays)
+
+
+def match_task1(
+    slices: Mapping[tuple[str, str], GoldSlice],
+    predictions: Sequence[tuple],
+    policy: str = STRICT,
+) -> tuple[dict[tuple[str, str], Task1Match], list[tuple]]:
+    """One `match_keys` call per slice, plus the orphan rows of all slices in
+    prediction order: rows that match no gold anchor and serve as no relaxed
+    fallback, including rows of a (law, granularity) with no slice."""
+    by_slice: dict[tuple[str, str], list[tuple]] = {slice_key: [] for slice_key in slices}
+    strays: set[int] = set()
+    for row in predictions:
+        rows = by_slice.get(row[0][:2])  # an anchor starts with (law, granularity)
+        if rows is None:
+            strays.add(id(row))
+        else:
+            rows.append(row)
+    matches = {
+        slice_key: match_keys(gold, by_slice[slice_key], policy) for slice_key, gold in slices.items()
+    }
+    # Orphans are picked out of `predictions` by identity, which keeps their
+    # order without hashing any anchor again.
+    strays.update(id(row) for match in matches.values() for row in match.orphans)
+    orphans = [row for row in predictions if id(row) in strays] if strays else []
+    return matches, orphans
 
 
 def score_task1(
@@ -373,18 +480,15 @@ def score_task1(
         universe_size = len(registry.get(law).universe)
         truncated = 0
         totals = [0.0] * len(T1_METRIC_NAMES)
-        for key, gold_set in match.gold.items():
-            pred = match.alignment.get(key)
-            if pred is None:
+        for gold_set, row in zip(match.gold.golds, match.aligned):
+            if row is None:
                 continue
-            ranking = pred.ranking
+            ranking = row[1]
             if len(ranking) > universe_size:
                 ranking = ranking[:universe_size]
                 truncated += 1
-            row = score_ranking(gold_set, ranking)
-            for i, value in enumerate(row.as_tuple()):
-                totals[i] += value
-        count = len(match.gold)
+            totals = list(map(operator.add, totals, _metric_row(gold_set, ranking)))
+        count = len(match.gold.golds)
         mean = RetrievalMetrics(*(t / count for t in totals)) if count else RetrievalMetrics.zeros()
         results[(law, granularity)] = Task1Evaluation(
             metrics=mean, report=match.report, truncated_rankings=truncated
@@ -399,4 +503,6 @@ def evaluate_task1(
     policy: str = STRICT,
 ) -> dict[tuple[str, str], Task1Evaluation]:
     """Per-(law, granularity) metrics of `predictions` against `records`."""
-    return score_task1(match_task1(gold_keys_for_records(records), predictions, policy), registry)
+    slices = index_gold_keys(gold_keys_for_records(records))
+    matches, _orphans = match_task1(slices, [pred.row() for pred in predictions], policy)
+    return score_task1(matches, registry)

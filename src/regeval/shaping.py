@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import LineSpan, RawInstance, derive_module_name, write_json
-from .errors import ConflictingSnippet, EmptyCorpus, RegevalError
+from .corpus import LineSpan, RawInstance, decode_span, derive_module_name, write_json
+from .errors import ConflictingSnippet, EmptyCorpus, MalformedPrediction, RegevalError
 from .jurisdiction import JurisdictionRegistry
 
 GRANULARITIES = ("file", "module", "line")
@@ -75,12 +75,34 @@ class SnippetPointer:
     span: LineSpan
     commit_id: str
 
+    def anchor(self) -> tuple:
+        """The pointer as a plain tuple: (file_path, span_start, span_end, commit_id)."""
+        return (self.file_path, self.span.start, self.span.end, self.commit_id)
+
+    @classmethod
+    def from_anchor(cls, anchor: tuple) -> "SnippetPointer":
+        file_path, start, end, commit_id = anchor
+        return cls(file_path=file_path, span=LineSpan(start, end), commit_id=commit_id)
+
     def to_dict(self) -> dict:
         return {"file_path": self.file_path, "span": self.span.as_list(), "commit_id": self.commit_id}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SnippetPointer":
-        return cls(file_path=data["file_path"], span=LineSpan(*data["span"]), commit_id=data["commit_id"])
+        return cls.from_anchor(decode_pointer(data))
+
+
+def decode_pointer(data: Mapping) -> tuple:
+    """The anchor of a `{file_path, span, commit_id}` dict, read without
+    building a `SnippetPointer`: the one reader of those fields."""
+    try:
+        file_path, span, commit_id = data["file_path"], data["span"], data["commit_id"]
+    except KeyError as exc:
+        raise MalformedPrediction(f"missing pointer field {exc.args[0]!r}") from None
+    if type(file_path) is not str or type(commit_id) is not str:
+        raise MalformedPrediction("pointer fields must be strings")
+    start, end = decode_span(span)
+    return (file_path, start, end, commit_id)
 
 
 @dataclass(frozen=True)

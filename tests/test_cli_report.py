@@ -321,6 +321,86 @@ class TestCliErrors:
         assert "a" in payload["message"]
         assert not (tmp_path / "run").exists()
 
+    @staticmethod
+    def _perfect_cohort(tmp_path, laws="LGPD"):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "3", "--files", "2", "--laws", laws, "--profiles", "PERFECT",
+                     "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"),
+                     "--out-dir", str(views_dir)]) == 0
+        return views_dir, corpus_dir / "predictions_PERFECT"
+
+    @pytest.mark.parametrize(
+        "task, field, value",
+        [
+            ("task1", "span", [5]),
+            ("task1", "span", [0, 3]),
+            ("task1", "span", [6, 5]),
+            ("task1", "span", ["5", "6"]),
+            ("task1", "span", [True, 2]),
+            ("task1", "ranking", None),
+            ("task1", "file_path", None),
+            ("task1", "granularity", None),
+            ("task1", "file_path", ["app/A.kt"]),
+            ("task1", "model", 7),
+            ("task2", "span", [3]),
+            ("task2", "labels", None),
+            ("task2", "commit_id", None),
+            ("task2", "commit_id", 7),
+        ],
+    )
+    def test_malformed_prediction_entry_exits_2(self, tmp_path, capsys, task, field, value):
+        # None removes the field.
+        views_dir, pred_dir = self._perfect_cohort(tmp_path)
+        path = pred_dir / f"predictions_{task}.json"
+        data = json.loads(path.read_text())
+        entry = data["predictions"][1]
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = tmp_path / "base.json"
+        code = main(["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
+                     "--out", str(out)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "MalformedPrediction"
+        assert payload["message"].startswith(f"{path}: prediction 1: ")
+        assert not out.exists()
+
+    def test_predictions_directory_given_twice_exits_2(self, tmp_path, capsys):
+        views_dir, pred_dir = self._perfect_cohort(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "base.json"
+        code = main(["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
+                     "--predictions", str(pred_dir / ".." / pred_dir.name), "--out", str(out)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "RegevalError"
+        assert str(pred_dir.resolve()) in payload["message"]
+        assert not out.exists()
+
+    def test_id_memoized_for_one_law_is_out_of_universe_for_another(self, tmp_path, capsys):
+        # LGPD entries come first, so "7" is memoized for LGPD before a PDPA
+        # entry, whose universe lacks it, names it.
+        views_dir, pred_dir = self._perfect_cohort(tmp_path, laws="LGPD,PDPA")
+        path = pred_dir / "predictions_task1.json"
+        data = json.loads(path.read_text())
+        laws = [entry["law"] for entry in data["predictions"]]
+        assert laws == sorted(laws) and "7" in {i for e in data["predictions"] for i in e["ranking"]}
+        pdpa = next(entry for entry in data["predictions"] if entry["law"] == "PDPA")
+        pdpa["ranking"] = ["7"]
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
+                     "--out", str(tmp_path / "base.json")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "OutOfUniverse"
+        assert payload["message"] == "PDPA: article '7' not in universe"
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--retries", "-1"), ("--max-tokens", "0"), ("--timeout", "0"), ("--backoff", "-1")],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from regeval.errors import RegevalError
 from regeval.ingest import (
     RANKED,
     SET,
+    GoldIndex,
     bind_predictions,
     load_prediction_files,
     parse_prediction_text,
@@ -171,8 +174,49 @@ class TestResponseParsing:
         ranked, sets, _ = parse_responses(self._records(), registry)
         t1, t2 = write_prediction_files(tmp_path, ranked, sets, {"source": "test"})
         loaded_ranked, loaded_sets = load_prediction_files(t1, t2, registry)
-        assert loaded_ranked == ranked
-        assert loaded_sets == sets
+        assert loaded_ranked == [pred.row() for pred in ranked]
+        assert loaded_sets == [pred.row() for pred in sets]
+
+
+class TestCanonicalIdMemo:
+    """`load_prediction_files` resolves each distinct (law, stored id) once
+    and reuses the result, which must equal the registry's own."""
+
+    FORMS = {
+        "LGPD": ["Art. 7", "007", "7", "art 12", "Article 46"],
+        "PIPEDA": ["§ 4.3", "4.03", "Principle 4.10", "4.3"],
+    }
+    KEY = {"repo_url": "r", "app_name": "a", "commit_id": "a" * 40, "file_path": "app/A.kt"}
+
+    def test_memoized_forms_resolve_like_the_registry(self, registry, tmp_path, monkeypatch):
+        entries = [
+            {"law": law, **self.KEY, "granularity": "file", "ranking": forms}
+            for _ in range(2)
+            for law, forms in self.FORMS.items()
+        ]
+        t1, t2 = tmp_path / "t1.json", tmp_path / "t2.json"
+        t1.write_text(json.dumps({"predictions": entries}))
+        t2.write_text(json.dumps({"predictions": []}))
+        original = JurisdictionRegistry.canonicalize_article
+        calls = []
+
+        def counting(self, raw, law):
+            calls.append((law, raw))
+            return original(self, raw, law)
+
+        monkeypatch.setattr(JurisdictionRegistry, "canonicalize_article", counting)
+        memo: dict = {}
+        ranked, _ = load_prediction_files(t1, t2, registry, memo)
+        ranked_again, _ = load_prediction_files(t1, t2, registry, memo)
+
+        expected = {
+            law: {raw: original(registry, raw, law).article for raw in forms}
+            for law, forms in self.FORMS.items()
+        }
+        assert memo == expected
+        assert sorted(calls) == sorted((law, raw) for law, forms in self.FORMS.items() for raw in forms)
+        for (anchor, ids, _model) in ranked + ranked_again:
+            assert ids == tuple(dict.fromkeys(expected[anchor[0]][raw] for raw in self.FORMS[anchor[0]]))
 
 
 class TestBindPredictions:
@@ -194,7 +238,7 @@ class TestBindPredictions:
             labels=("7",),
             model="m",
         )
-        result = bind_predictions(views, keys, [good], [orphan_t2], "strict")
+        result = bind_predictions(GoldIndex.from_views(views), [good.row()], [orphan_t2.row()], "strict")
         assert result.task2["LGPD"].report.orphans
         data = result.to_dict()
         assert data["label_cardinality"]["LGPD"]["task1"] == {1: 1}
@@ -204,7 +248,7 @@ class TestBindPredictions:
         gold = gold_keys_for_records(views["LGPD"].task1)
         keys = sorted(gold, key=lambda k: k.sort_key())
         preds = [RankedPrediction(key=k, ranking=("7",), model="m") for k in keys[:3]]
-        result = bind_predictions(views, gold, preds, [], "strict")
+        result = bind_predictions(GoldIndex.from_views(views), [p.row() for p in preds], [], "strict")
         total_gold = sum(rep["gold_keys"] for rep in result.to_dict()["task1"].values())
         total_matched = sum(rep["matched_keys"] for rep in result.to_dict()["task1"].values())
         assert total_gold == 6  # 2 files x (file + module + line)
@@ -216,11 +260,11 @@ class TestEvalPermutationInvariance:
 
     _registry = JurisdictionRegistry.default()
     _views = shape_views(generate_corpus(CorpusSpec(seed=3, files_per_law={"LGPD": 3, "PIPEDA": 3}), _registry))
-    _gold = gold_keys_for_records([rec for view in _views.values() for rec in view.task1])
+    _gold = GoldIndex.from_views(_views)
     _scripted = scripted_model("RANDOM", _views, _registry, seed=3)
 
     def _scores(self, ranked, sets):
-        bound = bind_predictions(self._views, self._gold, ranked, sets, "strict")
+        bound = bind_predictions(self._gold, [p.row() for p in ranked], [p.row() for p in sets], "strict")
         task1 = score_task1(bound.task1, self._registry)
         task2 = score_task2(bound.task2, self._registry)
         return (

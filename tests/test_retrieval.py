@@ -10,6 +10,7 @@ import oracles
 from regeval.corpus import LineSpan
 from regeval.errors import EmptyGold
 from regeval.retrieval import (
+    GoldSlice,
     RankedPrediction,
     RetrievalKey,
     RetrievalMetrics,
@@ -169,19 +170,34 @@ class TestKeyCodec:
         assert SnippetPointer.from_dict(data) == record.pointer
 
 
+def _match_keys(gold_keys, preds, policy):
+    """`match_keys` over one slice holding `gold_keys`, read back as
+    ({gold key: matched prediction}, report)."""
+    rows = [pred.row() for pred in preds]
+    pred_of_row = {id(row): pred for row, pred in zip(rows, preds)}
+    gold = GoldSlice()
+    for key in gold_keys:
+        gold.add(key, frozenset({"7"}))
+    match = match_keys(gold, rows, policy)
+    alignment = {
+        key: pred_of_row[id(row)] for key, row in zip(match.gold.keys, match.aligned) if row is not None
+    }
+    return alignment, match.report
+
+
 class TestMatchKeys:
     def test_strict_exact_match(self):
         gold = [_key("line", span=LineSpan(10, 12))]
         preds = [RankedPrediction(key=gold[0], ranking=("7",))]
-        alignment, report = match_keys(gold, preds, "strict")
+        alignment, report = _match_keys(gold, preds, "strict")
         assert report.matched_keys == 1 and not report.unmatched
 
     def test_offset_span_strict_miss_relaxed_hit(self):
         gold = [_key("line", span=LineSpan(10, 12))]
         preds = [RankedPrediction(key=_key("line", span=LineSpan(11, 13)), ranking=("7",))]
-        _, strict = match_keys(gold, preds, "strict")
+        _, strict = _match_keys(gold, preds, "strict")
         assert strict.matched_keys == 0
-        alignment, relaxed = match_keys(gold, preds, "relaxed")
+        alignment, relaxed = _match_keys(gold, preds, "relaxed")
         assert relaxed.matched_keys == 1
         assert alignment[gold[0]].ranking == ("7",)
 
@@ -189,7 +205,7 @@ class TestMatchKeys:
         gold = [_key("file", file_path="app/A.kt")]
         preds = [RankedPrediction(key=_key("file", file_path="app/B.kt"), ranking=("7",))]
         for policy in ("strict", "relaxed"):
-            _, report = match_keys(gold, preds, policy)
+            _, report = _match_keys(gold, preds, policy)
             assert report.matched_keys == 0
 
     def test_relaxed_dominates_strict(self):
@@ -203,8 +219,8 @@ class TestMatchKeys:
             RankedPrediction(key=_key("line", span=LineSpan(30, 31)), ranking=("5",)),
             RankedPrediction(key=_key("module", module="Wrong"), ranking=("12",)),
         ]
-        _, strict = match_keys(gold, preds, "strict")
-        _, relaxed = match_keys(gold, preds, "relaxed")
+        _, strict = _match_keys(gold, preds, "strict")
+        _, relaxed = _match_keys(gold, preds, "relaxed")
         assert relaxed.matched_keys >= strict.matched_keys
         assert relaxed.matched_keys == 3
 
@@ -214,14 +230,14 @@ class TestMatchKeys:
             RankedPrediction(key=_key("file"), ranking=("7",), model="first"),
             RankedPrediction(key=_key("file"), ranking=("12",), model="second"),
         ]
-        alignment, report = match_keys(gold, preds, "strict")
+        alignment, report = _match_keys(gold, preds, "strict")
         assert alignment[gold[0]].model == "first"
         assert len(report.duplicates) == 1
 
     def test_strict_overlapping_line_span_does_not_match(self):
         gold = [_key("line", span=LineSpan(10, 12))]
         preds = [RankedPrediction(key=_key("line", span=LineSpan(12, 14)), ranking=("7",))]
-        alignment, report = match_keys(gold, preds, "strict")
+        alignment, report = _match_keys(gold, preds, "strict")
         assert alignment == {}
         assert report.matched_keys == 0
         assert report.unmatched == gold
