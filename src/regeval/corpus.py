@@ -218,6 +218,12 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
         tmp.unlink(missing_ok=True)
 
 
+# Compact key-sorted JSON text: the bytes of `json.dumps(value, sort_keys=True)`,
+# from one encoder built once (json.dumps builds a new one per call when given
+# any option). Request keys, the replay index and prediction entries use it.
+encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
     """Write `payload` as key-sorted JSON plus a newline, atomically.
 

@@ -59,6 +59,11 @@ class InvalidSpec(RegevalError):
     """Synthetic corpus specification is malformed."""
 
 
+class MalformedResponse(RegevalError):
+    """A line of a raw_responses.jsonl is not JSON, or not a response record:
+    a field is missing or holds a value of the wrong type."""
+
+
 class MalformedPrediction(RegevalError):
     """A prediction entry, or a task-1 key or task-2 pointer read from a file,
     lacks a field or holds a value of the wrong type or shape."""

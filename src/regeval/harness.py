@@ -17,12 +17,13 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
-from .corpus import RawInstance, atomic_write, write_json
-from .errors import LawMismatch, RegevalError, TransportConfigError
+from .corpus import RawInstance, atomic_write, encode_sorted, write_json
+from .errors import LawMismatch, MalformedResponse, RegevalError, TransportConfigError
 from .jurisdiction import THEMES, Jurisdiction, JurisdictionRegistry
 from .retrieval import RetrievalKey, gold_keys_for_records
 from .shaping import ShapedViews, SnippetPointer
@@ -245,12 +246,16 @@ def request_key(target: RetrievalKey | SnippetPointer) -> dict:
 
 def request_identity(model: str, task: str, law: str, key: Mapping) -> tuple[str, str, str, str]:
     """Hashable identity of one request; its order is the canonical record order."""
-    return (model, task, law, json.dumps(dict(key), sort_keys=True))
+    return (model, task, law, encode_sorted(dict(key)))
 
 
 @dataclass(frozen=True)
 class TransportRequest:
-    """One attempt-independent request; adapters may ignore the key fields."""
+    """One attempt-independent request; adapters may ignore the key fields.
+
+    `key_json` is `encode_sorted(key)`, the key's text in the identity; the
+    requests of one prompt item share one string.
+    """
 
     model: str
     task: str
@@ -260,11 +265,11 @@ class TransportRequest:
     temperature: float
     max_tokens: int
     timeout_seconds: float
+    key_json: str = field(repr=False, compare=False)
     identity: tuple[str, str, str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        identity = request_identity(self.model, self.task, self.law, self.key)
-        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "identity", (self.model, self.task, self.law, self.key_json))
 
 
 class TransportFailure(RegevalError):
@@ -319,16 +324,10 @@ class ReplayTransport:
         self.path = Path(path)
         if not self.path.exists():
             raise TransportConfigError(f"replay file not found: {self.path}")
-        self._responses: dict[tuple, str] = {}
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                identity = request_identity(
-                    record["model"], record["task"], record["law"], record["key"]
-                )
-                self._responses[identity] = record["text"]
+        self._responses: dict[tuple, str] = {
+            request_identity(record["model"], record["task"], record["law"], record["key"]): record["text"]
+            for record in load_responses(self.path, require=("model", "text", "key"))
+        }
 
     def prepare(self, requests: Sequence[TransportRequest]) -> None:
         missing = [r for r in requests if r.identity not in self._responses]
@@ -359,21 +358,34 @@ class RunResult:
     log_path: Path
 
 
-def _item_request(item: PromptItem, prompt: str, model: str, config: RunConfig) -> TransportRequest:
-    if isinstance(item, LocalizationPromptItem):
-        task, target = "task1", item.key
-    else:
-        task, target = "task2", item.pointer
-    return TransportRequest(
-        model=model,
-        task=task,
-        law=item.law,
-        key=request_key(target),
-        prompt=prompt,
-        temperature=config.temperature,
-        max_tokens=config.max_tokens,
-        timeout_seconds=config.timeout_seconds,
-    )
+def _requests_by_model(
+    items: Sequence[PromptItem], templates: Mapping[str, PromptTemplate], config: RunConfig
+) -> dict[str, list[TransportRequest]]:
+    """Every model's requests, in item order. Each item's prompt, key and key
+    JSON are made once and shared by the models' requests."""
+    requests_by_model: dict[str, list[TransportRequest]] = {model: [] for model in config.models}
+    for item in items:
+        if isinstance(item, LocalizationPromptItem):
+            task, key = "task1", request_key(item.key)
+        else:
+            task, key = "task2", request_key(item.pointer)
+        prompt = render_prompt(templates[item.law], item)
+        key_json = encode_sorted(key)
+        for model, requests in requests_by_model.items():
+            requests.append(
+                TransportRequest(
+                    model=model,
+                    task=task,
+                    law=item.law,
+                    key=key,
+                    prompt=prompt,
+                    temperature=config.temperature,
+                    max_tokens=config.max_tokens,
+                    timeout_seconds=config.timeout_seconds,
+                    key_json=key_json,
+                )
+            )
+    return requests_by_model
 
 
 def execute_run(
@@ -399,11 +411,7 @@ def execute_run(
     templates = {law: default_template(registry.get(law)) for law in views}
 
     items = build_prompt_items(views, corpus, config.context_window, tasks)
-    prompts = [render_prompt(templates[item.law], item) for item in items]
-    requests_by_model = {
-        model: [_item_request(item, prompt, model, config) for item, prompt in zip(items, prompts)]
-        for model in config.models
-    }
+    requests_by_model = _requests_by_model(items, templates, config)
     prepare = getattr(transport, "prepare", None)
     if callable(prepare):
         prepare([req for reqs in requests_by_model.values() for req in reqs])
@@ -416,7 +424,7 @@ def execute_run(
     ]
     overrides = config.overrides()
     if overrides:
-        log_lines.append(f"{_timestamp()} non-default settings: {json.dumps(overrides, sort_keys=True)}")
+        log_lines.append(f"{_timestamp()} non-default settings: {encode_sorted(overrides)}")
 
     def run_lane(model: str) -> tuple[list[tuple[tuple, dict]], list[str]]:
         """Send one model's requests in turn; return its (identity, record)
@@ -449,6 +457,7 @@ def execute_run(
                 done += 1
             else:
                 failed += 1
+            finished = _timestamp()
             record = {
                 "model": model,
                 "task": request.task,
@@ -457,10 +466,10 @@ def execute_run(
                 "text": text if status == "ok" else "",
                 "status": status,
                 "attempts": attempts,
-                "timestamps": {"started": started, "finished": _timestamp()},
+                "timestamps": {"started": started, "finished": finished},
             }
             entries.append((request.identity, record))
-            log.append(f"{_timestamp()} {model} progress {done + failed}/{total} ok={done} failed={failed}")
+            log.append(f"{finished} {model} progress {done + failed}/{total} ok={done} failed={failed}")
         return entries, log
 
     with ThreadPoolExecutor(max_workers=config.effective_concurrency) as pool:
@@ -473,8 +482,7 @@ def execute_run(
 
     responses_path = out / "raw_responses.jsonl"
     with atomic_write(responses_path) as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.writelines(_record_line(record, identity[3]) for identity, record in entries)
 
     config_payload = {"run": config.to_dict(), "overrides": config.overrides()}
     config_path = write_json(out / "run_config.json", config_payload)
@@ -488,6 +496,66 @@ def execute_run(
     return RunResult(records=records, responses_path=responses_path, config_path=config_path, log_path=log_path)
 
 
-def load_responses(path: str | Path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+def _record_line(record: dict, key_json: str) -> str:
+    """`encode_sorted(record) + "\n"` for a record whose key encodes to
+    `key_json`: the fields in sorted order, each string escaped as the encoder
+    escapes it, so the key is not encoded again."""
+    quote = encode_basestring_ascii
+    stamps = record["timestamps"]
+    return (
+        f'{{"attempts": {record["attempts"]}, "key": {key_json}, "law": {quote(record["law"])}, '
+        f'"model": {quote(record["model"])}, "status": {quote(record["status"])}, '
+        f'"task": {quote(record["task"])}, "text": {quote(record["text"])}, '
+        f'"timestamps": {{"finished": {quote(stamps["finished"])}, "started": {quote(stamps["started"])}}}}}\n'
+    )
+
+
+# Field of a response record -> the type of its value. `law`, `task` and
+# `key` are required, though a task-2 record may carry `pointer` instead of
+# `key`; `model` and `text` only where a reader requires them.
+_RECORD_FIELDS = {"law": str, "task": str, "key": dict, "pointer": dict, "model": str, "text": str}
+_TYPE_NAMES = {str: "a string", dict: "an object"}
+
+
+def load_responses(path: str | Path, require: Sequence[str] = ()) -> Iterator[dict]:
+    """Yield the records of a raw_responses.jsonl one at a time, in file
+    order; blank lines are skipped.
+
+    Each record is checked as it is read: a line that is not UTF-8 JSON, not an
+    object, lacks `law`, `task`, `key` (or, in task 2, `pointer`) or a field
+    named in `require`, or holds a field of the wrong type (see `_RECORD_FIELDS`) raises
+    MalformedResponse naming the file and the line number. Records before
+    that line have been yielded by then.
+    """
+    required = ("law", "task", *require)
+    # Binary lines, decoded one at a time, so that bytes that are not UTF-8
+    # are reported with their line number too.
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise MalformedResponse(f"{path}: line {number}: not UTF-8 (byte {exc.start + 1})") from None
+            except json.JSONDecodeError as exc:
+                raise MalformedResponse(f"{path}: line {number}: not JSON ({exc.msg} at column {exc.colno})") from None
+            problem = _record_problem(record, required)
+            if problem:
+                raise MalformedResponse(f"{path}: line {number}: {problem}")
+            yield record
+
+
+def _record_problem(record, required: Sequence[str]) -> str:
+    """Why a decoded line is not a response record; empty if it is one."""
+    if type(record) is not dict:
+        return f"not a JSON object: {record!r:.60}"
+    for name in required:
+        if name not in record:
+            return f"missing field {name!r}"
+    for name, kind in _RECORD_FIELDS.items():
+        if name in record and type(record[name]) is not kind:
+            return f"field {name!r} must be {_TYPE_NAMES[kind]}, got {record[name]!r:.60}"
+    if "key" not in record and not (record["task"] == "task2" and "pointer" in record):
+        return "missing field 'key'"
+    return ""

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import write_json
+from .corpus import atomic_write, encode_sorted
 from .errors import MalformedPrediction, OutOfUniverse, RegevalError
 from .jurisdiction import JurisdictionRegistry
 from .multilabel import GoldPointers, SetPrediction, Task2Match, index_pointers, match_task2
@@ -156,19 +157,33 @@ def write_prediction_files(
     config_echo: Mapping | None = None,
 ) -> tuple[Path, Path]:
     out = Path(out_dir)
-    t1_payload = {
-        "config": dict(config_echo or {}),
-        "predictions": [ranked_prediction_to_dict(p) for p in ranked],
-    }
-    t2_payload = {
-        "config": dict(config_echo or {}),
-        "predictions": [set_prediction_to_dict(p) for p in sets],
-    }
-    # Machine-only files: compact, so the C encoder writes them.
+    config = dict(config_echo or {})
     return (
-        write_json(out / "predictions_task1.json", t1_payload, indent=None),
-        write_json(out / "predictions_task2.json", t2_payload, indent=None),
+        _write_predictions(out / "predictions_task1.json", config, map(ranked_prediction_to_dict, ranked)),
+        _write_predictions(out / "predictions_task2.json", config, map(set_prediction_to_dict, sets)),
     )
+
+
+# Entries encoded per call: a list encodes as its items' encodings joined by
+# ", " inside brackets, so a chunk costs one encoder call and holds only
+# this many entries' text at once.
+_WRITE_CHUNK = 1024
+
+
+def _write_predictions(path: Path, config: dict, entries: Iterable[dict]) -> Path:
+    """Write {"config": config, "predictions": [entries]} a chunk of entries
+    at a time, atomically. The bytes are those of
+    `write_json(path, payload, indent=None)`: compact key-sorted JSON plus a
+    newline, and "config" sorts before "predictions"."""
+    entries = iter(entries)
+    with atomic_write(path) as fh:
+        fh.write(f'{{"config": {encode_sorted(config)}, "predictions": [')
+        separator = ""
+        while chunk := list(islice(entries, _WRITE_CHUNK)):
+            fh.write(separator + encode_sorted(chunk)[1:-1])
+            separator = ", "
+        fh.write("]}\n")
+    return path
 
 
 def _canonical_ids(

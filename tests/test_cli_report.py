@@ -477,3 +477,54 @@ class TestCliErrors:
             for line in (tmp_path / "run" / "raw_responses.jsonl").read_text().splitlines()
         ]
         assert records and all(r["status"] == "exhausted_retries" for r in records)
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (lambda r: {k: v for k, v in r.items() if k != "law"}, "missing field 'law'"),
+            (lambda r: {**r, "text": 5}, "field 'text' must be a string, got 5"),
+            (lambda r: [1, 2], "not a JSON object: [1, 2]"),
+            (None, "not JSON (Expecting value at column 1)"),
+        ],
+    )
+    def test_malformed_response_record_exits_2_naming_file_and_line(self, tmp_path, capsys, change, problem):
+        """`parse` and a replay `run` both read records through one loader."""
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "2", "--files", "2", "--laws", "LGPD", "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        assert main(["run", "--views-dir", str(views_dir), "--models", "m", "--backoff", "0",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        path = tmp_path / "run" / "raw_responses.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = "not json" if change is None else json.dumps(change(json.loads(lines[1])))
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for argv in (
+            ["parse", "--responses", str(path), "--out-dir", str(tmp_path / "parsed")],
+            ["run", "--views-dir", str(views_dir), "--models", "m", "--transport", "replay",
+             "--replay", str(path), "--out-dir", str(tmp_path / "replayed")],
+        ):
+            assert main(argv) == 2
+            [line] = capsys.readouterr().err.strip().splitlines()
+            assert json.loads(line) == {"error": "MalformedResponse", "message": f"{path}: line 2: {problem}"}
+        assert not (tmp_path / "parsed").exists() and not (tmp_path / "replayed").exists()
+
+    def test_parse_reads_task2_records_that_carry_pointer_instead_of_key(self, tmp_path):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "2", "--files", "2", "--laws", "LGPD", "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        assert main(["run", "--views-dir", str(views_dir), "--models", "m", "--backoff", "0",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        path = tmp_path / "run" / "raw_responses.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert any(r["task"] == "task2" for r in records)
+        renamed = tmp_path / "pointer_responses.jsonl"
+        renamed.write_text("".join(
+            json.dumps({("pointer" if k == "key" and r["task"] == "task2" else k): v for k, v in r.items()}) + "\n"
+            for r in records
+        ))
+        assert main(["parse", "--responses", str(path), "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["parse", "--responses", str(renamed), "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("predictions_task1.json", "predictions_task2.json"):
+            a, b = (json.loads((tmp_path / side / name).read_text()) for side in ("a", "b"))
+            assert a["predictions"] and a["predictions"] == b["predictions"]

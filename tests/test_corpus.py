@@ -14,6 +14,7 @@ from regeval.corpus import (
     atomic_write,
     corpus_stats,
     derive_module_name,
+    encode_sorted,
     instance_from_record,
     instance_to_record,
     load_dataset,
@@ -163,6 +164,17 @@ class TestDatasetIO:
         write_json(path, payload, indent=None)
         assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
         assert [p.name for p in path.parent.iterdir()] == ["out.json"]
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+            max_leaves=20,
+        )
+    )
+    def test_encode_sorted_equals_json_dumps(self, value):
+        """Non-ASCII text, escapes, NaN and infinities included."""
+        assert encode_sorted(value) == json.dumps(value, sort_keys=True)
 
     def test_interrupted_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "raw_responses.jsonl"

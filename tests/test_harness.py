@@ -6,8 +6,11 @@ import threading
 from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regeval.errors import LawMismatch, TransportConfigError
+from regeval import harness
+from regeval.errors import LawMismatch, MalformedResponse, TransportConfigError
 from regeval.harness import (
     FailingTransport,
     JudgmentPromptItem,
@@ -237,6 +240,52 @@ class TestExecuteRun:
         assert not state["per_model_violation"]
         assert state["max_total"] <= len(models)
 
+    def test_models_share_each_items_key_json(self, registry, tmp_path):
+        corpus = small_corpus(registry, files=2)
+        views = shape_views(corpus)
+        inner = profile_reply_fn(views, registry, "PERFECT")
+        sent = []
+
+        class Recording:
+            def send(self, request):
+                sent.append(request)
+                return inner(request)
+
+        self._run(registry, tmp_path, views=views, corpus=corpus, transport=Recording())
+        by_item = {}
+        for request in sent:
+            by_item.setdefault(request.identity[1:], []).append(request)
+        assert sent and all(len(pair) == 2 for pair in by_item.values())
+        for x, y in by_item.values():
+            assert {x.model, y.model} == {"model-x", "model-y"}
+            assert x.key_json is y.key_json
+            assert x.identity[3] is y.identity[3]
+            assert x.key_json == json.dumps(x.key, sort_keys=True)
+
+    def test_response_lines_are_the_sorted_key_dumps_of_the_records(self, registry, tmp_path):
+        result = self._run(registry, tmp_path, out="lines")
+        lines = result.responses_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines == [json.dumps(r, sort_keys=True) + "\n" for r in result.records]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.text(),
+        names=st.lists(st.text(max_size=8), min_size=5, max_size=5),
+        attempts=st.integers(min_value=0, max_value=10**6),
+        key=st.dictionaries(
+            st.text(max_size=6), st.text(max_size=6) | st.lists(st.integers(), max_size=2), max_size=4
+        ),
+    )
+    def test_record_line_equals_sorted_key_dump(self, text, names, attempts, key):
+        """Non-ASCII text, escapes and control characters included."""
+        model, task, law, started, finished = names
+        record = {
+            "model": model, "task": task, "law": law, "key": key, "text": text, "status": "ok",
+            "attempts": attempts, "timestamps": {"started": started, "finished": finished},
+        }
+        line = harness._record_line(record, json.dumps(key, sort_keys=True))
+        assert line == json.dumps(record, sort_keys=True) + "\n"
+
     def test_run_log_has_per_model_counters(self, registry, tmp_path):
         result = self._run(registry, tmp_path, out="logged")
         log_text = result.log_path.read_text()
@@ -401,3 +450,65 @@ class TestReplayTransport:
                 registry,
                 corpus=corpus,
             )
+
+
+class TestLoadResponses:
+    RECORD = {"model": "m", "task": "task1", "law": "LGPD", "key": {"file_path": "a"}, "text": "Art. 7"}
+
+    def _write(self, tmp_path, *lines):
+        path = tmp_path / "raw_responses.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def test_lazy_first_record_before_a_malformed_line(self, tmp_path):
+        path = self._write(tmp_path, json.dumps(self.RECORD), "", "[1, 2]")
+        records = load_responses(path)
+        assert next(records) == self.RECORD
+        with pytest.raises(MalformedResponse, match=r"raw_responses\.jsonl: line 3: not a JSON object"):
+            next(records)
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("{not json", "line 2: not JSON"),
+            ('"text"', "line 2: not a JSON object"),
+            (json.dumps({k: v for k, v in RECORD.items() if k != "law"}), "line 2: missing field 'law'"),
+            (json.dumps({**RECORD, "task": 1}), "line 2: field 'task' must be a string"),
+            (json.dumps({**RECORD, "key": ["a"]}), "line 2: field 'key' must be an object"),
+            (json.dumps({**RECORD, "model": None}), "line 2: field 'model' must be a string"),
+            (json.dumps({**RECORD, "text": 5}), "line 2: field 'text' must be a string, got 5"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, problem):
+        path = self._write(tmp_path, json.dumps(self.RECORD), line)
+        with pytest.raises(MalformedResponse) as info:
+            list(load_responses(path))
+        assert str(info.value).startswith(f"{path}: {problem}")
+
+    def test_non_utf8_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "raw_responses.jsonl"
+        path.write_bytes(json.dumps(self.RECORD).encode() + b'\n{"law": "\xe9"}\n')
+        with pytest.raises(MalformedResponse, match=r"line 2: not UTF-8 \(byte 10\)"):
+            list(load_responses(path))
+
+    def test_model_and_text_optional_unless_required(self, tmp_path):
+        bare = {k: v for k, v in self.RECORD.items() if k not in ("model", "text")}
+        path = self._write(tmp_path, json.dumps(bare))
+        assert list(load_responses(path)) == [bare]
+        with pytest.raises(MalformedResponse, match="line 1: missing field 'model'"):
+            list(load_responses(path, require=("model", "text")))
+
+    def test_task2_record_may_carry_pointer_instead_of_key(self, tmp_path):
+        pointer = {"file_path": "a.kt", "span": [1, 2], "commit_id": "c"}
+        record = {"task": "task2", "law": "LGPD", "pointer": pointer, "text": "Art. 7"}
+        path = self._write(tmp_path, json.dumps(record), json.dumps({**record, "task": "task1"}))
+        records = load_responses(path)
+        assert next(records) == record
+        with pytest.raises(MalformedResponse, match="line 2: missing field 'key'"):
+            next(records)
+
+    def test_replay_requires_model_and_text(self, tmp_path):
+        bare = {k: v for k, v in self.RECORD.items() if k != "text"}
+        path = self._write(tmp_path, json.dumps(self.RECORD), json.dumps(bare))
+        with pytest.raises(MalformedResponse, match="line 2: missing field 'text'"):
+            ReplayTransport(path)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from regeval.corpus import LineSpan
 from regeval.errors import RegevalError
+from regeval import ingest
 from regeval.ingest import (
     RANKED,
     SET,
@@ -16,11 +19,13 @@ from regeval.ingest import (
     load_prediction_files,
     parse_prediction_text,
     parse_responses,
+    ranked_prediction_to_dict,
+    set_prediction_to_dict,
     write_prediction_files,
 )
 from regeval.jurisdiction import JurisdictionRegistry
 from regeval.multilabel import SetPrediction, score_task2
-from regeval.retrieval import RankedPrediction, gold_keys_for_records, score_task1
+from regeval.retrieval import RankedPrediction, RetrievalKey, gold_keys_for_records, score_task1
 from regeval.shaping import SnippetPointer, shape_views
 from regeval.synthetic import CorpusSpec, generate_corpus, render_response_text, scripted_model
 from test_corpus import make_instance
@@ -282,3 +287,54 @@ class TestEvalPermutationInvariance:
         shuffled_ranked = data.draw(st.permutations(ranked))
         shuffled_sets = data.draw(st.permutations(sets))
         assert self._scores(shuffled_ranked, shuffled_sets) == self._scores(ranked, sets)
+
+
+# Text with non-ASCII characters, quotes, backslashes and control characters.
+_TEXT = st.text(alphabet=st.sampled_from(list('aZ09 "\\\n\t\x00é漢😀/')), max_size=6)
+
+
+@st.composite
+def _ranked_prediction(draw) -> RankedPrediction:
+    start = draw(st.integers(min_value=1, max_value=40))
+    span = draw(st.none() | st.builds(LineSpan, st.just(start), st.integers(start, start + 5)))
+    key = RetrievalKey(
+        law=draw(_TEXT), repo_url=draw(_TEXT), app_name=draw(_TEXT), commit_id=draw(_TEXT),
+        file_path=draw(_TEXT), granularity=draw(st.sampled_from(["file", "module", "line"])),
+        module=draw(st.none() | _TEXT), span=span,
+    )
+    return RankedPrediction(key=key, ranking=tuple(draw(st.lists(_TEXT, max_size=3))), model=draw(st.just("") | _TEXT))
+
+
+@st.composite
+def _set_prediction(draw) -> SetPrediction:
+    start = draw(st.integers(min_value=1, max_value=40))
+    pointer = SnippetPointer(draw(_TEXT), LineSpan(start, draw(st.integers(start, start + 5))), draw(_TEXT))
+    return SetPrediction(
+        law=draw(_TEXT), pointer=pointer, labels=tuple(draw(st.lists(_TEXT, max_size=3))),
+        model=draw(st.just("") | _TEXT),
+    )
+
+
+_CONFIG_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ranked=st.lists(_ranked_prediction(), max_size=4),
+    sets=st.lists(_set_prediction(), max_size=4),
+    config=st.none() | st.dictionaries(_TEXT, _CONFIG_VALUE, max_size=3),
+)
+def test_streamed_prediction_files_equal_one_dump_of_the_payload(ranked, sets, config):
+    """Entries are written a chunk at a time (two here, so most files span
+    several chunks), with the bytes of one compact key-sorted dump of the
+    whole payload: no entries, entries without a model, and any text
+    included."""
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(ingest, "_WRITE_CHUNK", 2):
+        t1, t2 = write_prediction_files(out, ranked, sets, config)
+        for path, entries in ((t1, map(ranked_prediction_to_dict, ranked)), (t2, map(set_prediction_to_dict, sets))):
+            payload = {"config": dict(config or {}), "predictions": list(entries)}
+            assert path.read_bytes() == (json.dumps(payload, indent=None, sort_keys=True) + "\n").encode()
