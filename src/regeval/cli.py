@@ -23,7 +23,6 @@ from .harness import (
     ReplayTransport,
     RunConfig,
     execute_run,
-    load_responses,
 )
 from .ingest import (
     GoldIndex,
@@ -180,8 +179,7 @@ def cmd_run(args) -> int:
 
 def cmd_parse(args) -> int:
     registry = _registry(args)
-    records = load_responses(args.responses)
-    ranked, sets, summary = parse_responses(records, registry)
+    ranked, sets, summary = parse_responses(args.responses, registry)
     t1, t2 = write_prediction_files(
         args.out_dir,
         ranked,
@@ -203,10 +201,11 @@ def cmd_eval(args) -> int:
     views = _load_views(args.views_dir, args.law.split(",") if args.law else None)
     gold = GoldIndex.from_views(views)
 
-    # Rows are task-1 (anchor, ranking, model) and task-2 (law, pointer
-    # anchor, labels, model), and an anchor starts with its law. Predictions
-    # for laws without loaded views (other laws than `--law`) are out of
-    # scope: dropped here, so they are neither orphans nor counted.
+    # Rows are plain tuples laid out like `RankedPrediction` (key, ranking,
+    # model) and `SetPrediction` (law, pointer, labels, model), and a key
+    # starts with its law. Predictions for laws without loaded views (other
+    # laws than `--law`) are out of scope: dropped here, so they are neither
+    # orphans nor counted.
     ranked_by_model: dict[str, list] = {}
     sets_by_model: dict[str, list] = {}
     memo: dict[str, dict[str, str]] = {}

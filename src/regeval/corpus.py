@@ -75,15 +75,6 @@ class LineSpan:
     def as_list(self) -> list[int]:
         return [self.start, self.end]
 
-    @classmethod
-    def parse(cls, text: str) -> "LineSpan":
-        match = re.fullmatch(r"(\d+)(?:-(\d+))?", text.strip())
-        if match is None:
-            raise RegevalError(f"bad span: {text!r}")
-        start = int(match.group(1))
-        end = int(match.group(2)) if match.group(2) else start
-        return cls(start, end)
-
 
 def decode_span(value) -> tuple[int, int]:
     """(start, end) of a stored `[start, end]` span, checked by `LineSpan`'s
@@ -95,6 +86,21 @@ def decode_span(value) -> tuple[int, int]:
     if type(start) is not int or type(end) is not int or not 1 <= start <= end:
         raise MalformedPrediction(f"span must be two integers with 1 <= start <= end, got {value!r}")
     return start, end
+
+
+def decode_each(path: str | Path, items: list, decode, noun: str, error: type[RegevalError]) -> list:
+    """`decode` of each item of a list read from `path`. An item that lacks a
+    field, or that `decode` finds malformed, raises `error` naming the file,
+    the `noun` and the item's index."""
+    decoded = []
+    for index, item in enumerate(items):
+        try:
+            decoded.append(decode(item))
+        except KeyError as exc:
+            raise error(f"{path}: {noun} {index}: missing field {exc.args[0]!r}") from None
+        except (MalformedPrediction, TypeError) as exc:
+            raise error(f"{path}: {noun} {index}: {exc}") from None
+    return decoded
 
 
 def split_pointer_path(raw: str) -> tuple[str, LineSpan]:

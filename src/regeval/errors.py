@@ -64,6 +64,11 @@ class MalformedResponse(RegevalError):
     a field is missing or holds a value of the wrong type."""
 
 
+class MalformedView(RegevalError):
+    """A shaped view file is not a view, or one of its records lacks a field
+    or holds a value of the wrong type or shape."""
+
+
 class MalformedPrediction(RegevalError):
     """A prediction entry, or a task-1 key or task-2 pointer read from a file,
     lacks a field or holds a value of the wrong type or shape."""

@@ -158,7 +158,7 @@ def render_prompt(template: PromptTemplate, item: PromptItem) -> str:
         lines.append(f"File path: {key.file_path}")
         if key.module is not None:
             lines.append(f"Module: {key.module}")
-        if key.span is not None:
+        if key.start is not None:
             lines.append(f"Lines: {key.span.render()}")
         if item.context:
             lines.append("Context:")
@@ -220,7 +220,7 @@ def build_prompt_items(
         if "task1" in tasks:
             for key in sorted(gold_keys_for_records(view.task1), key=lambda k: k.sort_key()):
                 file_id = (law, key.repo_url, key.app_name, key.commit_id, key.file_path)
-                if key.granularity == "line" and key.span is not None:
+                if key.granularity == "line" and key.start is not None:
                     context = context_by_pointer.get(file_id + (key.span,), "")
                     context = context or context_by_file.get(file_id, "")
                 else:
@@ -519,13 +519,21 @@ _TYPE_NAMES = {str: "a string", dict: "an object"}
 
 def load_responses(path: str | Path, require: Sequence[str] = ()) -> Iterator[dict]:
     """Yield the records of a raw_responses.jsonl one at a time, in file
-    order; blank lines are skipped.
+    order, checked as `numbered_responses` checks them."""
+    for _number, record in numbered_responses(path, require):
+        yield record
+
+
+def numbered_responses(path: str | Path, require: Sequence[str] = ()) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for the records of a raw_responses.jsonl
+    one at a time, in file order; blank lines are skipped.
 
     Each record is checked as it is read: a line that is not UTF-8 JSON, not an
     object, lacks `law`, `task`, `key` (or, in task 2, `pointer`) or a field
-    named in `require`, or holds a field of the wrong type (see `_RECORD_FIELDS`) raises
-    MalformedResponse naming the file and the line number. Records before
-    that line have been yielded by then.
+    named in `require`, holds a field of the wrong type (see `_RECORD_FIELDS`)
+    or a task other than task1 and task2 raises MalformedResponse naming the
+    file and the line number. Records before that line have been yielded by
+    then.
     """
     required = ("law", "task", *require)
     # Binary lines, decoded one at a time, so that bytes that are not UTF-8
@@ -543,7 +551,7 @@ def load_responses(path: str | Path, require: Sequence[str] = ()) -> Iterator[di
             problem = _record_problem(record, required)
             if problem:
                 raise MalformedResponse(f"{path}: line {number}: {problem}")
-            yield record
+            yield number, record
 
 
 def _record_problem(record, required: Sequence[str]) -> str:
@@ -556,6 +564,8 @@ def _record_problem(record, required: Sequence[str]) -> str:
     for name, kind in _RECORD_FIELDS.items():
         if name in record and type(record[name]) is not kind:
             return f"field {name!r} must be {_TYPE_NAMES[kind]}, got {record[name]!r:.60}"
+    if record["task"] not in ("task1", "task2"):
+        return f"unknown task {record['task']!r:.60}"
     if "key" not in record and not (record["task"] == "task2" and "pointer" in record):
         return "missing field 'key'"
     return ""

@@ -15,8 +15,9 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import atomic_write, encode_sorted
-from .errors import MalformedPrediction, OutOfUniverse, RegevalError
+from .corpus import atomic_write, decode_each, encode_sorted
+from .errors import MalformedPrediction, MalformedResponse, OutOfUniverse, RegevalError
+from .harness import numbered_responses
 from .jurisdiction import JurisdictionRegistry
 from .multilabel import GoldPointers, SetPrediction, Task2Match, index_pointers, match_task2
 from .retrieval import (
@@ -95,38 +96,35 @@ class ParseSummary:
 
 
 def parse_responses(
-    records: Iterable[Mapping],
+    path: str | Path,
     registry: JurisdictionRegistry,
 ) -> tuple[list[RankedPrediction], list[SetPrediction], ParseSummary]:
-    """Turn raw response records into canonical task-1 / task-2 predictions."""
+    """Turn the records of a raw_responses.jsonl into canonical task-1 /
+    task-2 predictions. A record whose key or pointer is malformed raises
+    MalformedResponse naming the file and the line."""
     ranked: list[RankedPrediction] = []
     sets: list[SetPrediction] = []
     summary = ParseSummary()
-    for record in records:
-        summary.responses += 1
+    for number, record in numbered_responses(path):
         law = record["law"]
-        task = record["task"]
-        mode = RANKED if task == "task1" else SET
-        parsed = parse_prediction_text(record.get("text", ""), law, mode, registry)
+        task1 = record["task"] == "task1"
+        try:
+            if task1:
+                target = RetrievalKey.from_dict(law, record["key"])
+            else:
+                target = SnippetPointer.from_dict(record["pointer"] if "pointer" in record else record["key"])
+        except MalformedPrediction as exc:
+            raise MalformedResponse(f"{path}: line {number}: {exc}") from None
+        summary.responses += 1
+        parsed = parse_prediction_text(record.get("text", ""), law, RANKED if task1 else SET, registry)
         summary.dropped_out_of_universe += len(parsed.dropped_out_of_universe)
         if parsed.empty:
             summary.empty_predictions += 1
         model = record.get("model", "")
-        if task == "task1":
-            key = RetrievalKey.from_dict(law, record["key"])
-            ranked.append(RankedPrediction(key=key, ranking=parsed.ids, model=model))
-        elif task == "task2":
-            pointer = record.get("pointer", record.get("key"))
-            sets.append(
-                SetPrediction(
-                    law=law,
-                    pointer=SnippetPointer.from_dict(pointer),
-                    labels=parsed.ids,
-                    model=model,
-                )
-            )
+        if task1:
+            ranked.append(RankedPrediction(target, parsed.ids, model))
         else:
-            raise RegevalError(f"unknown task in response record: {task!r}")
+            sets.append(SetPrediction(law, target, parsed.ids, model))
     return ranked, sets, summary
 
 
@@ -223,15 +221,7 @@ def _decode_entries(path: str | Path, decode) -> list[tuple]:
     entries = data.get("predictions") if isinstance(data, dict) else None
     if type(entries) is not list:
         raise MalformedPrediction(f"{path}: no 'predictions' list")
-    rows = []
-    for index, entry in enumerate(entries):
-        try:
-            rows.append(decode(entry))
-        except KeyError as exc:
-            raise MalformedPrediction(f"{path}: prediction {index}: missing field {exc.args[0]!r}") from None
-        except (MalformedPrediction, TypeError) as exc:
-            raise MalformedPrediction(f"{path}: prediction {index}: {exc}") from None
-    return rows
+    return decode_each(path, entries, decode, "prediction", MalformedPrediction)
 
 
 def load_prediction_files(
@@ -240,10 +230,17 @@ def load_prediction_files(
     registry: JurisdictionRegistry,
     memo: dict[str, dict[str, str]] | None = None,
 ) -> tuple[list[tuple], list[tuple]]:
-    """Decode both prediction files straight to the rows `eval` joins:
-    task 1 (anchor, ranking, model) and task 2 (law, pointer anchor, labels,
-    model), ids canonical. `memo` holds the canonical ids resolved so far
-    (see `_canonical_ids`); pass one dict to every call of one `eval`."""
+    """Decode both prediction files straight to the rows `eval` joins, laid
+    out like `RankedPrediction` (key, ranking, model) and `SetPrediction`
+    (law, pointer, labels, model), ids canonical. `memo` holds the canonical
+    ids resolved so far (see `_canonical_ids`); pass one dict to every call
+    of one `eval`."""
+    # Rows, keys and pointers stay plain tuples, which compare and hash equal
+    # to the named tuples. CPython's cyclic GC untracks only exact tuples (of
+    # untracked items), while a named tuple stays tracked and is built through
+    # a Python-level __new__. Named-tuple rows built here made `eval` of the
+    # 600-file five-profile cohort about 10% slower: medians of 16 fresh
+    # processes 0.85 -> 0.93 s, and 0.64 -> 0.70 s under gc.disable().
     memo = {} if memo is None else memo
 
     def ranked_row(entry) -> tuple:
@@ -306,15 +303,15 @@ def bind_predictions(
     policy: str,
 ) -> BindResult:
     """Join one model's prediction rows (as `load_prediction_files` decodes
-    them) to the gold index and report coverage."""
+    them, or the named tuples) to the gold index and report coverage."""
     task1, orphans = match_task1(gold.task1, ranked, policy)
     result = BindResult(task1=task1, task2=match_task2(gold.task2, sets))
     result.orphan_task1 = [
-        {"key": RetrievalKey.from_anchor(anchor).to_dict(), "model": model} for anchor, _ranking, model in orphans
+        {"key": RetrievalKey._make(key).to_dict(), "model": model} for key, _ranking, model in orphans
     ]
     sizes = {
-        "task1": Counter((anchor[0], len(ranking)) for anchor, ranking, _model in ranked),
-        "task2": Counter((law, len(labels)) for law, _anchor, labels, _model in sets),
+        "task1": Counter((key[0], len(ranking)) for key, ranking, _model in ranked),
+        "task2": Counter((law, len(labels)) for law, _pointer, labels, _model in sets),
     }
     for task, counts in sizes.items():
         for (law, size), count in counts.items():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import LengthMismatch, UniverseTooSmall
 from .jurisdiction import JurisdictionRegistry
@@ -174,22 +174,14 @@ class JudgmentMetrics:
         return cls(*(float(data[name]) for name in T2_METRIC_NAMES))
 
 
-@dataclass(frozen=True)
-class SetPrediction:
-    """Parsed label set for one snippet pointer, with its output order."""
+class SetPrediction(NamedTuple):
+    """Parsed label set for one snippet pointer, with its output order; the
+    tuple is the row `eval` joins on."""
 
     law: str
     pointer: SnippetPointer
     labels: tuple[str, ...]
     model: str = ""
-
-    @property
-    def label_set(self) -> frozenset[str]:
-        return frozenset(self.labels)
-
-    def row(self) -> tuple:
-        """The prediction as `eval` joins it: (law, pointer anchor, labels, model)."""
-        return (self.law, self.pointer.anchor(), self.labels, self.model)
 
 
 @dataclass
@@ -234,7 +226,7 @@ class Task2Evaluation:
 class GoldPointers:
     """One law's gold task-2 records, indexed once per `eval` and shared by
     every model's join: their gold sets in record order, a slot per distinct
-    pointer anchor, and each record's slot."""
+    pointer, and each record's slot."""
 
     golds: list[frozenset[str]] = field(default_factory=list)
     slot: dict[tuple, int] = field(default_factory=dict)
@@ -247,7 +239,7 @@ def index_pointers(records: Sequence[Task2Record]) -> dict[str, GoldPointers]:
     for rec in records:
         gold = by_law.setdefault(rec.law, GoldPointers())
         gold.golds.append(rec.gold)
-        gold.record_slots.append(gold.slot.setdefault(rec.pointer.anchor(), len(gold.slot)))
+        gold.record_slots.append(gold.slot.setdefault(rec.pointer, len(gold.slot)))
     return dict(sorted(by_law.items()))
 
 
@@ -255,8 +247,8 @@ def match_task2(
     index: Mapping[str, GoldPointers],
     predictions: Sequence[tuple],
 ) -> dict[str, Task2Match]:
-    """Strict pointer matching per law of prediction rows, (law, pointer
-    anchor, labels, model): one anchor lookup per prediction.
+    """Strict pointer matching per law of predictions, `SetPrediction`s or
+    plain tuples laid out like them: one pointer lookup per prediction.
 
     The first prediction for a pointer is kept. A prediction whose pointer
     matches no gold record is an orphan, listed once per pointer (the first
@@ -274,10 +266,10 @@ def match_task2(
         slot_of = gold.slot
         found: list[tuple[str, ...] | None] = [None] * len(slot_of)
         orphans: dict[tuple, str] = {}
-        for _law, anchor, labels, model in rows_by_law[law]:
-            slot = slot_of.get(anchor)
+        for _law, pointer, labels, model in rows_by_law[law]:
+            slot = slot_of.get(pointer)
             if slot is None:
-                orphans.setdefault(anchor, model)
+                orphans.setdefault(pointer, model)
             elif found[slot] is None:
                 found[slot] = labels
         report = PointerMatchReport(gold_pointers=len(gold.golds))
@@ -290,8 +282,8 @@ def match_task2(
                 report.matched_pointers += 1
                 orders.append(labels)
         report.orphans = [
-            {**SnippetPointer.from_anchor(anchor).to_dict(), "model": model}
-            for anchor, model in orphans.items()
+            {**SnippetPointer._make(pointer).to_dict(), "model": model}
+            for pointer, model in orphans.items()
         ]
         matches[law] = Task2Match(golds=gold.golds, orders=orders, report=report)
     return matches
@@ -327,6 +319,4 @@ def evaluate_task2(
     registry: JurisdictionRegistry,
 ) -> dict[str, Task2Evaluation]:
     """Per-law metrics of `predictions` against `records`."""
-    return score_task2(
-        match_task2(index_pointers(records), [pred.row() for pred in predictions]), registry
-    )
+    return score_task2(match_task2(index_pointers(records), predictions), registry)

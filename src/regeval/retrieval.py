@@ -11,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import LineSpan, decode_span
 from .errors import EmptyGold, MalformedPrediction
@@ -151,9 +151,10 @@ def _metric_row(gold: frozenset[str], ranking: Sequence[str]) -> tuple[float, ..
     )
 
 
-@dataclass(frozen=True)
-class RetrievalKey:
-    """Full pointer identity for one task-1 gold anchor."""
+class RetrievalKey(NamedTuple):
+    """Full pointer identity for one task-1 gold anchor. The field order is
+    the layout `eval` joins on, and a key compares and hashes equal to the
+    plain tuple of its fields, which is what `decode_anchor` returns."""
 
     law: str
     repo_url: str
@@ -162,35 +163,22 @@ class RetrievalKey:
     file_path: str
     granularity: str
     module: str | None = None
-    span: LineSpan | None = None
+    start: int | None = None
+    end: int | None = None
 
-    def anchor(self) -> tuple:
-        """The key as a plain tuple, which `eval` joins on: (law, granularity,
-        repo_url, app_name, commit_id, file_path, module, span_start,
-        span_end), with None for a missing module or span."""
-        span = self.span
-        return (
-            self.law,
-            self.granularity,
-            self.repo_url,
-            self.app_name,
-            self.commit_id,
-            self.file_path,
-            self.module,
-            span.start if span else None,
-            span.end if span else None,
-        )
+    @property
+    def span(self) -> LineSpan | None:
+        return None if self.start is None else LineSpan(self.start, self.end)
 
     def sort_key(self) -> tuple:
-        span = self.span.as_list() if self.span else [0, 0]
         return (
             self.law,
             self.repo_url,
             self.file_path,
             self.granularity,
             self.module or "",
-            span[0],
-            span[1],
+            self.start or 0,
+            self.end or 0,
             self.app_name,
             self.commit_id,
         )
@@ -206,33 +194,19 @@ class RetrievalKey:
         }
         if self.module is not None:
             payload["module"] = self.module
-        if self.span is not None:
-            payload["span"] = self.span.as_list()
+        if self.start is not None:
+            payload["span"] = [self.start, self.end]
         return payload
-
-    @classmethod
-    def from_anchor(cls, anchor: tuple) -> "RetrievalKey":
-        law, granularity, repo_url, app_name, commit_id, file_path, module, start, end = anchor
-        return cls(
-            law=law,
-            repo_url=repo_url,
-            app_name=app_name,
-            commit_id=commit_id,
-            file_path=file_path,
-            granularity=granularity,
-            module=module,
-            span=None if start is None else LineSpan(start, end),
-        )
 
     @classmethod
     def from_dict(cls, law: str, data: Mapping) -> "RetrievalKey":
         """Inverse of `to_dict`; `law` is passed because request keys omit it."""
-        return cls.from_anchor(decode_anchor(law, data))
+        return cls._make(decode_anchor(law, data))
 
 
 def decode_anchor(law: str, data: Mapping) -> tuple:
-    """`RetrievalKey.anchor()` of the key a dict encodes, read without
-    building the key: the one reader of task-1 key fields from a dict."""
+    """The fields of the key a dict encodes, as a plain tuple in
+    `RetrievalKey` order: the one reader of task-1 key fields from a dict."""
     try:
         granularity = data["granularity"]
         repo_url = data["repo_url"]
@@ -253,43 +227,33 @@ def decode_anchor(law: str, data: Mapping) -> tuple:
         raise MalformedPrediction("key fields must be strings")
     span = data.get("span")
     start, end = (None, None) if span is None else decode_span(span)
-    return (law, granularity, repo_url, app_name, commit_id, file_path, module, start, end)
+    return (law, repo_url, app_name, commit_id, file_path, granularity, module, start, end)
 
 
-def file_identity(anchor: tuple) -> tuple:
-    """(law, granularity, repo_url, app_name, commit_id, file_path): the
-    anchor fields the relaxed policy falls back to."""
-    return anchor[:6]
+def file_identity(key: tuple) -> tuple:
+    """(law, repo_url, app_name, commit_id, file_path, granularity): the key
+    fields the relaxed policy falls back to."""
+    return key[:6]
 
 
-@dataclass(frozen=True)
-class RankedPrediction:
-    """Duplicate-free ranked article ids bound to one gold anchor."""
+class RankedPrediction(NamedTuple):
+    """Duplicate-free ranked article ids bound to one gold anchor; the tuple
+    is the row `eval` joins on."""
 
     key: RetrievalKey
     ranking: tuple[str, ...]
     model: str = ""
-
-    def row(self) -> tuple:
-        """The prediction as `eval` joins it: (anchor, ranking, model)."""
-        return (self.key.anchor(), self.ranking, self.model)
 
 
 def gold_keys_for_records(records: Sequence[Task1Record]) -> dict[RetrievalKey, frozenset[str]]:
     """Expand shaped records into per-granularity gold anchors."""
     gold: dict[RetrievalKey, frozenset[str]] = {}
     for rec in records:
-        base = dict(
-            law=rec.law,
-            repo_url=rec.key.repo_url,
-            app_name=rec.key.app_name,
-            commit_id=rec.key.commit_id,
-            file_path=rec.key.file_path,
-        )
-        gold[RetrievalKey(granularity="file", **base)] = rec.file_gold
-        gold[RetrievalKey(granularity="module", module=rec.module_name, **base)] = rec.module_gold
+        base = (rec.law, rec.key.repo_url, rec.key.app_name, rec.key.commit_id, rec.key.file_path)
+        gold[RetrievalKey(*base, "file")] = rec.file_gold
+        gold[RetrievalKey(*base, "module", rec.module_name)] = rec.module_gold
         for entry in rec.line_entries:
-            gold[RetrievalKey(granularity="line", span=entry.span, **base)] = entry.gold
+            gold[RetrievalKey(*base, "line", None, entry.span.start, entry.span.end)] = entry.gold
     return gold
 
 
@@ -298,8 +262,8 @@ class GoldSlice:
     """The gold anchors of one (law, granularity) slice, indexed once per
     `eval` and shared by every model's join. Slot i holds `keys[i]` and its
     gold set `golds[i]`, in the order the keys were expanded, which fixes the
-    order in which the metric means are summed; `slot` maps each key's anchor
-    to its slot."""
+    order in which the metric means are summed; `slot` maps each key to its
+    slot."""
 
     keys: list[RetrievalKey] = field(default_factory=list)
     golds: list[frozenset[str]] = field(default_factory=list)
@@ -308,7 +272,7 @@ class GoldSlice:
     def add(self, key: RetrievalKey, gold_set: frozenset[str]) -> None:
         if not gold_set:
             raise EmptyGold(f"gold set empty for key {key.to_dict()}")
-        self.slot[key.anchor()] = len(self.keys)
+        self.slot[key] = len(self.keys)
         self.keys.append(key)
         self.golds.append(gold_set)
 
@@ -346,9 +310,10 @@ class KeyMatchReport:
     def coverage(self) -> float:
         return self.matched_keys / self.gold_keys if self.gold_keys else 0.0
 
-    def first_kept(self, key: RetrievalKey, policy: str) -> None:
+    def first_kept(self, key: tuple, policy: str) -> None:
         """Log that several predictions claimed `key` and the first one won."""
-        self.duplicates.append({"key": key.to_dict(), "policy": policy, "action": "first kept"})
+        entry = {"key": RetrievalKey._make(key).to_dict(), "policy": policy, "action": "first kept"}
+        self.duplicates.append(entry)
 
     def to_dict(self) -> dict:
         return {
@@ -363,8 +328,8 @@ class KeyMatchReport:
 
 @dataclass
 class Task1Match:
-    """One slice's join. `aligned[i]` is the prediction row matched to gold
-    slot i, or None; `orphans` are the slice's rows that match no gold anchor
+    """One slice's join. `aligned[i]` is the prediction matched to gold
+    slot i, or None; `orphans` are the slice's predictions that match no gold key
     (and, under the relaxed policy, serve as no fallback), in prediction
     order."""
 
@@ -389,11 +354,11 @@ class Task1Evaluation:
 
 
 def match_keys(gold: GoldSlice, predictions: Sequence[tuple], policy: str = STRICT) -> Task1Match:
-    """Align one slice's prediction rows, (anchor, ranking, model), to its
-    gold anchors: one anchor lookup per prediction.
+    """Align one slice's predictions, `RankedPrediction`s or plain tuples laid
+    out like them, to its gold keys: one key lookup per prediction.
 
-    Strict matching needs anchor equality. Relaxed matching falls back to
-    file identity when the anchor misses, as a coverage-ceiling diagnostic.
+    Strict matching needs key equality. Relaxed matching falls back to
+    file identity when the key misses, as a coverage-ceiling diagnostic.
     When several predictions claim one gold key the first wins and the
     collision is logged, never raised.
     """
@@ -403,14 +368,14 @@ def match_keys(gold: GoldSlice, predictions: Sequence[tuple], policy: str = STRI
     aligned: list[tuple | None] = [None] * len(gold.keys)
     slot_of = gold.slot
     strays: list[tuple] = []
-    stray_anchors: set[tuple] = set()
+    stray_keys: set[tuple] = set()
     for row in predictions:
         slot = slot_of.get(row[0])
         if slot is None:
-            if row[0] in stray_anchors:
-                report.first_kept(RetrievalKey.from_anchor(row[0]), STRICT)
+            if row[0] in stray_keys:
+                report.first_kept(row[0], STRICT)
             else:
-                stray_anchors.add(row[0])
+                stray_keys.add(row[0])
             strays.append(row)
         elif aligned[slot] is None:
             aligned[slot] = row
@@ -426,7 +391,7 @@ def match_keys(gold: GoldSlice, predictions: Sequence[tuple], policy: str = STRI
         for slot in gold.sort_order:
             if aligned[slot] is not None:
                 continue
-            candidates = by_file.get(file_identity(gold.keys[slot].anchor()))
+            candidates = by_file.get(file_identity(gold.keys[slot]))
             if candidates:
                 aligned[slot] = candidates[0]
                 fallbacks.add(candidates[0][0])
@@ -444,13 +409,14 @@ def match_task1(
     predictions: Sequence[tuple],
     policy: str = STRICT,
 ) -> tuple[dict[tuple[str, str], Task1Match], list[tuple]]:
-    """One `match_keys` call per slice, plus the orphan rows of all slices in
-    prediction order: rows that match no gold anchor and serve as no relaxed
-    fallback, including rows of a (law, granularity) with no slice."""
+    """One `match_keys` call per slice, plus the orphans of all slices in
+    prediction order: predictions that match no gold key and serve as no
+    relaxed fallback, including those of a (law, granularity) with no slice."""
     by_slice: dict[tuple[str, str], list[tuple]] = {slice_key: [] for slice_key in slices}
     strays: set[int] = set()
     for row in predictions:
-        rows = by_slice.get(row[0][:2])  # an anchor starts with (law, granularity)
+        key = row[0]
+        rows = by_slice.get((key[0], key[5]))  # (law, granularity)
         if rows is None:
             strays.add(id(row))
         else:
@@ -459,7 +425,7 @@ def match_task1(
         slice_key: match_keys(gold, by_slice[slice_key], policy) for slice_key, gold in slices.items()
     }
     # Orphans are picked out of `predictions` by identity, which keeps their
-    # order without hashing any anchor again.
+    # order without hashing any key again.
     strays.update(id(row) for match in matches.values() for row in match.orphans)
     orphans = [row for row in predictions if id(row) in strays] if strays else []
     return matches, orphans
@@ -504,5 +470,5 @@ def evaluate_task1(
 ) -> dict[tuple[str, str], Task1Evaluation]:
     """Per-(law, granularity) metrics of `predictions` against `records`."""
     slices = index_gold_keys(gold_keys_for_records(records))
-    matches, _orphans = match_task1(slices, [pred.row() for pred in predictions], policy)
+    matches, _orphans = match_task1(slices, predictions, policy)
     return score_task1(matches, registry)

@@ -12,10 +12,10 @@ import fnmatch
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import LineSpan, RawInstance, decode_span, derive_module_name, write_json
-from .errors import ConflictingSnippet, EmptyCorpus, MalformedPrediction, RegevalError
+from .corpus import LineSpan, RawInstance, decode_each, decode_span, derive_module_name, write_json
+from .errors import ConflictingSnippet, EmptyCorpus, MalformedPrediction, MalformedView, RegevalError
 from .jurisdiction import JurisdictionRegistry
 
 GRANULARITIES = ("file", "module", "line")
@@ -69,32 +69,31 @@ class Task1Record:
     line_entries: tuple[LineEntry, ...]
 
 
-@dataclass(frozen=True, order=True)
-class SnippetPointer:
+class SnippetPointer(NamedTuple):
+    """One task-2 snippet: a closed line span of a file at a commit. It
+    compares and hashes equal to the plain tuple of its fields, which is what
+    `decode_pointer` returns."""
+
     file_path: str
-    span: LineSpan
+    start: int
+    end: int
     commit_id: str
 
-    def anchor(self) -> tuple:
-        """The pointer as a plain tuple: (file_path, span_start, span_end, commit_id)."""
-        return (self.file_path, self.span.start, self.span.end, self.commit_id)
-
-    @classmethod
-    def from_anchor(cls, anchor: tuple) -> "SnippetPointer":
-        file_path, start, end, commit_id = anchor
-        return cls(file_path=file_path, span=LineSpan(start, end), commit_id=commit_id)
+    @property
+    def span(self) -> LineSpan:
+        return LineSpan(self.start, self.end)
 
     def to_dict(self) -> dict:
-        return {"file_path": self.file_path, "span": self.span.as_list(), "commit_id": self.commit_id}
+        return {"file_path": self.file_path, "span": [self.start, self.end], "commit_id": self.commit_id}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SnippetPointer":
-        return cls.from_anchor(decode_pointer(data))
+        return cls._make(decode_pointer(data))
 
 
 def decode_pointer(data: Mapping) -> tuple:
-    """The anchor of a `{file_path, span, commit_id}` dict, read without
-    building a `SnippetPointer`: the one reader of those fields."""
+    """The fields of a `{file_path, span, commit_id}` dict, as a plain tuple
+    in `SnippetPointer` order: the one reader of those fields."""
     try:
         file_path, span, commit_id = data["file_path"], data["span"], data["commit_id"]
     except KeyError as exc:
@@ -185,7 +184,7 @@ def shape_task2(corpus: Sequence[RawInstance]) -> list[Task2Record]:
     law = _require_single_law(corpus)
     groups: dict[SnippetPointer, list[RawInstance]] = {}
     for inst in corpus:
-        pointer = SnippetPointer(inst.file_path, inst.span, inst.commit_id)
+        pointer = SnippetPointer(inst.file_path, inst.span.start, inst.span.end, inst.commit_id)
         groups.setdefault(pointer, []).append(inst)
 
     records = []
@@ -208,7 +207,7 @@ def shape_task2(corpus: Sequence[RawInstance]) -> list[Task2Record]:
             )
         )
     records.sort(
-        key=lambda r: (r.repo_url, r.pointer.file_path, r.pointer.span, r.pointer.commit_id)
+        key=lambda r: (r.repo_url, r.pointer.file_path, r.pointer.start, r.pointer.end, r.pointer.commit_id)
     )
     return records
 
@@ -288,21 +287,16 @@ def task2_record_to_dict(record: Task2Record, registry: JurisdictionRegistry) ->
 
 
 def task1_record_from_dict(law: str, data: Mapping) -> Task1Record:
-    key = Task1Key(
-        repo_url=data["key"]["repo_url"],
-        app_name=data["key"]["app_name"],
-        commit_id=data["key"]["commit_id"],
-        file_path=data["key"]["file_path"],
-    )
+    key = data["key"]
     sections = data["sections"]
     return Task1Record(
         law=law,
-        key=key,
+        key=Task1Key(key["repo_url"], key["app_name"], key["commit_id"], key["file_path"]),
         file_gold=frozenset(sections["file"]["gold"]),
         module_name=sections["module"]["name"],
         module_gold=frozenset(sections["module"]["gold"]),
         line_entries=tuple(
-            LineEntry(LineSpan(*entry["span"]), frozenset(entry["gold"]))
+            LineEntry(LineSpan(*decode_span(entry["span"])), frozenset(entry["gold"]))
             for entry in sections["line"]
         ),
     )
@@ -343,13 +337,19 @@ def dump_views(
     return written
 
 
-def load_task1_view(path: str | Path) -> tuple[str, list[Task1Record]]:
+def _load_view(path: str | Path, record_from_dict) -> tuple[str, list]:
+    """The law and the decoded records of a view file; a malformed record
+    raises MalformedView naming the file and the record's index."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    law = data["law"]
-    return law, [task1_record_from_dict(law, rec) for rec in data["records"]]
+    law, records = (data.get("law"), data.get("records")) if isinstance(data, dict) else (None, None)
+    if type(law) is not str or type(records) is not list:
+        raise MalformedView(f"{path}: needs a 'law' string and a 'records' list")
+    return law, decode_each(path, records, lambda rec: record_from_dict(law, rec), "record", MalformedView)
+
+
+def load_task1_view(path: str | Path) -> tuple[str, list[Task1Record]]:
+    return _load_view(path, task1_record_from_dict)
 
 
 def load_task2_view(path: str | Path) -> tuple[str, list[Task2Record]]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    law = data["law"]
-    return law, [task2_record_from_dict(law, rec) for rec in data["records"]]
+    return _load_view(path, task2_record_from_dict)

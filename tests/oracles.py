@@ -4,7 +4,7 @@ Everything here is deliberately written against the definitions, not against
 the production code: relevance vectors and explicit rank scans for the
 retrieval metrics, bit matrices for the multi-label metrics, and pairwise
 fixed-point merging for the span rule. The last section keeps the earlier
-dataclass-keyed join of `eval` as the reference for the anchor join.
+object-keyed join of `eval` as the reference for the slot join.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import re
 from pathlib import Path
 from typing import Sequence
 
-from regeval.corpus import LineSpan
 from regeval.errors import EmptyGold, OutOfUniverse, UnrecognizedIdentifier
 from regeval.multilabel import PointerMatchReport, SetPrediction, Task2Match, score_task2
 from regeval.report import build_base_results
@@ -232,11 +231,12 @@ def oracle_merge_spans(
 
 # --- the seed's RetrievalKey-keyed join of `eval` ---------------------------------
 #
-# `eval` joins predictions to gold on plain-tuple anchors. What follows is the
-# join it replaced, kept as the reference semantics: predictions decoded to
-# `RetrievalKey`/`SnippetPointer` dataclasses, aligned through dicts keyed by
-# them, and scored by iterating those dicts. `oracle_eval_base` assembles the
-# whole `base.json` payload from it, diagnostics included.
+# `eval` joins plain-tuple prediction rows to gold through one slot per key.
+# What follows is the join it replaced, kept as the reference semantics:
+# predictions decoded field by field to `RankedPrediction`/`SetPrediction`
+# objects, aligned through per-slice dicts keyed by their `RetrievalKey`s and
+# `SnippetPointer`s, and scored by iterating those dicts. `oracle_eval_base`
+# assembles the whole `base.json` payload from it, diagnostics included.
 
 
 def _seed_key(law: str, data) -> RetrievalKey:
@@ -249,7 +249,8 @@ def _seed_key(law: str, data) -> RetrievalKey:
         file_path=data["file_path"],
         granularity=data["granularity"],
         module=data.get("module"),
-        span=LineSpan(*span) if span else None,
+        start=span[0] if span else None,
+        end=span[1] if span else None,
     )
 
 
@@ -271,7 +272,7 @@ def oracle_load_predictions(pred_dir: Path, registry) -> tuple[list, list]:
     sets = [
         SetPrediction(
             law=entry["law"],
-            pointer=SnippetPointer(entry["file_path"], LineSpan(*entry["span"]), entry["commit_id"]),
+            pointer=SnippetPointer(entry["file_path"], *entry["span"], entry["commit_id"]),
             labels=_seed_ids(entry["labels"], entry["law"], registry),
             model=entry.get("model", ""),
         )

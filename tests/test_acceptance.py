@@ -265,7 +265,7 @@ def test_criterion_8_harness_determinism_and_faults(registry, tmp_path):
 
         dead = run("d", FailingTransport())
         assert all(rec["status"] == "exhausted_retries" for rec in dead.records)
-        ranked, sets, summary = parse_responses(dead.records, registry)
+        ranked, sets, summary = parse_responses(dead.responses_path, registry)
         assert summary.empty_predictions == len(dead.records)
         t1_eval = evaluate_task1(
             [rec for view in views.values() for rec in view.task1],

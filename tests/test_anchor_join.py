@@ -1,6 +1,9 @@
-"""`eval` joins predictions to gold on plain-tuple anchors; this checks the
-whole `base.json` it writes (metrics and diagnostics) against the earlier
-dataclass-keyed join, kept in `oracles.py`, on generated prediction files.
+"""`eval` decodes prediction files to plain tuples laid out like
+`RankedPrediction` and `SetPrediction` and joins them to gold through one
+slot per key; this checks the whole `base.json` it writes (metrics and
+diagnostics) against the earlier join kept in `oracles.py`, which aligns
+decoded prediction objects through dicts per slice, on generated prediction
+files.
 
 The gold views hold LGPD and PDPA, and PDPA keeps no line sections, so its
 line slice has no gold. Predictions include gold keys and pointers as they
@@ -143,7 +146,7 @@ def prediction_dirs(draw, keys: list[dict], pointers: list[dict]) -> list[tuple[
     laws=st.sampled_from([None, "LGPD", "PDPA", "LGPD,PDPA"]),
     task=st.sampled_from(["both", "task1", "task2"]),
 )
-def test_anchor_join_matches_dataclass_join(views_dir, dirs, policy, laws, task):
+def test_anchor_join_matches_reference_join(views_dir, dirs, policy, laws, task):
     root = views_dir.parent
     pred_dirs = []
     for i, (ranked, sets) in enumerate(dirs):

@@ -485,6 +485,7 @@ class TestCliErrors:
             (lambda r: {**r, "text": 5}, "field 'text' must be a string, got 5"),
             (lambda r: [1, 2], "not a JSON object: [1, 2]"),
             (None, "not JSON (Expecting value at column 1)"),
+            (lambda r: {**r, "task": "task3"}, "unknown task 'task3'"),
         ],
     )
     def test_malformed_response_record_exits_2_naming_file_and_line(self, tmp_path, capsys, change, problem):
@@ -508,6 +509,63 @@ class TestCliErrors:
             [line] = capsys.readouterr().err.strip().splitlines()
             assert json.loads(line) == {"error": "MalformedResponse", "message": f"{path}: line 2: {problem}"}
         assert not (tmp_path / "parsed").exists() and not (tmp_path / "replayed").exists()
+
+    @pytest.mark.parametrize(
+        "task, field, problem",
+        [
+            ("task1", "file_path", "missing key field 'file_path'"),
+            ("task1", "span", "span must be two integers with 1 <= start <= end, got [3]"),
+            ("task2", "commit_id", "missing pointer field 'commit_id'"),
+        ],
+    )
+    def test_malformed_response_key_exits_2_naming_file_and_line(self, tmp_path, capsys, task, field, problem):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "2", "--files", "2", "--laws", "LGPD", "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        assert main(["run", "--views-dir", str(views_dir), "--models", "m", "--backoff", "0", "--task", task,
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        path = tmp_path / "run" / "raw_responses.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        if field == "span":
+            record["key"]["span"] = [3]
+        else:
+            del record["key"][field]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["parse", "--responses", str(path), "--out-dir", str(tmp_path / "parsed")]) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"error": "MalformedResponse", "message": f"{path}: line 2: {problem}"}
+        assert not (tmp_path / "parsed").exists()
+
+    @pytest.mark.parametrize(
+        "view, change, problem",
+        [
+            ("task1", lambda rec: rec["sections"]["line"][0].update(span=[3]),
+             "span must be two integers with 1 <= start <= end, got [3]"),
+            ("task1", lambda rec: rec["sections"].pop("module"), "missing field 'module'"),
+            ("task2", lambda rec: rec["pointer"].pop("commit_id"), "missing pointer field 'commit_id'"),
+            ("task2", lambda rec: rec["pointer"].update(span="3-5"),
+             "span must be two integers with 1 <= start <= end, got '3-5'"),
+        ],
+    )
+    def test_malformed_view_record_exits_2_naming_file_and_record(self, tmp_path, capsys, view, change, problem):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "2", "--files", "2", "--laws", "LGPD", "--profiles", "PERFECT",
+                     "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        path = views_dir / f"{view}_LGPD.json"
+        data = json.loads(path.read_text())
+        change(data["records"][1])
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        argv = ["eval", "--views-dir", str(views_dir), "--predictions", str(corpus_dir / "predictions_PERFECT"),
+                "--out", str(tmp_path / "base.json")]
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"error": "MalformedView", "message": f"{path}: record 1: {problem}"}
+        assert not (tmp_path / "base.json").exists()
 
     def test_parse_reads_task2_records_that_carry_pointer_instead_of_key(self, tmp_path):
         corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regeval.corpus import LineSpan
 from regeval.errors import RegevalError
 from regeval import ingest
 from regeval.ingest import (
@@ -137,8 +136,8 @@ class TestIdempotence:
 
 
 class TestResponseParsing:
-    def _records(self):
-        return [
+    def _responses(self, tmp_path):
+        records = [
             {
                 "model": "m",
                 "task": "task1",
@@ -167,20 +166,26 @@ class TestResponseParsing:
                 "text": "",
             },
         ]
+        path = tmp_path / "raw_responses.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        return path
 
-    def test_parse_responses(self, registry):
-        ranked, sets, summary = parse_responses(self._records(), registry)
+    def test_parse_responses(self, registry, tmp_path):
+        ranked, sets, summary = parse_responses(self._responses(tmp_path), registry)
         assert len(ranked) == 1 and ranked[0].ranking == ("7", "12")
         assert len(sets) == 2 and sets[0].labels == ("24",)
         assert summary.responses == 3
         assert summary.empty_predictions == 1
 
     def test_prediction_file_round_trip(self, registry, tmp_path):
-        ranked, sets, _ = parse_responses(self._records(), registry)
+        ranked, sets, _ = parse_responses(self._responses(tmp_path), registry)
         t1, t2 = write_prediction_files(tmp_path, ranked, sets, {"source": "test"})
         loaded_ranked, loaded_sets = load_prediction_files(t1, t2, registry)
-        assert loaded_ranked == [pred.row() for pred in ranked]
-        assert loaded_sets == [pred.row() for pred in sets]
+        assert loaded_ranked == ranked
+        assert loaded_sets == sets
+        # Loaded rows stay plain tuples, which the cyclic GC can untrack.
+        assert {type(row) for row in loaded_ranked + loaded_sets} == {tuple}
+        assert {type(row[0]) for row in loaded_ranked} == {type(row[1]) for row in loaded_sets} == {tuple}
 
 
 class TestCanonicalIdMemo:
@@ -239,11 +244,11 @@ class TestBindPredictions:
         good = RankedPrediction(key=some_key, ranking=("7",), model="m")
         orphan_t2 = SetPrediction(
             law="LGPD",
-            pointer=SnippetPointer("app/Nope.kt", LineSpan(1, 1), "a" * 40),
+            pointer=SnippetPointer("app/Nope.kt", 1, 1, "a" * 40),
             labels=("7",),
             model="m",
         )
-        result = bind_predictions(GoldIndex.from_views(views), [good.row()], [orphan_t2.row()], "strict")
+        result = bind_predictions(GoldIndex.from_views(views), [good], [orphan_t2], "strict")
         assert result.task2["LGPD"].report.orphans
         data = result.to_dict()
         assert data["label_cardinality"]["LGPD"]["task1"] == {1: 1}
@@ -253,7 +258,7 @@ class TestBindPredictions:
         gold = gold_keys_for_records(views["LGPD"].task1)
         keys = sorted(gold, key=lambda k: k.sort_key())
         preds = [RankedPrediction(key=k, ranking=("7",), model="m") for k in keys[:3]]
-        result = bind_predictions(GoldIndex.from_views(views), [p.row() for p in preds], [], "strict")
+        result = bind_predictions(GoldIndex.from_views(views), preds, [], "strict")
         total_gold = sum(rep["gold_keys"] for rep in result.to_dict()["task1"].values())
         total_matched = sum(rep["matched_keys"] for rep in result.to_dict()["task1"].values())
         assert total_gold == 6  # 2 files x (file + module + line)
@@ -269,7 +274,7 @@ class TestEvalPermutationInvariance:
     _scripted = scripted_model("RANDOM", _views, _registry, seed=3)
 
     def _scores(self, ranked, sets):
-        bound = bind_predictions(self._gold, [p.row() for p in ranked], [p.row() for p in sets], "strict")
+        bound = bind_predictions(self._gold, ranked, sets, "strict")
         task1 = score_task1(bound.task1, self._registry)
         task2 = score_task2(bound.task2, self._registry)
         return (
@@ -296,11 +301,11 @@ _TEXT = st.text(alphabet=st.sampled_from(list('aZ09 "\\\n\t\x00é漢😀/')), ma
 @st.composite
 def _ranked_prediction(draw) -> RankedPrediction:
     start = draw(st.integers(min_value=1, max_value=40))
-    span = draw(st.none() | st.builds(LineSpan, st.just(start), st.integers(start, start + 5)))
+    end = draw(st.none() | st.integers(start, start + 5))
     key = RetrievalKey(
         law=draw(_TEXT), repo_url=draw(_TEXT), app_name=draw(_TEXT), commit_id=draw(_TEXT),
         file_path=draw(_TEXT), granularity=draw(st.sampled_from(["file", "module", "line"])),
-        module=draw(st.none() | _TEXT), span=span,
+        module=draw(st.none() | _TEXT), start=None if end is None else start, end=end,
     )
     return RankedPrediction(key=key, ranking=tuple(draw(st.lists(_TEXT, max_size=3))), model=draw(st.just("") | _TEXT))
 
@@ -308,7 +313,7 @@ def _ranked_prediction(draw) -> RankedPrediction:
 @st.composite
 def _set_prediction(draw) -> SetPrediction:
     start = draw(st.integers(min_value=1, max_value=40))
-    pointer = SnippetPointer(draw(_TEXT), LineSpan(start, draw(st.integers(start, start + 5))), draw(_TEXT))
+    pointer = SnippetPointer(draw(_TEXT), start, draw(st.integers(start, start + 5)), draw(_TEXT))
     return SetPrediction(
         law=draw(_TEXT), pointer=pointer, labels=tuple(draw(st.lists(_TEXT, max_size=3))),
         model=draw(st.just("") | _TEXT),

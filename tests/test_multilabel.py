@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from regeval.corpus import LineSpan
 from regeval.errors import LengthMismatch, UniverseTooSmall
 from regeval.multilabel import (
     SetPrediction,
@@ -202,7 +201,7 @@ class TestEvaluateTask2:
         records = self._view()
         orphan = SetPrediction(
             law="LGPD",
-            pointer=SnippetPointer("app/Zed.kt", LineSpan(9, 9), "a" * 40),
+            pointer=SnippetPointer("app/Zed.kt", 9, 9, "a" * 40),
             labels=("7",),
         )
         result = evaluate_task2(records, [orphan], registry)["LGPD"]

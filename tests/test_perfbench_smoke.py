@@ -1,8 +1,10 @@
 """Short benchmark runs end correct. On `cohort_eval`, `perfbench/run.py`
 checks the profile scores and the OCS order that `eval` and `compose`
-produce; on `retry_replay` it checks the run records, the replayed texts,
-and that the parse of the replay equals the parse of the first run. No timing
-is asserted."""
+produce; on `mock_pipeline` it checks that the parsed predictions of both
+mock models equal the scripted answers (`scripted_model`) and that the two
+score alike; on `retry_replay` it
+checks the run records, the replayed texts, and that the parse of the replay
+equals the parse of the first run. No timing is asserted."""
 
 from __future__ import annotations
 
@@ -26,6 +28,12 @@ def _run_benchmark(workload: str) -> dict:
 
 def test_cohort_eval_benchmark_run_is_correct():
     summary = _run_benchmark("cohort_eval")
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+
+
+def test_mock_pipeline_benchmark_run_is_correct():
+    summary = _run_benchmark("mock_pipeline")
     assert summary["correct"] is True
     assert summary["failed"] == 0
 

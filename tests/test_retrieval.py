@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from regeval.corpus import LineSpan
 from regeval.errors import EmptyGold
 from regeval.retrieval import (
     GoldSlice,
@@ -15,6 +14,7 @@ from regeval.retrieval import (
     RetrievalKey,
     RetrievalMetrics,
     acc_at_k,
+    decode_anchor,
     evaluate_task1,
     gold_keys_for_records,
     map_score,
@@ -137,7 +137,7 @@ class TestProperties:
             assert after.mrr == before.mrr
 
 
-def _key(granularity="file", law="LGPD", file_path="app/A.kt", **kw):
+def _key(granularity="file", law="LGPD", file_path="app/A.kt", span=None, **kw):
     defaults = dict(
         law=law,
         repo_url="https://repos.example/demo",
@@ -147,6 +147,8 @@ def _key(granularity="file", law="LGPD", file_path="app/A.kt", **kw):
         granularity=granularity,
     )
     defaults.update(kw)
+    if span is not None:
+        defaults.update(start=span[0], end=span[1])
     return RetrievalKey(**defaults)
 
 
@@ -156,9 +158,13 @@ class TestKeyCodec:
         records = shape_task1([make_instance(path="app/A.kt", span=(3, 5))])
         [key] = [k for k in gold_keys_for_records(records) if k.granularity == granularity]
         assert RetrievalKey.from_dict(key.law, key.to_dict()) == key
+        # The plain tuple `eval` decodes is the key for dict lookups.
+        decoded = decode_anchor(key.law, key.to_dict())
+        assert type(decoded) is tuple
+        assert decoded == key and hash(decoded) == hash(key)
 
     def test_request_key_omits_law(self):
-        key = _key("line", span=LineSpan(3, 5))
+        key = _key("line", span=(3, 5))
         data = key.to_dict()
         del data["law"]
         assert RetrievalKey.from_dict("LGPD", data) == key
@@ -173,28 +179,24 @@ class TestKeyCodec:
 def _match_keys(gold_keys, preds, policy):
     """`match_keys` over one slice holding `gold_keys`, read back as
     ({gold key: matched prediction}, report)."""
-    rows = [pred.row() for pred in preds]
-    pred_of_row = {id(row): pred for row, pred in zip(rows, preds)}
     gold = GoldSlice()
     for key in gold_keys:
         gold.add(key, frozenset({"7"}))
-    match = match_keys(gold, rows, policy)
-    alignment = {
-        key: pred_of_row[id(row)] for key, row in zip(match.gold.keys, match.aligned) if row is not None
-    }
+    match = match_keys(gold, preds, policy)
+    alignment = {key: pred for key, pred in zip(match.gold.keys, match.aligned) if pred is not None}
     return alignment, match.report
 
 
 class TestMatchKeys:
     def test_strict_exact_match(self):
-        gold = [_key("line", span=LineSpan(10, 12))]
+        gold = [_key("line", span=(10, 12))]
         preds = [RankedPrediction(key=gold[0], ranking=("7",))]
         alignment, report = _match_keys(gold, preds, "strict")
         assert report.matched_keys == 1 and not report.unmatched
 
     def test_offset_span_strict_miss_relaxed_hit(self):
-        gold = [_key("line", span=LineSpan(10, 12))]
-        preds = [RankedPrediction(key=_key("line", span=LineSpan(11, 13)), ranking=("7",))]
+        gold = [_key("line", span=(10, 12))]
+        preds = [RankedPrediction(key=_key("line", span=(11, 13)), ranking=("7",))]
         _, strict = _match_keys(gold, preds, "strict")
         assert strict.matched_keys == 0
         alignment, relaxed = _match_keys(gold, preds, "relaxed")
@@ -210,13 +212,13 @@ class TestMatchKeys:
 
     def test_relaxed_dominates_strict(self):
         gold = [
-            _key("line", span=LineSpan(1, 2)),
-            _key("line", span=LineSpan(8, 9)),
+            _key("line", span=(1, 2)),
+            _key("line", span=(8, 9)),
             _key("module", module="A"),
         ]
         preds = [
-            RankedPrediction(key=_key("line", span=LineSpan(1, 2)), ranking=("7",)),
-            RankedPrediction(key=_key("line", span=LineSpan(30, 31)), ranking=("5",)),
+            RankedPrediction(key=_key("line", span=(1, 2)), ranking=("7",)),
+            RankedPrediction(key=_key("line", span=(30, 31)), ranking=("5",)),
             RankedPrediction(key=_key("module", module="Wrong"), ranking=("12",)),
         ]
         _, strict = _match_keys(gold, preds, "strict")
@@ -235,8 +237,8 @@ class TestMatchKeys:
         assert len(report.duplicates) == 1
 
     def test_strict_overlapping_line_span_does_not_match(self):
-        gold = [_key("line", span=LineSpan(10, 12))]
-        preds = [RankedPrediction(key=_key("line", span=LineSpan(12, 14)), ranking=("7",))]
+        gold = [_key("line", span=(10, 12))]
+        preds = [RankedPrediction(key=_key("line", span=(12, 14)), ranking=("7",))]
         alignment, report = _match_keys(gold, preds, "strict")
         assert alignment == {}
         assert report.matched_keys == 0
