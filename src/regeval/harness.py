@@ -25,8 +25,8 @@ from typing import Callable, Iterator, Mapping, Protocol, Sequence
 from .corpus import RawInstance, atomic_write, encode_sorted, write_json
 from .errors import LawMismatch, MalformedResponse, RegevalError, TransportConfigError
 from .jurisdiction import THEMES, Jurisdiction, JurisdictionRegistry
-from .retrieval import RetrievalKey, gold_keys_for_records
-from .shaping import ShapedViews, SnippetPointer
+from .retrieval import gold_keys_for_records
+from .shaping import RetrievalKey, ShapedViews, SnippetPointer
 
 
 @dataclass(frozen=True)

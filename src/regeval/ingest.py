@@ -20,17 +20,8 @@ from .errors import MalformedPrediction, MalformedResponse, OutOfUniverse, Regev
 from .harness import numbered_responses
 from .jurisdiction import JurisdictionRegistry
 from .multilabel import GoldPointers, SetPrediction, Task2Match, index_pointers, match_task2
-from .retrieval import (
-    GoldSlice,
-    RankedPrediction,
-    RetrievalKey,
-    Task1Match,
-    decode_anchor,
-    gold_keys_for_records,
-    index_gold_keys,
-    match_task1,
-)
-from .shaping import ShapedViews, SnippetPointer, decode_pointer
+from .retrieval import GoldSlice, RankedPrediction, Task1Match, gold_keys_for_records, index_gold_keys, match_task1
+from .shaping import RetrievalKey, ShapedViews, SnippetPointer, decode_anchor, decode_pointer
 
 RANKED = "ranked"
 SET = "set"
@@ -100,14 +91,17 @@ def parse_responses(
     registry: JurisdictionRegistry,
 ) -> tuple[list[RankedPrediction], list[SetPrediction], ParseSummary]:
     """Turn the records of a raw_responses.jsonl into canonical task-1 /
-    task-2 predictions. A record whose key or pointer is malformed raises
-    MalformedResponse naming the file and the line."""
+    task-2 predictions. A record whose law is unknown or whose key or
+    pointer is malformed raises MalformedResponse naming the file and the
+    line."""
     ranked: list[RankedPrediction] = []
     sets: list[SetPrediction] = []
     summary = ParseSummary()
     for number, record in numbered_responses(path):
         law = record["law"]
         task1 = record["task"] == "task1"
+        if law not in registry:
+            raise MalformedResponse(f"{path}: line {number}: unknown jurisdiction: {law!r}")
         try:
             if task1:
                 target = RetrievalKey.from_dict(law, record["key"])

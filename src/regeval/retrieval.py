@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import LineSpan, decode_span
-from .errors import EmptyGold, MalformedPrediction
+from .errors import EmptyGold
 from .jurisdiction import JurisdictionRegistry
-from .shaping import GRANULARITIES, Task1Record
+from .shaping import GRANULARITIES, RetrievalKey, Task1Record
 
 STRICT = "strict"
 RELAXED = "relaxed"
@@ -151,85 +150,6 @@ def _metric_row(gold: frozenset[str], ranking: Sequence[str]) -> tuple[float, ..
     )
 
 
-class RetrievalKey(NamedTuple):
-    """Full pointer identity for one task-1 gold anchor. The field order is
-    the layout `eval` joins on, and a key compares and hashes equal to the
-    plain tuple of its fields, which is what `decode_anchor` returns."""
-
-    law: str
-    repo_url: str
-    app_name: str
-    commit_id: str
-    file_path: str
-    granularity: str
-    module: str | None = None
-    start: int | None = None
-    end: int | None = None
-
-    @property
-    def span(self) -> LineSpan | None:
-        return None if self.start is None else LineSpan(self.start, self.end)
-
-    def sort_key(self) -> tuple:
-        return (
-            self.law,
-            self.repo_url,
-            self.file_path,
-            self.granularity,
-            self.module or "",
-            self.start or 0,
-            self.end or 0,
-            self.app_name,
-            self.commit_id,
-        )
-
-    def to_dict(self) -> dict:
-        payload = {
-            "law": self.law,
-            "repo_url": self.repo_url,
-            "app_name": self.app_name,
-            "commit_id": self.commit_id,
-            "file_path": self.file_path,
-            "granularity": self.granularity,
-        }
-        if self.module is not None:
-            payload["module"] = self.module
-        if self.start is not None:
-            payload["span"] = [self.start, self.end]
-        return payload
-
-    @classmethod
-    def from_dict(cls, law: str, data: Mapping) -> "RetrievalKey":
-        """Inverse of `to_dict`; `law` is passed because request keys omit it."""
-        return cls._make(decode_anchor(law, data))
-
-
-def decode_anchor(law: str, data: Mapping) -> tuple:
-    """The fields of the key a dict encodes, as a plain tuple in
-    `RetrievalKey` order: the one reader of task-1 key fields from a dict."""
-    try:
-        granularity = data["granularity"]
-        repo_url = data["repo_url"]
-        app_name = data["app_name"]
-        commit_id = data["commit_id"]
-        file_path = data["file_path"]
-    except KeyError as exc:
-        raise MalformedPrediction(f"missing key field {exc.args[0]!r}") from None
-    module = data.get("module")
-    if (
-        type(granularity) is not str
-        or type(repo_url) is not str
-        or type(app_name) is not str
-        or type(commit_id) is not str
-        or type(file_path) is not str
-        or (module is not None and type(module) is not str)
-    ):
-        raise MalformedPrediction("key fields must be strings")
-    span = data.get("span")
-    start, end = (None, None) if span is None else decode_span(span)
-    return (law, repo_url, app_name, commit_id, file_path, granularity, module, start, end)
-
-
 def file_identity(key: tuple) -> tuple:
     """(law, repo_url, app_name, commit_id, file_path, granularity): the key
     fields the relaxed policy falls back to."""
@@ -246,14 +166,13 @@ class RankedPrediction(NamedTuple):
 
 
 def gold_keys_for_records(records: Sequence[Task1Record]) -> dict[RetrievalKey, frozenset[str]]:
-    """Expand shaped records into per-granularity gold anchors."""
+    """The gold anchors of shaped records, each record's file, module and
+    line keys in that order, mapped to their gold sets."""
     gold: dict[RetrievalKey, frozenset[str]] = {}
     for rec in records:
-        base = (rec.law, rec.key.repo_url, rec.key.app_name, rec.key.commit_id, rec.key.file_path)
-        gold[RetrievalKey(*base, "file")] = rec.file_gold
-        gold[RetrievalKey(*base, "module", rec.module_name)] = rec.module_gold
-        for entry in rec.line_entries:
-            gold[RetrievalKey(*base, "line", None, entry.span.start, entry.span.end)] = entry.gold
+        gold[rec.file] = rec.file_gold
+        gold[rec.module] = rec.module_gold
+        gold.update(rec.lines)
     return gold
 
 

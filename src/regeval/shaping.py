@@ -45,28 +45,95 @@ def filter_corpus(
     return kept, excluded
 
 
-@dataclass(frozen=True, order=True)
-class Task1Key:
+class RetrievalKey(NamedTuple):
+    """Full pointer identity for one task-1 gold anchor. The field order is
+    the layout `eval` joins on, and a key compares and hashes equal to the
+    plain tuple of its fields, which is what `decode_anchor` returns."""
+
+    law: str
     repo_url: str
     app_name: str
     commit_id: str
     file_path: str
+    granularity: str
+    module: str | None = None
+    start: int | None = None
+    end: int | None = None
+
+    @property
+    def span(self) -> LineSpan | None:
+        return None if self.start is None else LineSpan(self.start, self.end)
+
+    def sort_key(self) -> tuple:
+        return (
+            self.law,
+            self.repo_url,
+            self.file_path,
+            self.granularity,
+            self.module or "",
+            self.start or 0,
+            self.end or 0,
+            self.app_name,
+            self.commit_id,
+        )
+
+    def to_dict(self) -> dict:
+        payload = {
+            "law": self.law,
+            "repo_url": self.repo_url,
+            "app_name": self.app_name,
+            "commit_id": self.commit_id,
+            "file_path": self.file_path,
+            "granularity": self.granularity,
+        }
+        if self.module is not None:
+            payload["module"] = self.module
+        if self.start is not None:
+            payload["span"] = [self.start, self.end]
+        return payload
+
+    @classmethod
+    def from_dict(cls, law: str, data: Mapping) -> "RetrievalKey":
+        """Inverse of `to_dict`; `law` is passed because request keys omit it."""
+        return cls._make(decode_anchor(law, data))
 
 
-@dataclass(frozen=True)
-class LineEntry:
-    span: LineSpan
-    gold: frozenset[str]
+def decode_anchor(law: str, data: Mapping) -> tuple:
+    """The fields of the key a dict encodes, as a plain tuple in
+    `RetrievalKey` order: the one reader of task-1 key fields from a dict."""
+    try:
+        granularity = data["granularity"]
+        repo_url = data["repo_url"]
+        app_name = data["app_name"]
+        commit_id = data["commit_id"]
+        file_path = data["file_path"]
+    except KeyError as exc:
+        raise MalformedPrediction(f"missing key field {exc.args[0]!r}") from None
+    module = data.get("module")
+    if (
+        type(granularity) is not str
+        or type(repo_url) is not str
+        or type(app_name) is not str
+        or type(commit_id) is not str
+        or type(file_path) is not str
+        or (module is not None and type(module) is not str)
+    ):
+        raise MalformedPrediction("key fields must be strings")
+    span = data.get("span")
+    start, end = (None, None) if span is None else decode_span(span)
+    return (law, repo_url, app_name, commit_id, file_path, granularity, module, start, end)
 
 
-@dataclass(frozen=True)
-class Task1Record:
-    law: str
-    key: Task1Key
+class Task1Record(NamedTuple):
+    """One localization record: the file, module and line anchors of one
+    (repo, app, commit, file), each with its gold set. Law, key fields,
+    module name and spans are read off the keys."""
+
+    file: RetrievalKey
     file_gold: frozenset[str]
-    module_name: str
+    module: RetrievalKey
     module_gold: frozenset[str]
-    line_entries: tuple[LineEntry, ...]
+    lines: tuple[tuple[RetrievalKey, frozenset[str]], ...]
 
 
 class SnippetPointer(NamedTuple):
@@ -114,8 +181,9 @@ class Task2Record:
     app_name: str
 
 
-def merge_line_evidence(entries: Sequence[tuple[LineSpan, frozenset[str]]]) -> list[LineEntry]:
-    """Collapse raw (span, articles) evidence into line-section entries.
+def merge_line_evidence(entries: Sequence[tuple[LineSpan, frozenset[str]]]) -> list[tuple[LineSpan, frozenset[str]]]:
+    """Collapse raw (span, articles) evidence into line-section (span, gold)
+    pairs.
 
     Evidence at an identical span is unioned first; after that, overlapping
     spans merge to their covering span only when their article sets are
@@ -129,7 +197,7 @@ def merge_line_evidence(entries: Sequence[tuple[LineSpan, frozenset[str]]]) -> l
     for span, articles in by_span.items():
         by_labels.setdefault(frozenset(articles), []).append(span)
 
-    merged: list[LineEntry] = []
+    merged: list[tuple[LineSpan, frozenset[str]]] = []
     for labels in sorted(by_labels, key=lambda s: tuple(sorted(s))):
         spans = sorted(by_labels[labels])
         current = spans[0]
@@ -137,10 +205,10 @@ def merge_line_evidence(entries: Sequence[tuple[LineSpan, frozenset[str]]]) -> l
             if current.overlaps(nxt):
                 current = current.cover(nxt)
             else:
-                merged.append(LineEntry(current, labels))
+                merged.append((current, labels))
                 current = nxt
-        merged.append(LineEntry(current, labels))
-    merged.sort(key=lambda e: (e.span.start, e.span.end, tuple(sorted(e.gold))))
+        merged.append((current, labels))
+    merged.sort(key=lambda e: (e[0].start, e[0].end, tuple(sorted(e[1]))))
     return merged
 
 
@@ -156,26 +224,24 @@ def _require_single_law(corpus: Sequence[RawInstance]) -> str:
 def shape_task1(corpus: Sequence[RawInstance]) -> list[Task1Record]:
     """Group one law's instances into localization records, one per file key."""
     law = _require_single_law(corpus)
-    groups: dict[Task1Key, list[RawInstance]] = {}
+    groups: dict[tuple[str, str, str, str, str], list[RawInstance]] = {}
     for inst in corpus:
-        key = Task1Key(inst.repo_url, inst.app_name, inst.commit_id, inst.file_path)
-        groups.setdefault(key, []).append(inst)
+        groups.setdefault((law, inst.repo_url, inst.app_name, inst.commit_id, inst.file_path), []).append(inst)
 
     records = []
-    for key, members in groups.items():
+    for base, members in groups.items():
         union = frozenset().union(*(inst.articles for inst in members))
         lines = merge_line_evidence([(inst.span, inst.articles) for inst in members])
         records.append(
             Task1Record(
-                law=law,
-                key=key,
+                file=RetrievalKey(*base, "file"),
                 file_gold=union,
-                module_name=derive_module_name(key.file_path),
+                module=RetrievalKey(*base, "module", derive_module_name(base[4])),
                 module_gold=union,
-                line_entries=tuple(lines),
+                lines=tuple((RetrievalKey(*base, "line", None, span.start, span.end), gold) for span, gold in lines),
             )
         )
-    records.sort(key=lambda r: (r.key.repo_url, r.key.file_path, r.key.app_name, r.key.commit_id))
+    records.sort(key=lambda r: r.file.sort_key())
     return records
 
 
@@ -257,21 +323,19 @@ def task2_as_instances(records: Sequence[Task2Record]) -> list[RawInstance]:
 
 
 def task1_record_to_dict(record: Task1Record, registry: JurisdictionRegistry) -> dict:
-    jur = registry.get(record.law)
+    key = record.file
+    jur = registry.get(key.law)
     return {
         "key": {
-            "repo_url": record.key.repo_url,
-            "app_name": record.key.app_name,
-            "commit_id": record.key.commit_id,
-            "file_path": record.key.file_path,
+            "repo_url": key.repo_url,
+            "app_name": key.app_name,
+            "commit_id": key.commit_id,
+            "file_path": key.file_path,
         },
         "sections": {
             "file": {"gold": jur.sort_articles(record.file_gold)},
-            "module": {"name": record.module_name, "gold": jur.sort_articles(record.module_gold)},
-            "line": [
-                {"span": entry.span.as_list(), "gold": jur.sort_articles(entry.gold)}
-                for entry in record.line_entries
-            ],
+            "module": {"name": record.module.module, "gold": jur.sort_articles(record.module_gold)},
+            "line": [{"span": [line.start, line.end], "gold": jur.sort_articles(gold)} for line, gold in record.lines],
         },
     }
 
@@ -286,17 +350,28 @@ def task2_record_to_dict(record: Task2Record, registry: JurisdictionRegistry) ->
     }
 
 
+def _decode_gold(value) -> frozenset[str]:
+    if type(value) is not list or not all(type(label) is str for label in value):
+        raise MalformedPrediction(f"gold must be a list of strings, got {value!r:.60}")
+    return frozenset(value)
+
+
 def task1_record_from_dict(law: str, data: Mapping) -> Task1Record:
-    key = data["key"]
+    """A view record decoded straight to its keys, gold sets and key fields
+    type-checked."""
     sections = data["sections"]
+    name = sections["module"]["name"]
+    if name is None:
+        raise MalformedPrediction("key fields must be strings")
+    module = RetrievalKey._make(decode_anchor(law, {**data["key"], "granularity": "module", "module": name}))
+    base = module[:5]
     return Task1Record(
-        law=law,
-        key=Task1Key(key["repo_url"], key["app_name"], key["commit_id"], key["file_path"]),
-        file_gold=frozenset(sections["file"]["gold"]),
-        module_name=sections["module"]["name"],
-        module_gold=frozenset(sections["module"]["gold"]),
-        line_entries=tuple(
-            LineEntry(LineSpan(*decode_span(entry["span"])), frozenset(entry["gold"]))
+        file=RetrievalKey(*base, "file"),
+        file_gold=_decode_gold(sections["file"]["gold"]),
+        module=module,
+        module_gold=_decode_gold(sections["module"]["gold"]),
+        lines=tuple(
+            (RetrievalKey(*base, "line", None, *decode_span(entry["span"])), _decode_gold(entry["gold"]))
             for entry in sections["line"]
         ),
     )
@@ -307,7 +382,7 @@ def task2_record_from_dict(law: str, data: Mapping) -> Task2Record:
         law=law,
         pointer=SnippetPointer.from_dict(data["pointer"]),
         snippet=data["snippet"],
-        gold=frozenset(data["gold"]),
+        gold=_decode_gold(data["gold"]),
         repo_url=data["provenance"]["repo_url"],
         app_name=data["provenance"]["app_name"],
     )

@@ -21,13 +21,12 @@ from regeval.report import build_base_results
 from regeval.retrieval import (
     KeyMatchReport,
     RankedPrediction,
-    RetrievalKey,
     RetrievalMetrics,
     Task1Evaluation,
     gold_keys_for_records,
     score_ranking,
 )
-from regeval.shaping import GRANULARITIES, SnippetPointer
+from regeval.shaping import GRANULARITIES, RetrievalKey, SnippetPointer
 
 
 def _relevance_vector(gold: set[str], ranking: Sequence[str]) -> list[int]:

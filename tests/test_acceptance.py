@@ -311,10 +311,7 @@ def test_criterion_9_shaping_determinism(registry, tmp_path):
                 members = [inst for inst in trial_corpus if inst.law == law]
                 t1 = trial_views[law].task1
                 t2 = trial_views[law].task2
-                file_keys = {
-                    (r.key.repo_url, r.key.app_name, r.key.commit_id, r.key.file_path): r
-                    for r in t1
-                }
+                file_keys = {r.file[1:5]: r for r in t1}
                 pointers = {r.pointer: r for r in t2}
                 for inst in members:
                     owner = file_keys[

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -53,7 +52,7 @@ def _gold_views() -> dict[str, ShapedViews]:
     """LGPD and PDPA views; PDPA keeps no line sections."""
     corpus = generate_corpus(CorpusSpec(seed=11, files_per_law={law: 3 for law in VIEW_LAWS}), REGISTRY)
     views = shape_views(corpus)
-    views["PDPA"].task1 = [replace(rec, line_entries=()) for rec in views["PDPA"].task1]
+    views["PDPA"].task1 = [rec._replace(lines=()) for rec in views["PDPA"].task1]
     return views
 
 

@@ -516,6 +516,7 @@ class TestCliErrors:
             ("task1", "file_path", "missing key field 'file_path'"),
             ("task1", "span", "span must be two integers with 1 <= start <= end, got [3]"),
             ("task2", "commit_id", "missing pointer field 'commit_id'"),
+            ("task1", "law", "unknown jurisdiction: 'XX'"),
         ],
     )
     def test_malformed_response_key_exits_2_naming_file_and_line(self, tmp_path, capsys, task, field, problem):
@@ -529,6 +530,8 @@ class TestCliErrors:
         record = json.loads(lines[1])
         if field == "span":
             record["key"]["span"] = [3]
+        elif field == "law":
+            record["law"] = "XX"
         else:
             del record["key"][field]
         lines[1] = json.dumps(record)
@@ -548,6 +551,16 @@ class TestCliErrors:
             ("task2", lambda rec: rec["pointer"].pop("commit_id"), "missing pointer field 'commit_id'"),
             ("task2", lambda rec: rec["pointer"].update(span="3-5"),
              "span must be two integers with 1 <= start <= end, got '3-5'"),
+            ("task1", lambda rec: rec["sections"]["file"].update(gold="12"),
+             "gold must be a list of strings, got '12'"),
+            ("task1", lambda rec: rec["sections"]["module"].update(gold=[12]),
+             "gold must be a list of strings, got [12]"),
+            ("task1", lambda rec: rec["sections"]["line"][0].update(gold=None),
+             "gold must be a list of strings, got None"),
+            ("task2", lambda rec: rec.update(gold="7"), "gold must be a list of strings, got '7'"),
+            ("task1", lambda rec: rec["key"].update(commit_id=7), "key fields must be strings"),
+            ("task1", lambda rec: rec["sections"]["module"].update(name=None), "key fields must be strings"),
+            ("task1", lambda rec: rec["sections"]["module"].update(name=["A"]), "key fields must be strings"),
         ],
     )
     def test_malformed_view_record_exits_2_naming_file_and_record(self, tmp_path, capsys, view, change, problem):

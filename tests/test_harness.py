@@ -24,8 +24,7 @@ from regeval.harness import (
     load_responses,
     render_prompt,
 )
-from regeval.retrieval import RetrievalKey
-from regeval.shaping import shape_views
+from regeval.shaping import RetrievalKey, shape_views
 from regeval.synthetic import CorpusSpec, generate_corpus, profile_reply_fn
 from test_corpus import make_instance
 

@@ -24,8 +24,8 @@ from regeval.ingest import (
 )
 from regeval.jurisdiction import JurisdictionRegistry
 from regeval.multilabel import SetPrediction, score_task2
-from regeval.retrieval import RankedPrediction, RetrievalKey, gold_keys_for_records, score_task1
-from regeval.shaping import SnippetPointer, shape_views
+from regeval.retrieval import RankedPrediction, gold_keys_for_records, score_task1
+from regeval.shaping import RetrievalKey, SnippetPointer, shape_views
 from regeval.synthetic import CorpusSpec, generate_corpus, render_response_text, scripted_model
 from test_corpus import make_instance
 

@@ -11,10 +11,8 @@ from regeval.errors import EmptyGold
 from regeval.retrieval import (
     GoldSlice,
     RankedPrediction,
-    RetrievalKey,
     RetrievalMetrics,
     acc_at_k,
-    decode_anchor,
     evaluate_task1,
     gold_keys_for_records,
     map_score,
@@ -24,7 +22,7 @@ from regeval.retrieval import (
     r_precision,
     score_ranking,
 )
-from regeval.shaping import SnippetPointer, shape_task1, shape_task2
+from regeval.shaping import RetrievalKey, SnippetPointer, Task1Record, decode_anchor, shape_task1, shape_task2
 from test_corpus import make_instance
 
 VOCAB = ["a", "b", "c", "d", "e"]
@@ -281,15 +279,12 @@ class TestEvaluateTask1:
             assert evaluation.metrics.as_tuple() == (1.0,) * 6
 
     def test_empty_gold_record_is_integrity_failure(self, registry):
-        from regeval.shaping import Task1Key, Task1Record
-
         record = Task1Record(
-            law="LGPD",
-            key=Task1Key("r", "a", "a" * 40, "app/A.kt"),
+            file=_key("file"),
             file_gold=frozenset(),
-            module_name="A",
+            module=_key("module", module="A"),
             module_gold=frozenset(),
-            line_entries=(),
+            lines=(),
         )
         with pytest.raises(EmptyGold):
             evaluate_task1([record], [], registry, "strict")

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from oracles import oracle_merge_spans
 from regeval.corpus import LineSpan
 from regeval.errors import ConflictingSnippet, EmptyCorpus, RegevalError
+from regeval.retrieval import gold_keys_for_records
 from regeval.shaping import (
     DEFAULT_EXCLUDE_PATTERNS,
-    LineEntry,
     dump_views,
     filter_corpus,
+    load_task1_view,
+    load_task2_view,
     merge_line_evidence,
     path_is_excluded,
     shape_task1,
@@ -22,6 +24,11 @@ from regeval.shaping import (
     task2_as_instances,
 )
 from test_corpus import make_instance
+
+
+def _line_sections(record) -> list:
+    """(span, gold) of each line section of a task-1 record."""
+    return [(key.span, gold) for key, gold in record.lines]
 
 
 class TestShapeTask1:
@@ -34,7 +41,7 @@ class TestShapeTask1:
         assert len(records) == 1
         assert records[0].file_gold == frozenset({"7", "12"})
         assert records[0].module_gold == frozenset({"7", "12"})
-        assert records[0].module_name == "A"
+        assert records[0].module.module == "A"
 
     def test_overlapping_identical_sets_merge(self):
         corpus = [
@@ -42,7 +49,7 @@ class TestShapeTask1:
             make_instance(articles=("7",), span=(11, 14)),
         ]
         [record] = shape_task1(corpus)
-        assert record.line_entries == (LineEntry(LineSpan(10, 14), frozenset({"7"})),)
+        assert _line_sections(record) == [(LineSpan(10, 14), frozenset({"7"}))]
 
     def test_overlapping_different_sets_preserved(self):
         corpus = [
@@ -50,8 +57,8 @@ class TestShapeTask1:
             make_instance(articles=("12",), span=(11, 14)),
         ]
         [record] = shape_task1(corpus)
-        assert len(record.line_entries) == 2
-        spans = {entry.span for entry in record.line_entries}
+        assert len(record.lines) == 2
+        spans = {key.span for key, _gold in record.lines}
         assert spans == {LineSpan(10, 12), LineSpan(11, 14)}
 
     def test_identical_span_evidence_unions(self):
@@ -60,7 +67,7 @@ class TestShapeTask1:
             make_instance(articles=("12",), span=(10, 12)),
         ]
         [record] = shape_task1(corpus)
-        assert record.line_entries == (LineEntry(LineSpan(10, 12), frozenset({"7", "12"})),)
+        assert _line_sections(record) == [(LineSpan(10, 12), frozenset({"7", "12"}))]
 
     def test_chain_merge_to_fixed_point(self):
         corpus = [
@@ -69,7 +76,7 @@ class TestShapeTask1:
             make_instance(articles=("7",), span=(15, 18)),
         ]
         [record] = shape_task1(corpus)
-        assert record.line_entries == (LineEntry(LineSpan(10, 18), frozenset({"7"})),)
+        assert _line_sections(record) == [(LineSpan(10, 18), frozenset({"7"}))]
 
     def test_separate_files_separate_records(self):
         corpus = [
@@ -106,7 +113,7 @@ class TestMergeOracle:
             (LineSpan(start, start + length), frozenset(labels)) for start, length, labels in raw
         ]
         fast = merge_line_evidence(entries)
-        got = {((e.span.start, e.span.end), e.gold) for e in fast}
+        got = {((span.start, span.end), gold) for span, gold in fast}
         expected = oracle_merge_spans(
             [((span.start, span.end), labels) for span, labels in entries]
         )
@@ -198,7 +205,7 @@ class TestDeterminismAndConservation:
         ):
             t1 = views[law].task1
             t2 = views[law].task2
-            by_key = {(r.key.repo_url, r.key.app_name, r.key.commit_id, r.key.file_path) for r in t1}
+            by_key = {r.file[1:5] for r in t1}
             by_pointer = {r.pointer for r in t2}
             for inst in members:
                 key = (inst.repo_url, inst.app_name, inst.commit_id, inst.file_path)
@@ -206,12 +213,24 @@ class TestDeterminismAndConservation:
                 assert inst.pointer in {
                     (p.file_path, p.span, p.commit_id) for p in by_pointer
                 }
-                owner = next(r for r in t1 if (r.key.repo_url, r.key.app_name, r.key.commit_id, r.key.file_path) == key)
+                owner = next(r for r in t1 if r.file[1:5] == key)
                 assert inst.articles <= owner.file_gold
             # Gold label multiset preserved under union semantics.
             union_raw = frozenset().union(*(i.articles for i in members))
             union_t2 = frozenset().union(*(r.gold for r in t2))
             assert union_raw == union_t2
+
+    @pytest.mark.parametrize("seed", [11, 23, 31])
+    def test_views_read_back_to_the_shaped_records(self, registry, tmp_path, seed):
+        # `eval` joins predictions to keys read from views; they must be the
+        # keys `shape` built, in the same order.
+        views = shape_views(self._corpus(seed=seed))
+        dump_views(views, tmp_path, registry)
+        for law, view in views.items():
+            loaded = load_task1_view(tmp_path / f"task1_{law}.json")
+            assert loaded == (law, view.task1)
+            assert load_task2_view(tmp_path / f"task2_{law}.json") == (law, view.task2)
+            assert list(gold_keys_for_records(loaded[1]).items()) == list(gold_keys_for_records(view.task1).items())
 
     def test_reshaping_task2_is_fixed_point(self, registry, tmp_path):
         corpus = self._corpus(seed=31)
