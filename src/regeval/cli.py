@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import report as report_mod
 from .composites import CompositeConfig, compose_from_rcs
-from .corpus import corpus_stats, load_dataset, save_dataset, write_json
-from .errors import RegevalError
+from .corpus import corpus_stats, load_dataset, read_json, save_dataset, write_json
+from .errors import MalformedBase, RegevalError
 from .harness import (
     FailingTransport,
     MockTransport,
@@ -208,10 +208,9 @@ def cmd_eval(args) -> int:
     # orphans nor counted.
     ranked_by_model: dict[str, list] = {}
     sets_by_model: dict[str, list] = {}
-    memo: dict[str, dict[str, str]] = {}
     for pred_dir in prediction_dirs:
         ranked, sets = load_prediction_files(
-            pred_dir / "predictions_task1.json", pred_dir / "predictions_task2.json", registry, memo
+            pred_dir / "predictions_task1.json", pred_dir / "predictions_task2.json", registry, gold.cache
         )
         for row in ranked:
             kept = ranked_by_model.setdefault(row[2] or pred_dir.name, [])
@@ -256,21 +255,23 @@ def cmd_eval(args) -> int:
 def cmd_compose(args) -> int:
     config = _composite_config(args)
     out_dir = Path(args.out_dir)
-    if args.from_rcs:
-        fixture = json.loads(Path(args.from_rcs).read_text(encoding="utf-8"))
-        report = compose_from_rcs(fixture["models"], config)
-        payload = {
-            "schema_version": report_mod.SCHEMA_VERSION,
-            "config": {"source": str(args.from_rcs)},
-            "models": {},
-            "composites": report.to_dict(),
-        }
-        path = write_json(out_dir / "results.json", payload)
-        print(f"wrote {path}")
-        return 0
-    base = json.loads(Path(args.base).read_text(encoding="utf-8"))
-    paths = report_mod.emit_results(out_dir, base, config)
-    for path in paths.values():
+    source = args.from_rcs or args.base
+    data = read_json(source)
+    try:
+        if args.from_rcs:
+            report = compose_from_rcs(report_mod.rcs_from_fixture(data), config)
+            payload = {
+                "schema_version": report_mod.SCHEMA_VERSION,
+                "config": {"source": str(args.from_rcs)},
+                "models": {},
+                "composites": report.to_dict(),
+            }
+            paths = [write_json(out_dir / "results.json", payload)]
+        else:
+            paths = report_mod.emit_results(out_dir, data, config).values()
+    except MalformedBase as exc:
+        raise MalformedBase(f"{source}: {exc}") from None
+    for path in paths:
         print(f"wrote {path}")
     return 0
 

@@ -191,8 +191,7 @@ def instance_to_record(instance: RawInstance, registry: JurisdictionRegistry) ->
 
 
 def load_dataset(path: str | Path, registry: JurisdictionRegistry, law: str | None = None) -> list[RawInstance]:
-    with open(path, "r", encoding="utf-8") as fh:
-        records = json.load(fh)
+    records = read_json(path)
     if not isinstance(records, list):
         raise RegevalError("dataset.json must hold an array of records")
     return [instance_from_record(rec, registry, law) for rec in records]
@@ -228,6 +227,17 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
 # from one encoder built once (json.dumps builds a new one per call when given
 # any option). Request keys, the replay index and prediction entries use it.
 encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
+def read_json(path: str | Path):
+    """The JSON value in the file at `path`: the read twin of `write_json`.
+    Text that is not JSON raises json.JSONDecodeError whose message starts
+    with the path and ends with the line and column."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
 
 
 def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:

@@ -72,3 +72,8 @@ class MalformedView(RegevalError):
 class MalformedPrediction(RegevalError):
     """A prediction entry, or a task-1 key or task-2 pointer read from a file,
     lacks a field or holds a value of the wrong type or shape."""
+
+
+class MalformedBase(RegevalError):
+    """A base-metric or RCS file for `compose` lacks a field, or holds a value
+    of the wrong type where an object of models or a metric number belongs."""

@@ -8,14 +8,13 @@ list, which keeps line numbers in free-text rationale from being captured.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import atomic_write, decode_each, encode_sorted
+from .corpus import atomic_write, decode_each, encode_sorted, read_json
 from .errors import MalformedPrediction, MalformedResponse, OutOfUniverse, RegevalError
 from .harness import numbered_responses
 from .jurisdiction import JurisdictionRegistry
@@ -199,51 +198,78 @@ def _canonical_ids(
     return tuple(ids)
 
 
-def _prediction_fields(entry) -> tuple[str, str]:
-    """An entry's law and model, both strings."""
+def _prediction_fields(entry, names: dict[str, str]) -> tuple[str, str]:
+    """An entry's law and model, both strings, each the one object `names`
+    holds for its text."""
     law = entry["law"]
     model = entry.get("model", "")
     if type(law) is not str or type(model) is not str:
         raise MalformedPrediction(f"law and model must be strings, got {law!r} and {model!r}")
-    return law, model
+    return names.setdefault(law, law), names.setdefault(model, model)
 
 
 def _decode_entries(path: str | Path, decode) -> list[tuple]:
     """`decode` of each entry of a prediction file; a malformed entry raises
     MalformedPrediction naming the file and the entry's index."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     entries = data.get("predictions") if isinstance(data, dict) else None
     if type(entries) is not list:
         raise MalformedPrediction(f"{path}: no 'predictions' list")
     return decode_each(path, entries, decode, "prediction", MalformedPrediction)
 
 
+@dataclass
+class DecodeCache:
+    """What the prediction files of one `eval` share, so that a value decoded
+    from many entries, files or models is held once:
+
+    - `ids[law]` maps the text of each stored id already resolved for `law`
+      to its canonical id (see `_canonical_ids`);
+    - `anchors` maps each decoded task-1 key and task-2 pointer to its one
+      plain tuple; `GoldIndex.from_views` seeds it with every gold one, so a
+      matching prediction holds the gold index's strings;
+    - `names` maps each law and model name to its one string.
+
+    Rankings and label tuples are not shared: real model output rarely
+    repeats them."""
+
+    ids: dict[str, dict[str, str]] = field(default_factory=dict)
+    anchors: dict[tuple, tuple] = field(default_factory=dict)
+    names: dict[str, str] = field(default_factory=dict)
+
+
 def load_prediction_files(
     t1_path: str | Path,
     t2_path: str | Path,
     registry: JurisdictionRegistry,
-    memo: dict[str, dict[str, str]] | None = None,
+    cache: DecodeCache | None = None,
 ) -> tuple[list[tuple], list[tuple]]:
     """Decode both prediction files straight to the rows `eval` joins, laid
     out like `RankedPrediction` (key, ranking, model) and `SetPrediction`
-    (law, pointer, labels, model), ids canonical. `memo` holds the canonical
-    ids resolved so far (see `_canonical_ids`); pass one dict to every call
-    of one `eval`."""
-    # Rows, keys and pointers stay plain tuples, which compare and hash equal
-    # to the named tuples. CPython's cyclic GC untracks only exact tuples (of
-    # untracked items), while a named tuple stays tracked and is built through
-    # a Python-level __new__. Named-tuple rows built here made `eval` of the
-    # 600-file five-profile cohort about 10% slower: medians of 16 fresh
-    # processes 0.85 -> 0.93 s, and 0.64 -> 0.70 s under gc.disable().
-    memo = {} if memo is None else memo
+    (law, pointer, labels, model), ids canonical. Each key, pointer, law and
+    model is the object `cache` holds for it; pass one cache, such as
+    `GoldIndex.cache`, to every call of one `eval`."""
+    # Rows, keys and pointers stay exact tuples of strings, ints and None, so
+    # the cyclic GC untracks a row once it has untracked the row's items. A
+    # named tuple is never untracked, and a row holding one stays tracked, so
+    # `anchors` maps each key to a plain tuple, never to the gold index's
+    # named tuple. Named-tuple rows made `eval` of the 600-file five-profile
+    # cohort about 10% slower: medians of 16 fresh processes 0.85 -> 0.93 s,
+    # and 0.64 -> 0.70 s under gc.disable().
+    cache = DecodeCache() if cache is None else cache
+    memo, anchors, names = cache.ids, cache.anchors, cache.names
 
     def ranked_row(entry) -> tuple:
-        law, model = _prediction_fields(entry)
-        return (decode_anchor(law, entry), _canonical_ids(entry["ranking"], law, registry, memo), model)
+        law, model = _prediction_fields(entry, names)
+        key = decode_anchor(law, entry)
+        ranking = _canonical_ids(entry["ranking"], law, registry, memo)
+        return (anchors.setdefault(key, key), ranking, model)
 
     def set_row(entry) -> tuple:
-        law, model = _prediction_fields(entry)
-        return (law, decode_pointer(entry), _canonical_ids(entry["labels"], law, registry, memo), model)
+        law, model = _prediction_fields(entry, names)
+        pointer = decode_pointer(entry)
+        labels = _canonical_ids(entry["labels"], law, registry, memo)
+        return (law, anchors.setdefault(pointer, pointer), labels, model)
 
     return _decode_entries(t1_path, ranked_row), _decode_entries(t2_path, set_row)
 
@@ -259,13 +285,20 @@ class GoldIndex:
 
     task1: dict[tuple[str, str], GoldSlice]
     task2: dict[str, GoldPointers]
+    cache: DecodeCache
 
     @classmethod
     def from_views(cls, views: Mapping[str, ShapedViews]) -> "GoldIndex":
-        return cls(
-            task1=index_gold_keys(gold_keys_for_records([rec for view in views.values() for rec in view.task1])),
-            task2=index_pointers([rec for view in views.values() for rec in view.task2]),
+        """The index of `views`, with a `cache` whose `anchors` hold a plain
+        tuple of every gold key and pointer, for this `eval`'s prediction
+        files to share."""
+        task1 = index_gold_keys(gold_keys_for_records([rec for view in views.values() for rec in view.task1]))
+        task2 = index_pointers([rec for view in views.values() for rec in view.task2])
+        anchors = chain(
+            (key for gold_slice in task1.values() for key in gold_slice.keys),
+            (pointer for pointers in task2.values() for pointer in pointers.slot),
         )
+        return cls(task1, task2, DecodeCache(anchors={anchor: anchor for anchor in map(tuple, anchors)}))
 
 
 @dataclass

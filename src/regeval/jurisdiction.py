@@ -209,8 +209,9 @@ class JurisdictionRegistry:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "JurisdictionRegistry":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_config(json.load(fh))
+        from .corpus import read_json  # corpus imports this module
+
+        return cls.from_config(read_json(path))
 
     @classmethod
     def default(cls) -> "JurisdictionRegistry":

@@ -13,6 +13,7 @@ from typing import Mapping
 
 from .composites import CompositeConfig, compose
 from .corpus import atomic_write, write_json
+from .errors import MalformedBase
 from .multilabel import T2_METRIC_NAMES, JudgmentMetrics, Task2Evaluation
 from .retrieval import T1_METRIC_NAMES, RetrievalMetrics, Task1Evaluation
 from .shaping import GRANULARITIES
@@ -47,19 +48,67 @@ def build_base_results(
     return base
 
 
+def _object(value, path: str) -> dict:
+    if type(value) is not dict:
+        raise MalformedBase(f"{path} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _member(block: dict, name: str, path: str):
+    if name not in block:
+        raise MalformedBase(f"{path}: missing field {name!r}")
+    return block[name]
+
+
+def _numbers(value, names, path: str) -> dict:
+    """`value`, checked to be an object holding each of `names` as a number."""
+    block = _object(value, path)
+    for name in names:
+        if type(_member(block, name, path)) not in (int, float):
+            raise MalformedBase(f"{path}/{name} must be a number, got {block[name]!r}")
+    return block
+
+
+def _model_blocks(data):
+    """(model, path, task1 block, task2 block) of each model of
+    `data["models"]`, which must be an object of objects that each hold
+    "task1" and "task2" as objects; a failed check raises MalformedBase
+    naming the field by its path."""
+    models = _object(_member(_object(data, "top level"), "models", "top level"), "models")
+    for model, block in models.items():
+        path = f"models/{model}"
+        block = _object(block, path)
+        t1, t2 = (_object(_member(block, task, path), f"{path}/{task}") for task in ("task1", "task2"))
+        yield model, path, t1, t2
+
+
 def metrics_from_base(base: Mapping) -> tuple[dict, dict]:
-    """Rebuild typed metric tables from a results.json base block."""
+    """Rebuild typed metric tables from a results.json base block, whose
+    metric blocks must each hold every metric name as a number."""
     task1: dict = {}
     task2: dict = {}
-    for model, block in base["models"].items():
+    for model, path, t1, t2 in _model_blocks(base):
         task1[model] = {
-            law: {gran: RetrievalMetrics.from_dict(values) for gran, values in by_gran.items()}
-            for law, by_gran in block["task1"].items()
+            law: {
+                gran: RetrievalMetrics.from_dict(_numbers(values, T1_METRIC_NAMES, f"{path}/task1/{law}/{gran}"))
+                for gran, values in _object(by_gran, f"{path}/task1/{law}").items()
+            }
+            for law, by_gran in t1.items()
         }
         task2[model] = {
-            law: JudgmentMetrics.from_dict(values) for law, values in block["task2"].items()
+            law: JudgmentMetrics.from_dict(_numbers(values, T2_METRIC_NAMES, f"{path}/task2/{law}"))
+            for law, values in t2.items()
         }
     return task1, task2
+
+
+def rcs_from_fixture(fixture: Mapping) -> dict:
+    """The per-law RCS values of a `compose --from-rcs` fixture, checked:
+    each model's task1 and task2 map each law to a number."""
+    rcs = {}
+    for model, path, t1, t2 in _model_blocks(fixture):
+        rcs[model] = {"task1": _numbers(t1, t1, f"{path}/task1"), "task2": _numbers(t2, t2, f"{path}/task2")}
+    return rcs
 
 
 def compose_results(base: Mapping, config: CompositeConfig | None = None) -> dict:
@@ -159,7 +208,6 @@ def emit_results(
 ) -> dict[str, Path]:
     """Write results.json, report.txt, and plot_data.csv for one run."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = compose_results(base, config)
     return {
         "results": write_json(out / "results.json", payload),

@@ -9,12 +9,11 @@ canonically so regeneration is byte-stable.
 from __future__ import annotations
 
 import fnmatch
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import LineSpan, RawInstance, decode_each, decode_span, derive_module_name, write_json
+from .corpus import LineSpan, RawInstance, decode_each, decode_span, derive_module_name, read_json, write_json
 from .errors import ConflictingSnippet, EmptyCorpus, MalformedPrediction, MalformedView, RegevalError
 from .jurisdiction import JurisdictionRegistry
 
@@ -415,7 +414,7 @@ def dump_views(
 def _load_view(path: str | Path, record_from_dict) -> tuple[str, list]:
     """The law and the decoded records of a view file; a malformed record
     raises MalformedView naming the file and the record's index."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     law, records = (data.get("law"), data.get("records")) if isinstance(data, dict) else (None, None)
     if type(law) is not str or type(records) is not list:
         raise MalformedView(f"{path}: needs a 'law' string and a 'records' list")

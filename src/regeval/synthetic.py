@@ -9,14 +9,13 @@ profiles can place all gold items inside the top five ranks.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import LineSpan, RawInstance, write_json
+from .corpus import LineSpan, RawInstance, read_json, write_json
 from .errors import InvalidSpec, RegevalError
 from .harness import request_identity, request_key
 from .jurisdiction import JurisdictionRegistry
@@ -147,7 +146,7 @@ def write_spec(spec: CorpusSpec, path: str | Path) -> None:
 
 
 def load_spec(path: str | Path) -> CorpusSpec:
-    return CorpusSpec.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return CorpusSpec.from_dict(read_json(path))
 
 
 # --- scripted model behaviors -----------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -455,6 +456,58 @@ class TestCliErrors:
         assert payload["message"] == (
             "no task2 metrics in base (eval --task task1); compose needs both tasks"
         )
+
+    def _perfect_base(self, tmp_path):
+        views_dir, pred_dir = self._perfect_cohort(tmp_path)
+        base = tmp_path / "base.json"
+        assert main(["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
+                     "--out", str(base)]) == 0
+        return views_dir, pred_dir, base
+
+    @pytest.mark.parametrize(
+        "source, change, problem",
+        [
+            ("--base", lambda base: {}, "top level: missing field 'models'"),
+            ("--base", lambda base: {"models": []}, "models must be an object, got list"),
+            ("--base", lambda base: {"models": {"m": {}}}, "models/m: missing field 'task1'"),
+            ("--base", lambda base: {"models": {"m": {"task1": {}, "task2": []}}},
+             "models/m/task2 must be an object, got list"),
+            ("--base", lambda base: (base["models"]["PERFECT"]["task1"]["LGPD"]["file"].pop("mrr"), base)[1],
+             "models/PERFECT/task1/LGPD/file: missing field 'mrr'"),
+            ("--base", lambda base: base["models"]["PERFECT"]["task2"]["LGPD"].update(jaccard="1") or base,
+             "models/PERFECT/task2/LGPD/jaccard must be a number, got '1'"),
+            ("--from-rcs", lambda base: {}, "top level: missing field 'models'"),
+            ("--from-rcs", lambda base: {"models": {"m": {"task1": {"LGPD": None}, "task2": {}}}},
+             "models/m/task1/LGPD must be a number, got None"),
+        ],
+    )
+    def test_malformed_base_exits_2_naming_file_and_field(self, tmp_path, capsys, source, change, problem):
+        path = tmp_path / "malformed.json"
+        *_, base = self._perfect_base(tmp_path)
+        path.write_text(json.dumps(change(json.loads(base.read_text()))))
+        capsys.readouterr()
+        assert main(["compose", source, str(path), "--out-dir", str(tmp_path / "final")]) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"error": "MalformedBase", "message": f"{path}: {problem}"}
+        assert not (tmp_path / "final").exists()
+
+    @pytest.mark.parametrize("target", ["predictions", "view", "base"])
+    def test_truncated_json_file_exits_2_naming_file_line_and_column(self, tmp_path, capsys, target):
+        views_dir, pred_dir, base = self._perfect_base(tmp_path)
+        path = {"predictions": pred_dir / "predictions_task1.json",
+                "view": views_dir / "task2_LGPD.json", "base": base}[target]
+        path.write_text(path.read_text()[:300])
+        capsys.readouterr()
+        if target == "base":
+            code = main(["compose", "--base", str(base), "--out-dir", str(tmp_path / "final")])
+        else:
+            code = main(["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
+                         "--out", str(tmp_path / "again.json")])
+        assert code == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "JSONDecodeError"
+        assert re.fullmatch(rf"{re.escape(str(path))}: .+: line \d+ column \d+ \(char \d+\)", payload["message"])
 
     def test_failing_transport_still_produces_artifacts(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import tempfile
 from unittest import mock
@@ -13,6 +14,7 @@ from regeval import ingest
 from regeval.ingest import (
     RANKED,
     SET,
+    DecodeCache,
     GoldIndex,
     bind_predictions,
     load_prediction_files,
@@ -215,18 +217,59 @@ class TestCanonicalIdMemo:
             return original(self, raw, law)
 
         monkeypatch.setattr(JurisdictionRegistry, "canonicalize_article", counting)
-        memo: dict = {}
-        ranked, _ = load_prediction_files(t1, t2, registry, memo)
-        ranked_again, _ = load_prediction_files(t1, t2, registry, memo)
+        cache = DecodeCache()
+        ranked, _ = load_prediction_files(t1, t2, registry, cache)
+        ranked_again, _ = load_prediction_files(t1, t2, registry, cache)
 
         expected = {
             law: {raw: original(registry, raw, law).article for raw in forms}
             for law, forms in self.FORMS.items()
         }
-        assert memo == expected
+        assert cache.ids == expected
         assert sorted(calls) == sorted((law, raw) for law, forms in self.FORMS.items() for raw in forms)
         for (anchor, ids, _model) in ranked + ranked_again:
             assert ids == tuple(dict.fromkeys(expected[anchor[0]][raw] for raw in self.FORMS[anchor[0]]))
+
+
+class TestSharedDecodedObjects:
+    """Loaded with a gold index's cache, a prediction's key or pointer is the
+    index's own plain tuple, and each law and model name is one string."""
+
+    def test_rows_hold_the_gold_index_objects(self, registry, tmp_path):
+        views = shape_views(generate_corpus(CorpusSpec(seed=5, files_per_law={"LGPD": 4, "PDPA": 4}), registry))
+        scripted = scripted_model("RANDOM", views, registry, seed=5)
+        ranked = [pred._replace(model="m") for pred in scripted.ranked]
+        sets = [pred._replace(model="m") for pred in scripted.sets]
+        t1, t2 = write_prediction_files(tmp_path, ranked, sets)
+        gold = GoldIndex.from_views(views)
+        table = dict(gold.cache.anchors)
+        assert len(table) == sum(len(s.keys) for s in gold.task1.values()) + sum(
+            len(p.slot) for p in gold.task2.values()
+        )
+
+        loaded_ranked, loaded_sets = load_prediction_files(t1, t2, registry, gold.cache)
+        assert loaded_ranked == ranked and loaded_sets == sets
+        anchors = [row[0] for row in loaded_ranked] + [row[1] for row in loaded_sets]
+        assert all(anchor is table[anchor] and type(anchor) is tuple for anchor in anchors)
+        # A collection untracks an exact tuple whose items it has already
+        # untracked or that are atoms: the first one the keys, pointers and
+        # id tuples, the second the rows. A named tuple is never untracked.
+        gc.collect()
+        gc.collect()
+        assert not any(gc.is_tracked(row) for row in loaded_ranked + loaded_sets)
+        assert len({id(row[2]) for row in loaded_ranked} | {id(row[3]) for row in loaded_sets}) == 1
+        for law in views:
+            assert len({id(row[0]) for row in loaded_sets if row[0] == law}) == 1
+
+    def test_a_repeated_stray_key_is_stored_once(self, registry, tmp_path):
+        entry = {"law": "LGPD", "repo_url": "r", "app_name": "a", "commit_id": "a" * 40,
+                 "file_path": "app/Stray.kt", "granularity": "file", "ranking": ["7"]}
+        t1, t2 = tmp_path / "t1.json", tmp_path / "t2.json"
+        t1.write_text(json.dumps({"predictions": [entry, dict(entry, model="m")]}))
+        t2.write_text(json.dumps({"predictions": []}))
+        cache = DecodeCache()
+        first, second = load_prediction_files(t1, t2, registry, cache)[0]
+        assert first[0] is second[0] is cache.anchors[first[0]]
 
 
 class TestBindPredictions:
