@@ -171,7 +171,7 @@ def cmd_run(args) -> int:
     result = execute_run(
         config, views, transport, args.out_dir, registry, corpus=corpus, tasks=tasks
     )
-    print(f"wrote {result.responses_path} ({len(result.records)} records)")
+    print(f"wrote {result.responses_path} ({result.record_count} records)")
     print(f"wrote {result.config_path}")
     print(f"wrote {result.log_path}")
     return 0

@@ -2,25 +2,33 @@
 
 One serial request lane per model, lanes running concurrently; uniform
 decoding controls; bounded retries with fixed backoff; and a response log
-whose content is independent of completion interleaving (records are
-canonically ordered on close). Real provider adapters live out of tree; the
-package ships a scripted mock and a replay transport.
+whose content is independent of completion interleaving. Every lane sends its
+requests in one canonical order, builds each request just before sending it,
+and appends each record and log line to its own partial files in the out
+dir, so a run holds only the shared prompt items. On close the record
+partials are concatenated in model order (which is identity order), the log
+partials are merged by timestamp, and the partials are removed. Real provider
+adapters live out of tree; the package ships a scripted mock and a replay
+transport.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import shutil
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .corpus import RawInstance, atomic_write, encode_sorted, write_json
 from .errors import LawMismatch, MalformedResponse, RegevalError, TransportConfigError
@@ -329,11 +337,18 @@ class ReplayTransport:
             for record in load_responses(self.path, require=("model", "text", "key"))
         }
 
-    def prepare(self, requests: Sequence[TransportRequest]) -> None:
-        missing = [r for r in requests if r.identity not in self._responses]
+    def prepare(self, identities: Iterable[tuple[str, str, str, str]]) -> None:
+        """Refuse, before anything is sent, a run whose requests the file
+        does not all answer; the message names the first missing identity."""
+        total = 0
+        missing = []
+        for identity in identities:
+            total += 1
+            if identity not in self._responses:
+                missing.append(identity)
         if missing:
             raise TransportConfigError(
-                f"replay file lacks {len(missing)} of {len(requests)} requests"
+                f"replay file lacks {len(missing)} of {total} requests, first: {' '.join(missing[0])}"
             )
 
     def send(self, request: TransportRequest) -> str:
@@ -352,40 +367,33 @@ def _timestamp() -> str:
 
 @dataclass
 class RunResult:
-    records: list[dict]
+    """Where a run wrote its artifacts, and how many records it wrote."""
+
+    record_count: int
     responses_path: Path
     config_path: Path
     log_path: Path
 
+    @cached_property
+    def records(self) -> list[dict]:
+        """The records of `responses_path`, read on first use."""
+        return list(load_responses(self.responses_path))
 
-def _requests_by_model(
-    items: Sequence[PromptItem], templates: Mapping[str, PromptTemplate], config: RunConfig
-) -> dict[str, list[TransportRequest]]:
-    """Every model's requests, in item order. Each item's prompt, key and key
-    JSON are made once and shared by the models' requests."""
-    requests_by_model: dict[str, list[TransportRequest]] = {model: [] for model in config.models}
+
+def _prompt_rows(items: Iterable[PromptItem]) -> list[tuple[str, str, str, dict, PromptItem]]:
+    """One (task, law, key JSON, key, item) row per prompt item, sorted by
+    (task, law, key JSON): the request identity without the model, so every
+    lane sends in identity order. Each item's key and key JSON are made once
+    and shared by every lane."""
+    rows = []
     for item in items:
         if isinstance(item, LocalizationPromptItem):
             task, key = "task1", request_key(item.key)
         else:
             task, key = "task2", request_key(item.pointer)
-        prompt = render_prompt(templates[item.law], item)
-        key_json = encode_sorted(key)
-        for model, requests in requests_by_model.items():
-            requests.append(
-                TransportRequest(
-                    model=model,
-                    task=task,
-                    law=item.law,
-                    key=key,
-                    prompt=prompt,
-                    temperature=config.temperature,
-                    max_tokens=config.max_tokens,
-                    timeout_seconds=config.timeout_seconds,
-                    key_json=key_json,
-                )
-            )
-    return requests_by_model
+        rows.append((task, item.law, encode_sorted(key), key, item))
+    rows.sort(key=itemgetter(0, 1, 2))
+    return rows
 
 
 def execute_run(
@@ -403,97 +411,138 @@ def execute_run(
     exception from `send` is a failed attempt, retried up to `retries` times
     after the initial attempt; an instance that exhausts its retries is
     recorded with empty text and scored downstream as an empty prediction.
-    Records are written in canonical identity order and the lanes' log lines
-    are merged in timestamp order.
+
+    Every lane sends in (task, law, key JSON) order, renders each prompt just
+    before sending it, and appends each record line and log line to its own
+    hidden partial files in `out_dir` (`.raw_responses.<lane>.partial`,
+    `.run.log.<lane>.partial`), without a lock. On close,
+    `raw_responses.jsonl` is the record partials concatenated in sorted model
+    order, which is canonical identity order, and `run.log` is the start
+    lines, the lanes' log lines merged in timestamp order and the closing
+    `run complete` line. The partials are removed whether the run finishes
+    or not; a `BaseException` that is not an `Exception` (from `send`, or an
+    interrupt) stops every lane at its next request and is re-raised, and
+    no artifact is written.
     """
     if not config.models:
         raise TransportConfigError("run config lists no models")
     templates = {law: default_template(registry.get(law)) for law in views}
 
-    items = build_prompt_items(views, corpus, config.context_window, tasks)
-    requests_by_model = _requests_by_model(items, templates, config)
+    rows = _prompt_rows(build_prompt_items(views, corpus, config.context_window, tasks))
     prepare = getattr(transport, "prepare", None)
     if callable(prepare):
-        prepare([req for reqs in requests_by_model.values() for req in reqs])
+        prepare((model, *row[:3]) for model in sorted(config.models) for row in rows)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    log_lines = [
+    head = [
         f"{_timestamp()} run start models={list(config.models)} "
-        f"requests={len(items) * len(config.models)}"
+        f"requests={len(rows) * len(config.models)}\n"
     ]
     overrides = config.overrides()
     if overrides:
-        log_lines.append(f"{_timestamp()} non-default settings: {encode_sorted(overrides)}")
+        head.append(f"{_timestamp()} non-default settings: {encode_sorted(overrides)}\n")
+    # (model, records partial, log partial) of each lane, in config order.
+    lanes = [
+        (model, out / f".raw_responses.{n}.partial", out / f".run.log.{n}.partial")
+        for n, model in enumerate(config.models)
+    ]
+    stop = threading.Event()
 
-    def run_lane(model: str) -> tuple[list[tuple[tuple, dict]], list[str]]:
-        """Send one model's requests in turn; return its (identity, record)
-        pairs and its timestamped log lines."""
-        entries: list[tuple[tuple, dict]] = []
-        log: list[str] = []
+    def run_lane(model: str, records_path: Path, log_path: Path) -> int:
+        """Send one model's requests in turn, appending each record and log
+        line to the lane's partial files; return the lane's ok count."""
         done = 0
         failed = 0
-        total = len(requests_by_model[model])
+        total = len(rows)
         max_attempts = config.retries + 1
-        for request in requests_by_model[model]:
-            started = _timestamp()
-            attempts = 0
-            text = ""
-            status = "exhausted_retries"
-            while attempts < max_attempts:
-                attempts += 1
-                try:
-                    text = transport.send(request)
-                    status = "ok"
+        with open(records_path, "w", encoding="utf-8") as records, open(log_path, "w", encoding="utf-8") as log:
+            for task, law, key_json, key, item in rows:
+                if stop.is_set():
                     break
-                except Exception as exc:  # whatever a send raises is one failed attempt
-                    log.append(
-                        f"{_timestamp()} {model} attempt {attempts}/{max_attempts} "
-                        f"failed: {type(exc).__name__}: {exc}"
-                    )
-                    if attempts < max_attempts and config.backoff_seconds > 0:
-                        time.sleep(config.backoff_seconds)
-            if status == "ok":
-                done += 1
-            else:
-                failed += 1
-            finished = _timestamp()
-            record = {
-                "model": model,
-                "task": request.task,
-                "law": request.law,
-                "key": request.key,
-                "text": text if status == "ok" else "",
-                "status": status,
-                "attempts": attempts,
-                "timestamps": {"started": started, "finished": finished},
-            }
-            entries.append((request.identity, record))
-            log.append(f"{finished} {model} progress {done + failed}/{total} ok={done} failed={failed}")
-        return entries, log
+                request = TransportRequest(
+                    model=model,
+                    task=task,
+                    law=law,
+                    key=key,
+                    prompt=render_prompt(templates[law], item),
+                    temperature=config.temperature,
+                    max_tokens=config.max_tokens,
+                    timeout_seconds=config.timeout_seconds,
+                    key_json=key_json,
+                )
+                started = _timestamp()
+                attempts = 0
+                text = ""
+                status = "exhausted_retries"
+                while attempts < max_attempts:
+                    attempts += 1
+                    try:
+                        text = transport.send(request)
+                        status = "ok"
+                        break
+                    except Exception as exc:  # whatever a send raises is one failed attempt
+                        log.write(
+                            f"{_timestamp()} {model} attempt {attempts}/{max_attempts} "
+                            f"failed: {type(exc).__name__}: {exc}\n"
+                        )
+                        if attempts < max_attempts and config.backoff_seconds > 0:
+                            time.sleep(config.backoff_seconds)
+                if status == "ok":
+                    done += 1
+                else:
+                    failed += 1
+                finished = _timestamp()
+                record = {
+                    "model": model,
+                    "task": task,
+                    "law": law,
+                    "key": key,
+                    "text": text if status == "ok" else "",
+                    "status": status,
+                    "attempts": attempts,
+                    "timestamps": {"started": started, "finished": finished},
+                }
+                records.write(_record_line(record, key_json))
+                log.write(f"{finished} {model} progress {done + failed}/{total} ok={done} failed={failed}\n")
+        return done
 
-    with ThreadPoolExecutor(max_workers=config.effective_concurrency) as pool:
-        lanes = list(pool.map(run_lane, config.models))
+    try:
+        with ThreadPoolExecutor(max_workers=config.effective_concurrency) as pool:
+            futures = [pool.submit(run_lane, *lane) for lane in lanes]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
+                stop.set()  # a failed lane, or an interrupt, ends the others
+        ok_counts = [future.result() for future in futures]
 
-    entries = sorted((entry for lane_entries, _ in lanes for entry in lane_entries), key=itemgetter(0))
-    records = [record for _, record in entries]
-    # Timestamps are fixed-width ISO strings, so merging lines merges by time.
-    log_lines.extend(heapq.merge(*(log for _, log in lanes)))
+        responses_path = out / "raw_responses.jsonl"
+        with atomic_write(responses_path) as fh:
+            for _model, records_path, _log_path in sorted(lanes):
+                with open(records_path, encoding="utf-8") as part:
+                    shutil.copyfileobj(part, fh)
 
-    responses_path = out / "raw_responses.jsonl"
-    with atomic_write(responses_path) as fh:
-        fh.writelines(_record_line(record, identity[3]) for identity, record in entries)
+        config_payload = {"run": config.to_dict(), "overrides": config.overrides()}
+        config_path = write_json(out / "run_config.json", config_payload)
 
-    config_payload = {"run": config.to_dict(), "overrides": config.overrides()}
-    config_path = write_json(out / "run_config.json", config_payload)
-
-    log_path = out / "run.log"
-    ok_counts = Counter(record["model"] for record in records if record["status"] == "ok")
-    summary = ", ".join(f"{model}: {ok_counts[model]}/{len(items)} ok" for model in config.models)
-    log_lines.append(f"{_timestamp()} run complete ({summary})")
-    with atomic_write(log_path) as fh:
-        fh.writelines(line + "\n" for line in log_lines)
-    return RunResult(records=records, responses_path=responses_path, config_path=config_path, log_path=log_path)
+        log_path = out / "run.log"
+        summary = ", ".join(f"{model}: {ok}/{len(rows)} ok" for model, ok in zip(config.models, ok_counts))
+        with atomic_write(log_path) as fh, ExitStack() as stack:
+            fh.writelines(head)
+            parts = [stack.enter_context(open(path, encoding="utf-8")) for _, _, path in lanes]
+            # Timestamps are fixed-width ISO strings, so merging lines merges by time.
+            fh.writelines(heapq.merge(*parts))
+            fh.write(f"{_timestamp()} run complete ({summary})\n")
+    finally:
+        for _model, records_path, lane_log_path in lanes:
+            records_path.unlink(missing_ok=True)
+            lane_log_path.unlink(missing_ok=True)
+    return RunResult(
+        record_count=len(rows) * len(config.models),
+        responses_path=responses_path,
+        config_path=config_path,
+        log_path=log_path,
+    )
 
 
 def _record_line(record: dict, key_json: str) -> str:

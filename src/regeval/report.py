@@ -82,12 +82,30 @@ def _model_blocks(data):
         yield model, path, t1, t2
 
 
+def _check_coverage(block: dict, path: str) -> None:
+    """Check a model's optional `coverage` block as `render_report_txt` reads
+    it: each task-1 report holds `policy` and the key counts, each task-2
+    report the pointer counts."""
+    if "coverage" not in block:
+        return
+    path = f"{path}/coverage"
+    coverage = _object(block["coverage"], path)
+    for law, by_gran in _object(coverage.get("task1", {}), f"{path}/task1").items():
+        for gran, report in _object(by_gran, f"{path}/task1/{law}").items():
+            report = _numbers(report, ("gold_keys", "matched_keys"), f"{path}/task1/{law}/{gran}")
+            _member(report, "policy", f"{path}/task1/{law}/{gran}")
+    for law, report in _object(coverage.get("task2", {}), f"{path}/task2").items():
+        _numbers(report, ("gold_pointers", "matched_pointers"), f"{path}/task2/{law}")
+
+
 def metrics_from_base(base: Mapping) -> tuple[dict, dict]:
     """Rebuild typed metric tables from a results.json base block, whose
-    metric blocks must each hold every metric name as a number."""
+    metric blocks must each hold every metric name as a number, and whose
+    coverage blocks must hold what the report renders."""
     task1: dict = {}
     task2: dict = {}
     for model, path, t1, t2 in _model_blocks(base):
+        _check_coverage(base["models"][model], path)
         task1[model] = {
             law: {
                 gran: RetrievalMetrics.from_dict(_numbers(values, T1_METRIC_NAMES, f"{path}/task1/{law}/{gran}"))

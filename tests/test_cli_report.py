@@ -476,6 +476,10 @@ class TestCliErrors:
              "models/PERFECT/task1/LGPD/file: missing field 'mrr'"),
             ("--base", lambda base: base["models"]["PERFECT"]["task2"]["LGPD"].update(jaccard="1") or base,
              "models/PERFECT/task2/LGPD/jaccard must be a number, got '1'"),
+            ("--base", lambda base: base["models"]["PERFECT"].update(coverage={"task1": {"LGPD": {"file": {}}}}) or base,
+             "models/PERFECT/coverage/task1/LGPD/file: missing field 'gold_keys'"),
+            ("--base", lambda base: base["models"]["PERFECT"]["coverage"]["task2"].update(LGPD=[]) or base,
+             "models/PERFECT/coverage/task2/LGPD must be an object, got list"),
             ("--from-rcs", lambda base: {}, "top level: missing field 'models'"),
             ("--from-rcs", lambda base: {"models": {"m": {"task1": {"LGPD": None}, "task2": {}}}},
              "models/m/task1/LGPD must be a number, got None"),

@@ -11,11 +11,18 @@ that moves a reference number, or the bytes of either file, fails here.
 Regenerate the golden files only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The first pipeline's `run` outputs are pinned by digest too, modulo their
+timestamps: `raw_responses.jsonl` with every `started`/`finished` value
+blanked, and `run.log` as its sorted lines with the leading timestamp cut.
+Regenerating also prints the digests of the fresh run.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -25,6 +32,11 @@ from regeval.cli import main
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden_results.json"
 GOLDEN_COHORT = DATA / "golden_cohort_base.json"
+
+# sha256 of the fixed pipeline's run outputs, modulo timestamps (see
+# `run_digests`).
+RAW_RESPONSES_SHA256 = "858a663c03110a0cbb0704cabe9fba2f49164415aa50332e943d31d591e0892f"
+RUN_LOG_SHA256 = "65e0af14a14d59b72114771a6120830f1d40e331d67295ca92e3addfcab7997a"
 
 COHORT_PROFILES = ("PERFECT", "BREADTH_ONLY", "RANKING_ONLY", "MAJORITY_LABEL", "RANDOM")
 
@@ -46,6 +58,15 @@ def run_fixed_pipeline() -> Path:
     for argv in steps:
         assert main(argv) == 0, argv
     return Path("final") / "results.json"
+
+
+def run_digests(run_dir: Path) -> tuple[str, str]:
+    """sha256 of a run's `raw_responses.jsonl` with its timestamp values
+    blanked, and of its `run.log` lines with their timestamps cut, sorted."""
+    raw = re.sub(rb'"(started|finished)": "[^"]*"', rb'"\1": ""', (run_dir / "raw_responses.jsonl").read_bytes())
+    log_lines = sorted(line.split(" ", 1)[1] for line in (run_dir / "run.log").read_text().splitlines())
+    log = "".join(line + "\n" for line in log_lines).encode()
+    return hashlib.sha256(raw).hexdigest(), hashlib.sha256(log).hexdigest()
 
 
 def run_scripted_cohort() -> Path:
@@ -72,6 +93,12 @@ def test_results_json_matches_golden(tmp_path, monkeypatch):
     assert run_fixed_pipeline().read_bytes() == GOLDEN.read_bytes()
 
 
+def test_run_outputs_match_golden_digests_modulo_timestamps(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_fixed_pipeline()
+    assert run_digests(Path("run")) == (RAW_RESPONSES_SHA256, RUN_LOG_SHA256)
+
+
 def test_scripted_cohort_base_json_matches_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_scripted_cohort().read_bytes() == GOLDEN_COHORT.read_bytes()
@@ -83,8 +110,10 @@ if __name__ == "__main__":
         os.chdir(work)
         try:
             shutil.copyfile(run_fixed_pipeline(), GOLDEN)
+            digests = run_digests(Path("run"))
             shutil.copyfile(run_scripted_cohort(), GOLDEN_COHORT)
         finally:
             os.chdir(here)
     print(f"wrote {GOLDEN}")
     print(f"wrote {GOLDEN_COHORT}")
+    print("RAW_RESPONSES_SHA256 = %r\nRUN_LOG_SHA256 = %r" % digests)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 from datetime import datetime
 
 import pytest
@@ -261,6 +262,59 @@ class TestExecuteRun:
             assert x.identity[3] is y.identity[3]
             assert x.key_json == json.dumps(x.key, sort_keys=True)
 
+    def test_each_lane_sends_in_sorted_identity_order(self, registry, tmp_path):
+        corpus = small_corpus(registry, files=2)
+        views = shape_views(corpus)
+        inner = profile_reply_fn(views, registry, "PERFECT")
+        sent = {}
+        lock = threading.Lock()
+
+        class Recording:
+            def send(self, request):
+                with lock:
+                    sent.setdefault(request.model, []).append(request.identity)
+                return inner(request)
+
+        result = self._run(registry, tmp_path, views=views, corpus=corpus, transport=Recording(),
+                           config=RunConfig(models=("model-y", "model-x"), backoff_seconds=0.0))
+        assert set(sent) == {"model-x", "model-y"}
+        for model, identities in sent.items():
+            assert identities == sorted(identities)
+            assert [i[1:] for i in identities] == [i[1:] for i in sent["model-x"]]
+        order = [(r["model"], r["task"], r["law"], json.dumps(r["key"], sort_keys=True)) for r in result.records]
+        assert order == sent["model-x"] + sent["model-y"]
+        assert result.record_count == len(order)
+
+    def test_out_dir_holds_only_the_run_artifacts(self, registry, tmp_path):
+        transport = MockTransport(profile_reply_fn(shape_views(small_corpus(registry)), registry, "PERFECT"),
+                                  fail_times=1)
+        self._run(registry, tmp_path, out="only", transport=transport)
+        assert sorted(p.name for p in (tmp_path / "only").iterdir()) == [
+            "raw_responses.jsonl", "run.log", "run_config.json",
+        ]
+
+    def test_base_exception_from_send_aborts_and_leaves_no_file(self, registry, tmp_path):
+        """model-x's first send raises; model-y's lane stops soon after."""
+
+        class Abort(BaseException):
+            pass
+
+        sent_by_y = []
+
+        class AbortOnX:
+            def send(self, request):
+                if request.model == "model-x":
+                    raise Abort()
+                sent_by_y.append(request)
+                time.sleep(0.005)
+                return "Art. 7"
+
+        with pytest.raises(Abort):
+            self._run(registry, tmp_path, out="aborted", transport=AbortOnX())
+        assert list((tmp_path / "aborted").iterdir()) == []
+        per_lane = len(build_prompt_items(shape_views(small_corpus(registry))))
+        assert len(sent_by_y) < per_lane // 2
+
     def test_response_lines_are_the_sorted_key_dumps_of_the_records(self, registry, tmp_path):
         result = self._run(registry, tmp_path, out="lines")
         lines = result.responses_path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -449,6 +503,32 @@ class TestReplayTransport:
                 registry,
                 corpus=corpus,
             )
+
+
+    def test_incomplete_replay_names_the_first_missing_request(self, registry, tmp_path):
+        corpus = small_corpus(registry, files=2)
+        views = shape_views(corpus)
+        first = execute_run(
+            RunConfig(models=("model-x",), backoff_seconds=0.0),
+            views,
+            MockTransport(profile_reply_fn(views, registry, "PERFECT")),
+            tmp_path / "orig",
+            registry,
+            corpus=corpus,
+        )
+        record = first.records[0]
+        n = first.record_count
+        missing = f"model-unknown {record['task']} {record['law']} {json.dumps(record['key'], sort_keys=True)}"
+        with pytest.raises(TransportConfigError) as info:
+            execute_run(
+                RunConfig(models=("model-x", "model-unknown"), backoff_seconds=0.0),
+                views,
+                ReplayTransport(first.responses_path),
+                tmp_path / "replayed",
+                registry,
+                corpus=corpus,
+            )
+        assert str(info.value) == f"replay file lacks {n} of {2 * n} requests, first: {missing}"
 
 
 class TestLoadResponses:
