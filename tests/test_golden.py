@@ -15,7 +15,9 @@ Regenerate the golden files only for an intended change of output:
 The first pipeline's `run` outputs are pinned by digest too, modulo their
 timestamps: `raw_responses.jsonl` with every `started`/`finished` value
 blanked, and `run.log` as its sorted lines with the leading timestamp cut.
-Regenerating also prints the digests of the fresh run.
+The report files `compose` writes beside `results.json`, `report.txt` and
+`plot_data.csv`, are pinned by digest as they are. Regenerating also prints
+the digests of the fresh run.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ GOLDEN_COHORT = DATA / "golden_cohort_base.json"
 # `run_digests`).
 RAW_RESPONSES_SHA256 = "858a663c03110a0cbb0704cabe9fba2f49164415aa50332e943d31d591e0892f"
 RUN_LOG_SHA256 = "65e0af14a14d59b72114771a6120830f1d40e331d67295ca92e3addfcab7997a"
+# sha256 of the fixed pipeline's `final/report.txt` and `final/plot_data.csv`.
+REPORT_TXT_SHA256 = "7b282f62b6431dbaaeffa90adcbea362f952f88872e245026c94d484d5dc50f1"
+PLOT_DATA_SHA256 = "83fb8ac78659bdf77e63b6fdc8979eb30f7a57b93d72cc87628e4b8c1f8f06ac"
 
 COHORT_PROFILES = ("PERFECT", "BREADTH_ONLY", "RANKING_ONLY", "MAJORITY_LABEL", "RANDOM")
 
@@ -69,6 +74,11 @@ def run_digests(run_dir: Path) -> tuple[str, str]:
     return hashlib.sha256(raw).hexdigest(), hashlib.sha256(log).hexdigest()
 
 
+def report_digests(final_dir: Path) -> tuple[str, str]:
+    """sha256 of `report.txt` and of `plot_data.csv` in `final_dir`."""
+    return tuple(hashlib.sha256((final_dir / name).read_bytes()).hexdigest() for name in ("report.txt", "plot_data.csv"))
+
+
 def run_scripted_cohort() -> Path:
     """Score five scripted profiles in the current directory; return the base.json path."""
     steps = [
@@ -99,6 +109,12 @@ def test_run_outputs_match_golden_digests_modulo_timestamps(tmp_path, monkeypatc
     assert run_digests(Path("run")) == (RAW_RESPONSES_SHA256, RUN_LOG_SHA256)
 
 
+def test_report_files_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_fixed_pipeline()
+    assert report_digests(Path("final")) == (REPORT_TXT_SHA256, PLOT_DATA_SHA256)
+
+
 def test_scripted_cohort_base_json_matches_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_scripted_cohort().read_bytes() == GOLDEN_COHORT.read_bytes()
@@ -110,10 +126,12 @@ if __name__ == "__main__":
         os.chdir(work)
         try:
             shutil.copyfile(run_fixed_pipeline(), GOLDEN)
-            digests = run_digests(Path("run"))
+            digests = run_digests(Path("run")) + report_digests(Path("final"))
             shutil.copyfile(run_scripted_cohort(), GOLDEN_COHORT)
         finally:
             os.chdir(here)
     print(f"wrote {GOLDEN}")
     print(f"wrote {GOLDEN_COHORT}")
-    print("RAW_RESPONSES_SHA256 = %r\nRUN_LOG_SHA256 = %r" % digests)
+    names = ("RAW_RESPONSES_SHA256", "RUN_LOG_SHA256", "REPORT_TXT_SHA256", "PLOT_DATA_SHA256")
+    for name, digest in zip(names, digests):
+        print(f"{name} = {digest!r}")
