@@ -36,7 +36,6 @@ class CompositeConfig:
     delta: float = 2.0
     ridge: float = 0.1
     epsilon: float = 1e-6
-    pool_covariance_across_laws: bool = False
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta"):
@@ -55,7 +54,9 @@ class CompositeConfig:
             "delta": self.delta,
             "ridge": self.ridge,
             "epsilon": self.epsilon,
-            "pool_covariance_across_laws": self.pool_covariance_across_laws,
+            # RCS estimates one covariance per (law, task); the key stays so
+            # results.json keeps its schema.
+            "pool_covariance_across_laws": False,
         }
 
 
@@ -208,7 +209,7 @@ def compose(
     task2_metrics: model -> law -> JudgmentMetrics
 
     The RCS covariance cohort is the set of models scored in the same run,
-    estimated per (law, task) unless pooling across laws is enabled.
+    estimated once per (law, task).
     """
     config = config or CompositeConfig()
     models = sorted(task1_metrics)
@@ -235,38 +236,20 @@ def compose(
             missing = [g for g in GRANULARITIES if g not in by_gran]
             if missing:
                 raise MissingLaw(f"{model}/{law}: missing granularities {missing}")
-            table = {}
-            vector = []
-            for metric in T1_METRIC_NAMES:
-                levels = [by_gran[g].to_dict()[metric] for g in GRANULARITIES]
-                value = sgs(levels, config.alpha, config.epsilon)
-                table[metric] = value
-                vector.append(value)
+            # Each metric's file, module and line values, read as one column.
+            columns = zip(T1_METRIC_NAMES, zip(*(by_gran[g] for g in GRANULARITIES)))
+            table = {metric: sgs(levels, config.alpha, config.epsilon) for metric, levels in columns}
             report.sgs_tables[model][law] = table
-            t1_vectors[(model, law)] = vector
+            t1_vectors[(model, law)] = list(table.values())
 
-    t2_vectors = {
-        (model, law): list(task2_metrics[model][law].as_tuple())
-        for model in models
-        for law in laws
-    }
+    t2_vectors = {(model, law): list(task2_metrics[model][law]) for model in models for law in laws}
 
     def cohort_scores(vectors: Mapping[tuple[str, str], list[float]]) -> dict[str, dict[str, float]]:
         scores: dict[str, dict[str, float]] = {model: {} for model in models}
-        if config.pool_covariance_across_laws:
-            rows = [vectors[(model, law)] for model in models for law in laws]
-            values = rcs_scores(rows, config)
-            idx = 0
-            for model in models:
-                for law in laws:
-                    scores[model][law] = values[idx]
-                    idx += 1
-        else:
-            for law in laws:
-                rows = [vectors[(model, law)] for model in models]
-                values = rcs_scores(rows, config)
-                for model, value in zip(models, values):
-                    scores[model][law] = value
+        for law in laws:
+            values = rcs_scores([vectors[(model, law)] for model in models], config)
+            for model, value in zip(models, values):
+                scores[model][law] = value
         return scores
 
     report.rcs_task1 = cohort_scores(t1_vectors)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Iterator, Mapping, Sequence, TextIO
 
-from .errors import InvalidPath, MalformedPrediction, RegevalError
+from .errors import InvalidPath, MalformedDataset, MalformedPrediction, RegevalError
 from .jurisdiction import THEME_ANCHORS, THEMES, JurisdictionRegistry
 
 _WINDOWS_DRIVE = re.compile(r"^[A-Za-z]:")
@@ -90,15 +90,15 @@ def decode_span(value) -> tuple[int, int]:
 
 def decode_each(path: str | Path, items: list, decode, noun: str, error: type[RegevalError]) -> list:
     """`decode` of each item of a list read from `path`. An item that lacks a
-    field, or that `decode` finds malformed, raises `error` naming the file,
-    the `noun` and the item's index."""
+    field, or that `decode` finds malformed or rejects with any RegevalError,
+    raises `error` naming the file, the `noun` and the item's index."""
     decoded = []
     for index, item in enumerate(items):
         try:
             decoded.append(decode(item))
         except KeyError as exc:
             raise error(f"{path}: {noun} {index}: missing field {exc.args[0]!r}") from None
-        except (MalformedPrediction, TypeError) as exc:
+        except (RegevalError, TypeError) as exc:
             raise error(f"{path}: {noun} {index}: {exc}") from None
     return decoded
 
@@ -157,6 +157,8 @@ def instance_from_record(record: Mapping, registry: JurisdictionRegistry, law: s
     The released schema carries no jurisdiction field; records either embed a
     "law" key or the caller supplies one for the whole file.
     """
+    if not isinstance(record, Mapping):
+        raise MalformedDataset(f"not a JSON object: {record!r:.60}")
     record_law = record.get("law", law)
     if record_law is None:
         raise RegevalError("record has no 'law' field and no law was supplied")
@@ -191,10 +193,14 @@ def instance_to_record(instance: RawInstance, registry: JurisdictionRegistry) ->
 
 
 def load_dataset(path: str | Path, registry: JurisdictionRegistry, law: str | None = None) -> list[RawInstance]:
+    """The instances of the dataset.json at `path`; a malformed record raises
+    MalformedDataset naming the file and the record's index."""
     records = read_json(path)
     if not isinstance(records, list):
-        raise RegevalError("dataset.json must hold an array of records")
-    return [instance_from_record(rec, registry, law) for rec in records]
+        raise MalformedDataset(f"{path}: must hold an array of records")
+    return decode_each(
+        path, records, lambda rec: instance_from_record(rec, registry, law), "record", MalformedDataset
+    )
 
 
 def save_dataset(path: str | Path, corpus: Sequence[RawInstance], registry: JurisdictionRegistry) -> None:
@@ -240,15 +246,12 @@ def read_json(path: str | Path):
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
 
 
-def write_json(path: str | Path, payload, indent: int | None = 2) -> Path:
-    """Write `payload` as key-sorted JSON plus a newline, atomically.
-
-    `indent=None` writes compact JSON, which keeps the C encoder (any indent
-    forces the Python one).
-    """
+def write_json(path: str | Path, payload) -> Path:
+    """Write `payload` as key-sorted JSON indented by 2 plus a newline,
+    atomically."""
     path = Path(path)
     with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -64,6 +64,11 @@ class MalformedResponse(RegevalError):
     a field is missing or holds a value of the wrong type."""
 
 
+class MalformedDataset(RegevalError):
+    """A dataset.json record is not an object, lacks a field, or holds a value
+    the corpus schema rejects."""
+
+
 class MalformedView(RegevalError):
     """A shaped view file is not a view, or one of its records lacks a field
     or holds a value of the wrong type or shape."""

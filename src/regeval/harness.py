@@ -61,6 +61,8 @@ class RunConfig:
             raise TransportConfigError(f"timeout_seconds must be > 0, got {self.timeout_seconds}")
         if self.backoff_seconds < 0:
             raise TransportConfigError(f"backoff_seconds must be >= 0, got {self.backoff_seconds}")
+        if self.context_window < 0:
+            raise TransportConfigError(f"context_window must be >= 0, got {self.context_window}")
 
     @property
     def effective_concurrency(self) -> int:

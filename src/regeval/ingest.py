@@ -164,8 +164,8 @@ _WRITE_CHUNK = 1024
 def _write_predictions(path: Path, config: dict, entries: Iterable[dict]) -> Path:
     """Write {"config": config, "predictions": [entries]} a chunk of entries
     at a time, atomically. The bytes are those of
-    `write_json(path, payload, indent=None)`: compact key-sorted JSON plus a
-    newline, and "config" sorts before "predictions"."""
+    `json.dumps(payload, sort_keys=True)` plus a newline: compact key-sorted
+    JSON, where "config" sorts before "predictions"."""
     entries = iter(entries)
     with atomic_write(path) as fh:
         fh.write(f'{{"config": {encode_sorted(config)}, "predictions": [')

@@ -15,16 +15,6 @@ from .errors import LengthMismatch, UniverseTooSmall
 from .jurisdiction import JurisdictionRegistry
 from .shaping import SnippetPointer, Task2Record
 
-T2_METRIC_NAMES = (
-    "micro_f1",
-    "macro_f1",
-    "weighted_f1",
-    "jaccard",
-    "one_minus_coverage_error",
-    "one_minus_hamming",
-)
-
-
 def _check_lengths(golds: Sequence, preds: Sequence) -> None:
     if len(golds) != len(preds):
         raise LengthMismatch(f"{len(golds)} gold sets vs {len(preds)} predictions")
@@ -82,15 +72,14 @@ def f1_suite(
 def jaccard_samples(
     golds: Sequence[frozenset[str] | set[str]],
     preds: Sequence[frozenset[str] | set[str]],
-    empty_empty_is_one: bool = True,
 ) -> float:
-    """Mean per-sample set overlap; an empty-empty pair scores 1 by default."""
+    """Mean per-sample set overlap; an empty-empty pair scores 1."""
     _check_lengths(golds, preds)
     total = 0.0
     for gold, pred in zip(golds, preds):
         union = set(gold) | set(pred)
         if not union:
-            total += 1.0 if empty_empty_is_one else 0.0
+            total += 1.0
         else:
             total += len(set(gold) & set(pred)) / len(union)
     return total / len(golds)
@@ -145,9 +134,9 @@ def normalized_coverage_error(
     return total / len(golds)
 
 
-@dataclass(frozen=True)
-class JudgmentMetrics:
-    """Oriented higher-is-better six-vector for one law's judgment slice."""
+class JudgmentMetrics(NamedTuple):
+    """Oriented higher-is-better six-vector for one law's judgment slice; the
+    field order is the metric order."""
 
     micro_f1: float
     macro_f1: float
@@ -156,22 +145,12 @@ class JudgmentMetrics:
     one_minus_coverage_error: float
     one_minus_hamming: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.micro_f1,
-            self.macro_f1,
-            self.weighted_f1,
-            self.jaccard,
-            self.one_minus_coverage_error,
-            self.one_minus_hamming,
-        )
-
-    def to_dict(self) -> dict[str, float]:
-        return dict(zip(T2_METRIC_NAMES, self.as_tuple()))
-
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "JudgmentMetrics":
-        return cls(*(float(data[name]) for name in T2_METRIC_NAMES))
+        return cls(*(float(data[name]) for name in cls._fields))
+
+
+T2_METRIC_NAMES = JudgmentMetrics._fields
 
 
 class SetPrediction(NamedTuple):
@@ -217,9 +196,6 @@ class Task2Match:
 class Task2Evaluation:
     metrics: JudgmentMetrics
     report: PointerMatchReport
-
-    def to_dict(self) -> dict:
-        return {"metrics": self.metrics.to_dict(), "coverage": self.report.to_dict()}
 
 
 @dataclass

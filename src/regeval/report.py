@@ -39,10 +39,10 @@ def build_base_results(
                 evaluation = t1.get((law, gran))
                 if evaluation is None:
                     continue
-                model_block["task1"][law][gran] = evaluation.metrics.to_dict()
+                model_block["task1"][law][gran] = evaluation.metrics._asdict()
                 model_block["coverage"]["task1"].setdefault(law, {})[gran] = evaluation.report.to_dict()
         for law, evaluation in sorted(t2.items()):
-            model_block["task2"][law] = evaluation.metrics.to_dict()
+            model_block["task2"][law] = evaluation.metrics._asdict()
             model_block["coverage"]["task2"][law] = evaluation.report.to_dict()
         base["models"][model] = model_block
     return base
@@ -143,6 +143,18 @@ def _fmt(value) -> str:
     return f"{value:.4f}" if isinstance(value, (int, float)) else str(value)
 
 
+def _metric_rows(block: Mapping):
+    """(task, law, level, metric names, metric block) of each base-metric row
+    of one model block: task-1 laws sorted with their levels in GRANULARITIES
+    order, then task-2 laws sorted at level "snippet"."""
+    for law, by_gran in sorted(block.get("task1", {}).items()):
+        for gran in GRANULARITIES:
+            if gran in by_gran:
+                yield "task1", law, gran, T1_METRIC_NAMES, by_gran[gran]
+    for law, row in sorted(block.get("task2", {}).items()):
+        yield "task2", law, "snippet", T2_METRIC_NAMES, row
+
+
 def render_report_txt(payload: Mapping) -> str:
     """Human summary; every number rendered at four decimals."""
     lines: list[str] = ["== evaluation report =="]
@@ -150,16 +162,9 @@ def render_report_txt(payload: Mapping) -> str:
     for model, block in sorted(payload.get("models", {}).items()):
         lines.append("")
         lines.append(f"model: {model}")
-        for law, by_gran in sorted(block.get("task1", {}).items()):
-            for gran in GRANULARITIES:
-                if gran not in by_gran:
-                    continue
-                row = by_gran[gran]
-                cells = "  ".join(f"{name}={_fmt(row[name])}" for name in T1_METRIC_NAMES)
-                lines.append(f"  task1 {law:<8} {gran:<7} {cells}")
-        for law, row in sorted(block.get("task2", {}).items()):
-            cells = "  ".join(f"{name}={_fmt(row[name])}" for name in T2_METRIC_NAMES)
-            lines.append(f"  task2 {law:<8} snippet {cells}")
+        for task, law, level, names, row in _metric_rows(block):
+            cells = "  ".join(f"{name}={_fmt(row[name])}" for name in names)
+            lines.append(f"  {task} {law:<8} {level:<7} {cells}")
         coverage = block.get("coverage", {})
         for law, by_gran in sorted(coverage.get("task1", {}).items()):
             for gran, rep in sorted(by_gran.items()):
@@ -204,18 +209,8 @@ def write_plot_data_csv(path: str | Path, payload: Mapping) -> Path:
         writer = csv.writer(fh)
         writer.writerow(["model", "law", "level"] + [f"axis_{i}" for i in range(1, 7)])
         for model, block in sorted(payload.get("models", {}).items()):
-            for law, by_gran in sorted(block.get("task1", {}).items()):
-                for gran in GRANULARITIES:
-                    if gran not in by_gran:
-                        continue
-                    row = by_gran[gran]
-                    writer.writerow(
-                        [model, law, gran] + [repr(float(row[name])) for name in T1_METRIC_NAMES]
-                    )
-            for law, row in sorted(block.get("task2", {}).items()):
-                writer.writerow(
-                    [model, law, "snippet"] + [repr(float(row[name])) for name in T2_METRIC_NAMES]
-                )
+            for _task, law, level, names, row in _metric_rows(block):
+                writer.writerow([model, law, level] + [repr(float(row[name])) for name in names])
     return path
 
 

@@ -20,9 +20,6 @@ from .shaping import GRANULARITIES, RetrievalKey, Task1Record
 STRICT = "strict"
 RELAXED = "relaxed"
 
-T1_METRIC_NAMES = ("acc_at_1", "acc_at_5", "r_precision", "mrr", "map", "ndcg_at_5")
-
-
 def _require_gold(gold: frozenset[str] | set[str]) -> None:
     if not gold:
         raise EmptyGold("gold set is empty")
@@ -88,9 +85,9 @@ _DISCOUNTS = tuple(1.0 / math.log2(position + 1) for position in range(1, 6))
 _IDEAL_DCG = tuple(sum(_DISCOUNTS[:n]) for n in range(1, 6))
 
 
-@dataclass(frozen=True)
-class RetrievalMetrics:
-    """Higher-is-better six-vector for one (law, granularity) slice."""
+class RetrievalMetrics(NamedTuple):
+    """Higher-is-better six-vector for one (law, granularity) slice; the
+    field order is the metric order."""
 
     acc_at_1: float
     acc_at_5: float
@@ -99,19 +96,12 @@ class RetrievalMetrics:
     map: float
     ndcg_at_5: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.acc_at_1, self.acc_at_5, self.r_precision, self.mrr, self.map, self.ndcg_at_5)
-
-    def to_dict(self) -> dict[str, float]:
-        return dict(zip(T1_METRIC_NAMES, self.as_tuple()))
-
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "RetrievalMetrics":
-        return cls(*(float(data[name]) for name in T1_METRIC_NAMES))
+        return cls(*(float(data[name]) for name in cls._fields))
 
-    @classmethod
-    def zeros(cls) -> "RetrievalMetrics":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+T1_METRIC_NAMES = RetrievalMetrics._fields
 
 
 def score_ranking(gold: Iterable[str], ranking: Sequence[str]) -> RetrievalMetrics:
@@ -264,13 +254,6 @@ class Task1Evaluation:
     report: KeyMatchReport
     truncated_rankings: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "metrics": self.metrics.to_dict(),
-            "coverage": self.report.to_dict(),
-            "truncated_rankings": self.truncated_rankings,
-        }
-
 
 def match_keys(gold: GoldSlice, predictions: Sequence[tuple], policy: str = STRICT) -> Task1Match:
     """Align one slice's predictions, `RankedPrediction`s or plain tuples laid
@@ -356,9 +339,10 @@ def score_task1(
 ) -> dict[tuple[str, str], Task1Evaluation]:
     """Per-slice metric means over all gold keys.
 
-    Unmatched gold keys contribute all-zero rows. Rankings longer than the
-    label universe are truncated (extra ranks cannot contain hits) and the
-    truncation is counted in the result.
+    Unmatched gold keys contribute all-zero rows, and a slice without gold
+    keys scores all zeros. Rankings longer than the label universe are
+    truncated (extra ranks cannot contain hits) and the truncation is counted
+    in the result.
     """
     results: dict[tuple[str, str], Task1Evaluation] = {}
     for (law, granularity), match in matches.items():
@@ -373,8 +357,8 @@ def score_task1(
                 ranking = ranking[:universe_size]
                 truncated += 1
             totals = list(map(operator.add, totals, _metric_row(gold_set, ranking)))
-        count = len(match.gold.golds)
-        mean = RetrievalMetrics(*(t / count for t in totals)) if count else RetrievalMetrics.zeros()
+        count = max(len(match.gold.golds), 1)
+        mean = RetrievalMetrics(*(t / count for t in totals))
         results[(law, granularity)] = Task1Evaluation(
             metrics=mean, report=match.report, truncated_rankings=truncated
         )

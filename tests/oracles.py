@@ -375,10 +375,10 @@ def oracle_score_task1(matches: dict, registry) -> dict:
             if len(ranking) > universe_size:
                 ranking = ranking[:universe_size]
                 truncated += 1
-            for i, value in enumerate(score_ranking(gold_set, ranking).as_tuple()):
+            for i, value in enumerate(score_ranking(gold_set, ranking)):
                 totals[i] += value
         count = len(slice_gold)
-        mean = RetrievalMetrics(*(t / count for t in totals)) if count else RetrievalMetrics.zeros()
+        mean = RetrievalMetrics(*(t / count for t in totals)) if count else RetrievalMetrics(*totals)
         results[(law, granularity)] = Task1Evaluation(metrics=mean, report=report, truncated_rankings=truncated)
     return results
 

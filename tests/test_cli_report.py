@@ -344,10 +344,13 @@ class TestCliErrors:
             ("task1", "granularity", None),
             ("task1", "file_path", ["app/A.kt"]),
             ("task1", "model", 7),
+            ("task1", "ranking", ["999"]),
+            ("task1", "ranking", ["not an id"]),
             ("task2", "span", [3]),
             ("task2", "labels", None),
             ("task2", "commit_id", None),
             ("task2", "commit_id", 7),
+            ("task2", "labels", ["999"]),
         ],
     )
     def test_malformed_prediction_entry_exits_2(self, tmp_path, capsys, task, field, value):
@@ -399,12 +402,16 @@ class TestCliErrors:
                      "--out", str(tmp_path / "base.json")])
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["error"] == "OutOfUniverse"
-        assert payload["message"] == "PDPA: article '7' not in universe"
+        assert payload["error"] == "MalformedPrediction"
+        index = data["predictions"].index(pdpa)
+        assert payload["message"] == f"{path}: prediction {index}: PDPA: article '7' not in universe"
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--retries", "-1"), ("--max-tokens", "0"), ("--timeout", "0"), ("--backoff", "-1")],
+        [
+            ("--retries", "-1"), ("--max-tokens", "0"), ("--timeout", "0"), ("--backoff", "-1"),
+            ("--context-window", "-1"),
+        ],
     )
     def test_out_of_range_run_settings_exit_2_before_any_request(self, tmp_path, capsys, flag, value):
         corpus_dir = tmp_path / "corpus"
@@ -494,6 +501,39 @@ class TestCliErrors:
         [line] = capsys.readouterr().err.strip().splitlines()
         assert json.loads(line) == {"error": "MalformedBase", "message": f"{path}: {problem}"}
         assert not (tmp_path / "final").exists()
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (lambda rec: {k: v for k, v in rec.items() if k != "app_name"}, "missing field 'app_name'"),
+            (lambda rec: "not a record", "not a JSON object: 'not a record'"),
+            (lambda rec: {**rec, "article_id": "999"}, "LGPD: article '999' not in universe"),
+            (lambda rec: {**rec, "file_path": "app/Main.kt"},
+             "pointer lacks a :start-end span suffix: 'app/Main.kt'"),
+        ],
+        ids=["missing_field", "not_an_object", "out_of_universe", "no_span"],
+    )
+    def test_malformed_dataset_record_exits_2_naming_file_and_record(self, tmp_path, capsys, change, problem):
+        corpus_dir = tmp_path / "corpus"
+        views_dir = tmp_path / "views"
+        main(["synth", "--seed", "3", "--files", "3", "--out-dir", str(corpus_dir)])
+        main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)])
+        records = json.loads((corpus_dir / "dataset.json").read_text())
+        assert records[4]["law"] == "LGPD"
+        records[4] = change(records[4])
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(records))
+        capsys.readouterr()
+        for argv in (
+            ["shape", "--dataset", str(path), "--out-dir", str(tmp_path / "out")],
+            ["stats", "--dataset", str(path), "--out", str(tmp_path / "out" / "stats.json")],
+            ["run", "--views-dir", str(views_dir), "--dataset", str(path), "--models", "m",
+             "--backoff", "0", "--out-dir", str(tmp_path / "out")],
+        ):
+            assert main(argv) == 2, argv
+            [line] = capsys.readouterr().err.strip().splitlines()
+            assert json.loads(line) == {"error": "MalformedDataset", "message": f"{path}: record 4: {problem}"}
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("target", ["predictions", "view", "base"])
     def test_truncated_json_file_exits_2_naming_file_line_and_column(self, tmp_path, capsys, target):

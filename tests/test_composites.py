@@ -248,12 +248,6 @@ class TestCompose:
         with pytest.raises(MissingLaw):
             compose(task1, task2)
 
-    def test_pooled_covariance_flag(self):
-        task1, task2 = _metrics_fixture(seed=21)
-        split = compose(task1, task2, CompositeConfig())
-        pooled = compose(task1, task2, CompositeConfig(pool_covariance_across_laws=True))
-        assert split.rcs_task1 != pooled.rcs_task1
-
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):

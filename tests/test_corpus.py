@@ -159,8 +159,6 @@ class TestDatasetIO:
         payload = {"b": [1, 2], "a": {"y": 1, "x": None}}
         assert write_json(path, payload) == path
         assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        write_json(path, payload, indent=None)
-        assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
         assert [p.name for p in path.parent.iterdir()] == ["out.json"]
 
     @given(

@@ -65,6 +65,7 @@ class TestRunConfig:
             {"timeout_seconds": 0.0},
             {"timeout_seconds": -1.0},
             {"backoff_seconds": -0.5},
+            {"context_window": -1},
         ],
     )
     def test_out_of_range_settings_rejected(self, setting):

@@ -321,8 +321,8 @@ class TestEvalPermutationInvariance:
         task1 = score_task1(bound.task1, self._registry)
         task2 = score_task2(bound.task2, self._registry)
         return (
-            {slice_: ev.to_dict() for slice_, ev in task1.items()},
-            {law: ev.to_dict() for law, ev in task2.items()},
+            {slice_: (ev.metrics, ev.truncated_rankings) for slice_, ev in task1.items()},
+            {law: ev.metrics for law, ev in task2.items()},
             bound.to_dict(),
         )
 

@@ -64,8 +64,7 @@ class TestJaccard:
     def test_examples(self):
         assert jaccard_samples([{"a", "b"}], [{"b", "c"}]) == pytest.approx(1 / 3, abs=1e-12)
         assert jaccard_samples([{"a"}], [{"a"}]) == 1.0
-        assert jaccard_samples([set()], [set()], empty_empty_is_one=True) == 1.0
-        assert jaccard_samples([set()], [set()], empty_empty_is_one=False) == 0.0
+        assert jaccard_samples([set()], [set()]) == 1.0
 
 
 class TestHamming:
@@ -119,10 +118,9 @@ class TestExhaustiveOracleSlice:
                 assert hamming_loss([gold], [pred], labels) == pytest.approx(
                     oracles.oracle_hamming([gold], [pred], labels), abs=1e-12
                 )
-                for flag in (True, False):
-                    assert jaccard_samples([gold], [pred], flag) == pytest.approx(
-                        oracles.oracle_jaccard([gold], [pred], flag), abs=1e-12
-                    )
+                assert jaccard_samples([gold], [pred]) == pytest.approx(
+                    oracles.oracle_jaccard([gold], [pred], True), abs=1e-12
+                )
                 assert normalized_coverage_error([gold], [order], labels) == pytest.approx(
                     oracles.oracle_nce([gold], [order], labels), abs=1e-12
                 )
@@ -178,7 +176,7 @@ class TestEvaluateTask2:
         records = self._view()
         preds = [self._pred(rec, tuple(rec.gold)) for rec in records]
         result = evaluate_task2(records, preds, registry)["LGPD"]
-        assert result.metrics.as_tuple() == (1.0,) * 6
+        assert result.metrics == (1.0,) * 6
         assert result.report.coverage == 1.0
 
     def test_empty_predictions_hamming_is_one_minus_density(self, registry):
@@ -211,4 +209,4 @@ class TestEvaluateTask2:
         records = self._view()
         preds = [self._pred(rec, tuple(rec.gold)) for rec in records]
         metrics = evaluate_task2(records, preds, registry)["LGPD"].metrics
-        assert tuple(metrics.to_dict()) == T2_METRIC_NAMES
+        assert tuple(metrics._asdict()) == T2_METRIC_NAMES

@@ -11,7 +11,6 @@ from regeval.errors import EmptyGold
 from regeval.retrieval import (
     GoldSlice,
     RankedPrediction,
-    RetrievalMetrics,
     acc_at_k,
     evaluate_task1,
     gold_keys_for_records,
@@ -105,7 +104,7 @@ class TestOnePassScoring:
             map_score(gold, ranking),
             ndcg_at_5(gold, ranking),
         )
-        assert score_ranking(gold, ranking).as_tuple() == reference
+        assert score_ranking(gold, ranking) == reference
 
     def test_empty_gold_raises(self):
         with pytest.raises(EmptyGold):
@@ -117,7 +116,7 @@ class TestProperties:
     @given(gold=gold_sets, ranking=rankings)
     def test_bounds_and_monotonicity(self, gold, ranking):
         row = score_ranking(gold, ranking)
-        for value in row.as_tuple():
+        for value in row:
             assert -1e-12 <= value <= 1 + 1e-12
         assert row.acc_at_1 <= row.acc_at_5 + 1e-12
 
@@ -267,7 +266,7 @@ class TestEvaluateTask1:
         records = self._records()
         results = evaluate_task1(records, [], registry, "strict")
         for (law, gran), evaluation in results.items():
-            assert evaluation.metrics == RetrievalMetrics.zeros()
+            assert evaluation.metrics == (0.0,) * 6
             assert evaluation.report.matched_keys == 0
 
     def test_single_perfect_key_all_ones(self, registry):
@@ -276,7 +275,7 @@ class TestEvaluateTask1:
         preds = [RankedPrediction(key=key, ranking=("7",)) for key in gold]
         results = evaluate_task1(records, preds, registry, "strict")
         for evaluation in results.values():
-            assert evaluation.metrics.as_tuple() == (1.0,) * 6
+            assert evaluation.metrics == (1.0,) * 6
 
     def test_empty_gold_record_is_integrity_failure(self, registry):
         record = Task1Record(
