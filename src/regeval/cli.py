@@ -201,41 +201,62 @@ def cmd_eval(args) -> int:
     views = _load_views(args.views_dir, args.law.split(",") if args.law else None)
     gold = GoldIndex.from_views(views)
 
-    # Rows are plain tuples laid out like `RankedPrediction` (key, ranking,
-    # model) and `SetPrediction` (law, pointer, labels, model), and a key
-    # starts with its law. Predictions for laws without loaded views (other
-    # laws than `--law`) are out of scope: dropped here, so they are neither
-    # orphans nor counted.
-    ranked_by_model: dict[str, list] = {}
-    sets_by_model: dict[str, list] = {}
-    for pred_dir in prediction_dirs:
+    def rows_by_model(pred_dir: Path) -> dict[str, tuple[list, list]]:
+        """The task-1 and task-2 rows of `pred_dir` per model: an entry's
+        `model`, else the directory's name. Rows are plain tuples laid out like
+        `RankedPrediction` (key, ranking, model) and `SetPrediction` (law,
+        pointer, labels, model), and a key starts with its law. Predictions
+        for laws without loaded views (other laws than `--law`) are out of
+        scope: dropped here, so they are neither orphans nor counted, though
+        their model is still scored."""
         ranked, sets = load_prediction_files(
             pred_dir / "predictions_task1.json", pred_dir / "predictions_task2.json", registry, gold.cache
         )
+        grouped: dict[str, tuple[list, list]] = {}
         for row in ranked:
-            kept = ranked_by_model.setdefault(row[2] or pred_dir.name, [])
+            kept = grouped.setdefault(row[2] or pred_dir.name, ([], []))[0]
             if row[0][0] in views:
                 kept.append(row)
         for row in sets:
-            kept = sets_by_model.setdefault(row[3] or pred_dir.name, [])
+            kept = grouped.setdefault(row[3] or pred_dir.name, ([], []))[1]
             if row[0] in views:
                 kept.append(row)
+        return grouped
 
-    per_model_task1 = {}
-    per_model_task2 = {}
-    diagnostics = {}
-    for model in sorted(set(ranked_by_model) | set(sets_by_model)):
-        ranked = ranked_by_model.get(model, [])
-        sets = sets_by_model.get(model, [])
+    # A model's scores and diagnostics, and the directories it appeared in.
+    scored: dict[str, tuple] = {}
+    dirs_of: dict[str, list[Path]] = {}
+
+    def score(model: str, pred_dir: Path, ranked: list, sets: list) -> tuple:
+        """`model`'s task-1 and task-2 scores and diagnostics, from its rows in
+        `pred_dir` joined after its rows in the directories it appeared in
+        before, in the order given."""
+        earlier = dirs_of.setdefault(model, [])
+        if earlier:
+            before = [rows_by_model(d)[model] for d in earlier]
+            ranked = [row for rows, _sets in before for row in rows] + ranked
+            sets = [row for _ranked, rows in before for row in rows] + sets
+        earlier.append(pred_dir)
         bound = bind_predictions(gold, ranked, sets, args.policy)
-        diagnostics[model] = bound.to_dict()
-        per_model_task1[model] = (
-            score_task1(bound.task1, registry) if args.task in ("both", "task1") else {}
-        )
-        per_model_task2[model] = (
-            score_task2(bound.task2, registry) if args.task in ("both", "task2") else {}
+        return (
+            score_task1(bound.task1, registry) if args.task in ("both", "task1") else {},
+            score_task2(bound.task2, registry) if args.task in ("both", "task2") else {},
+            bound.to_dict(),
         )
 
+    # One directory at a time: its rows are decoded, bound, scored and
+    # dropped before the next directory is read, so the peak follows the
+    # largest directory, not the cohort. A model seen in earlier directories
+    # is joined again over its rows from all of them, and that join replaces
+    # its earlier result.
+    for pred_dir in prediction_dirs:
+        grouped = rows_by_model(pred_dir)
+        for model in list(grouped):
+            scored[model] = score(model, pred_dir, *grouped.pop(model))
+
+    per_model_task1 = {model: task1 for model, (task1, _task2, _diagnostics) in scored.items()}
+    per_model_task2 = {model: task2 for model, (_task1, task2, _diagnostics) in scored.items()}
+    diagnostics = {model: block for model, (_task1, _task2, block) in scored.items()}
     base = report_mod.build_base_results(
         per_model_task1,
         per_model_task2,

@@ -96,11 +96,21 @@ def decode_each(path: str | Path, items: list, decode, noun: str, error: type[Re
     for index, item in enumerate(items):
         try:
             decoded.append(decode(item))
-        except KeyError as exc:
-            raise error(f"{path}: {noun} {index}: missing field {exc.args[0]!r}") from None
-        except (RegevalError, TypeError) as exc:
-            raise error(f"{path}: {noun} {index}: {exc}") from None
+        except DECODE_ERRORS as exc:
+            raise item_error(path, noun, index, exc, error) from None
     return decoded
+
+
+# What a decoder raises on an item it finds malformed.
+DECODE_ERRORS = (KeyError, RegevalError, TypeError)
+
+
+def item_error(path: str | Path, noun: str, index: int, exc: Exception, error: type[RegevalError]) -> RegevalError:
+    """`error` naming the file, the `noun` and the index of an item whose
+    decoder raised `exc`, one of `DECODE_ERRORS`."""
+    if isinstance(exc, KeyError):
+        return error(f"{path}: {noun} {index}: missing field {exc.args[0]!r}")
+    return error(f"{path}: {noun} {index}: {exc}")
 
 
 def split_pointer_path(raw: str) -> tuple[str, LineSpan]:

@@ -295,20 +295,23 @@ class MockTransport:
 
     `reply` maps a request to response text. `fail_times` makes every request
     fail that many times before succeeding; failures are counted per request
-    identity so retries are observable.
+    identity in `in_flight`, which holds only the requests that have failed
+    and not yet been answered (each record's `attempts` holds the final
+    count).
     """
 
     def __init__(self, reply: Callable[[TransportRequest], str], fail_times: int = 0):
         self.reply = reply
         self.fail_times = fail_times
-        self.attempts: dict[tuple, int] = {}
+        self.in_flight: dict[tuple, int] = {}
         self._lock = threading.Lock()
 
     def send(self, request: TransportRequest) -> str:
         identity = request.identity
         with self._lock:
-            count = self.attempts.get(identity, 0) + 1
-            self.attempts[identity] = count
+            count = self.in_flight.pop(identity, 0) + 1
+            if count <= self.fail_times:
+                self.in_flight[identity] = count
         if count <= self.fail_times:
             raise TransportFailure(f"scripted failure {count}/{self.fail_times}")
         return self.reply(request)

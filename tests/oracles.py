@@ -3,8 +3,10 @@
 Everything here is deliberately written against the definitions, not against
 the production code: relevance vectors and explicit rank scans for the
 retrieval metrics, bit matrices for the multi-label metrics, and pairwise
-fixed-point merging for the span rule. The last section keeps the earlier
-object-keyed join of `eval` as the reference for the slot join.
+fixed-point merging for the span rule. A later section keeps the earlier
+object-keyed join of `eval` as the reference for the slot join, and the last
+one keeps the whole-document prediction-file reader as the reference for
+the incremental one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import re
 from pathlib import Path
 from typing import Sequence
 
-from regeval.errors import EmptyGold, OutOfUniverse, UnrecognizedIdentifier
+from regeval.corpus import decode_each, read_json
+from regeval.errors import EmptyGold, MalformedPrediction, OutOfUniverse, UnrecognizedIdentifier
 from regeval.multilabel import PointerMatchReport, SetPrediction, Task2Match, score_task2
 from regeval.report import build_base_results
 from regeval.retrieval import (
@@ -436,3 +439,16 @@ def oracle_eval_base(views: dict, pred_dirs: Sequence[Path], registry, policy: s
     base = build_base_results(per_model_task1, per_model_task2, config_echo)
     base["diagnostics"] = diagnostics
     return base
+
+
+# --- whole-document prediction-file reader ------------------------------------
+
+
+def oracle_prediction_entries(path: str | Path, decode) -> list:
+    """`decode` of each entry of a prediction file read whole by `json.loads`,
+    with the errors `eval` gives a file it cannot use."""
+    data = read_json(path)
+    entries = data.get("predictions") if isinstance(data, dict) else None
+    if type(entries) is not list:
+        raise MalformedPrediction(f"{path}: no 'predictions' list")
+    return decode_each(path, entries, decode, "prediction", MalformedPrediction)

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import regeval.retrieval
-from regeval.cli import main
+from regeval.cli import _load_views, main
 from regeval.composites import CompositeConfig
+from regeval.ingest import GoldIndex, load_prediction_files
+from regeval.jurisdiction import JurisdictionRegistry
 from regeval.multilabel import T2_METRIC_NAMES
 from regeval.report import compose_results
+from regeval.synthetic import PROFILES
 
 REFERENCE_FIXTURE = Path(__file__).parent / "data" / "reference_scores.json"
 
@@ -244,6 +249,130 @@ class TestEvalLawFilter:
         # The selected law scores as it does in an unfiltered eval.
         for task in ("task1", "task2"):
             assert lgpd["models"]["PERFECT"][task] == {"LGPD": full["models"]["PERFECT"][task]["LGPD"]}
+
+
+class TestModelSpanningDirectories:
+    """A model spread over several `--predictions` directories is joined
+    once, over its rows in the order the directories are given: its scores
+    and diagnostics equal those of one directory holding the concatenated
+    entries. Duplicates across the directories, relaxed fallbacks and
+    orphans make the result depend on that order."""
+
+    @pytest.fixture(scope="class")
+    def cohort(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("spanning")
+        corpus_dir, views_dir = root / "corpus", root / "views"
+        assert main(["synth", "--seed", "6", "--files", "4", "--laws", "LGPD,PDPA",
+                     "--profiles", "PERFECT,RANDOM", "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"),
+                     "--out-dir", str(views_dir)]) == 0
+        return root, views_dir, corpus_dir / "predictions_PERFECT", corpus_dir / "predictions_RANDOM"
+
+    @staticmethod
+    def _halves(entries: list[dict], labels: str) -> tuple[list[dict], list[dict]]:
+        """Two halves of `entries` whose join depends on row order: the second
+        half repeats some keys of the first with other ids (first kept), each
+        half has its own stray copy of one key (an orphan, or a relaxed
+        fallback once its exact entry is gone), and one exact entry is gone."""
+        dropped = next(entry for entry in entries if "span" in entry)
+        entries = [entry for entry in entries if entry is not dropped]
+        half = len(entries) // 2
+        first, second = entries[:half], entries[half:]
+        second += [dict(entry, **{labels: entry[labels][::-1] or ["1"]}) for entry in first[:3]]
+        first.append(dict(dropped, span=[dropped["span"][0] + 40, dropped["span"][1] + 40]))
+        second.append(dict(dropped, span=[dropped["span"][0] + 80, dropped["span"][1] + 80]))
+        first.append(dict(first[0], file_path="app/Stray.kt"))
+        second.append(dict(second[0], file_path="app/Stray.kt"))
+        return first, second
+
+    @staticmethod
+    def _write(pred_dir: Path, entries_by_task: dict[str, list[dict]]) -> Path:
+        pred_dir.mkdir(parents=True)
+        for task, entries in entries_by_task.items():
+            (pred_dir / f"predictions_{task}.json").write_text(json.dumps({"config": {}, "predictions": entries}))
+        return pred_dir
+
+    def _eval(self, views_dir, pred_dirs, out, policy) -> dict:
+        argv = ["eval", "--views-dir", str(views_dir), "--policy", policy, "--out", str(out)]
+        for pred_dir in pred_dirs:
+            argv += ["--predictions", str(pred_dir)]
+        assert main(argv) == 0
+        base = json.loads(out.read_text())
+        del base["config"]["predictions"]
+        return base
+
+    @pytest.mark.parametrize("policy", ["strict", "relaxed"])
+    @pytest.mark.parametrize("model", [None, "m"], ids=["no-model-field", "model-field"])
+    def test_spread_model_scores_like_concatenated_entries(self, cohort, tmp_path, policy, model):
+        root, views_dir, perfect_dir, random_dir = cohort
+        split: tuple[dict, dict] = ({}, {})
+        whole: dict[str, list[dict]] = {}
+        for task, labels in (("task1", "ranking"), ("task2", "labels")):
+            entries = json.loads((random_dir / f"predictions_{task}.json").read_text())["predictions"]
+            for entry in entries:
+                entry.pop("model")
+                if model:
+                    entry["model"] = model
+            split[0][task], split[1][task] = self._halves(entries, labels)
+            whole[task] = split[0][task] + split[1][task]
+        # Without a `model` field the directory's name is the model, so both
+        # halves sit in directories named `parsed`.
+        name = "parsed" if model is None else "half"
+        first = self._write(tmp_path / "a" / name, split[0])
+        second = self._write(tmp_path / "b" / (name if model is None else "other"), split[1])
+        joined = self._write(tmp_path / "whole" / name, whole)
+        # Another model's directory between the two halves.
+        spread = self._eval(views_dir, [first, perfect_dir, second], tmp_path / "spread.json", policy)
+        concatenated = self._eval(views_dir, [joined, perfect_dir], tmp_path / "whole.json", policy)
+        assert sorted(spread["models"]) == sorted(["PERFECT", model or "parsed"])
+        diagnostics = spread["diagnostics"][model or "parsed"]
+        assert diagnostics["orphan_task1_predictions"]
+        assert any(report["duplicate_prediction_keys"] for report in diagnostics["task1"].values())
+        assert spread == concatenated
+
+
+class TestEvalMemory:
+    """`eval` holds one `--predictions` directory's rows at a time, so its
+    peak follows the largest directory, not the cohort."""
+
+    @staticmethod
+    def _traced_peak(argv) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_extra_directories_cost_less_than_half_a_directory(self, tmp_path):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        # Each model's scores and diagnostics stay until `base.json` is
+        # written, so the directories must be large enough for their rows to
+        # outweigh that (at 120 files per law they weigh about the same).
+        assert main(["synth", "--seed", "8", "--files", "300", "--profiles", ",".join(PROFILES),
+                     "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        pred_dirs = [corpus_dir / f"predictions_{profile}" for profile in PROFILES]
+        largest = max(pred_dirs, key=lambda d: sum(path.stat().st_size for path in d.iterdir()))
+        argv = ["eval", "--views-dir", str(views_dir), "--out", str(tmp_path / "base.json")]
+        assert main([*argv, "--predictions", str(largest)]) == 0  # warms every cache
+
+        one = self._traced_peak([*argv, "--predictions", str(largest)])
+        five = self._traced_peak([*argv, *(arg for d in pred_dirs for arg in ("--predictions", str(d)))])
+        # What the decoded rows of one directory hold, sharing the gold
+        # index's keys and pointers as in `eval`.
+        gold = GoldIndex.from_views(_load_views(str(views_dir)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows = load_prediction_files(largest / "predictions_task1.json", largest / "predictions_task2.json",
+                                         JurisdictionRegistry.default(), gold.cache)
+            loaded = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(rows[0]) > 3000
+        assert five - one < loaded / 2, (one, five, loaded)
 
 
 class TestComposeFromFixture:
@@ -535,23 +664,63 @@ class TestCliErrors:
             assert json.loads(line) == {"error": "MalformedDataset", "message": f"{path}: record 4: {problem}"}
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("target", ["predictions", "view", "base"])
-    def test_truncated_json_file_exits_2_naming_file_line_and_column(self, tmp_path, capsys, target):
+    @pytest.mark.parametrize(
+        "target, cut",
+        [
+            pytest.param("predictions", lambda text: text[:300], id="predictions"),
+            pytest.param("predictions", lambda text: text[: text.index("}, {") + 1], id="predictions-entry-boundary"),
+            pytest.param("predictions", lambda text: text[: text.index("}, {") - 5], id="predictions-inside-entry"),
+            pytest.param("predictions", lambda text: text.rstrip()[:-1], id="predictions-inside-object"),
+            pytest.param("predictions", lambda text: text + "{}", id="predictions-trailing-data"),
+            pytest.param("view", lambda text: text[:300], id="view"),
+            pytest.param("base", lambda text: text[:300], id="base"),
+        ],
+    )
+    def test_truncated_json_file_exits_2_naming_file_line_and_column(self, tmp_path, capsys, target, cut):
         views_dir, pred_dir, base = self._perfect_base(tmp_path)
         path = {"predictions": pred_dir / "predictions_task1.json",
                 "view": views_dir / "task2_LGPD.json", "base": base}[target]
-        path.write_text(path.read_text()[:300])
+        text = path.read_text()
+        path.write_text(cut(text))
         capsys.readouterr()
         if target == "base":
-            code = main(["compose", "--base", str(base), "--out-dir", str(tmp_path / "final")])
+            out = tmp_path / "final"
+            code = main(["compose", "--base", str(base), "--out-dir", str(out)])
         else:
+            out = tmp_path / "again.json"
             code = main(["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
-                         "--out", str(tmp_path / "again.json")])
+                         "--out", str(out)])
         assert code == 2
         [line] = capsys.readouterr().err.strip().splitlines()
         payload = json.loads(line)
         assert payload["error"] == "JSONDecodeError"
         assert re.fullmatch(rf"{re.escape(str(path))}: .+: line \d+ column \d+ \(char \d+\)", payload["message"])
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(path.read_text())
+        assert payload["message"] == f"{path}: {expected.value}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param(lambda data: data["predictions"], id="top-level-array"),
+            pytest.param(lambda data: {"config": data["config"], "predictions": {}}, id="object"),
+            pytest.param(lambda data: {"predictions": None}, id="null"),
+            pytest.param(lambda data: {"entries": data["predictions"]}, id="missing"),
+        ],
+    )
+    def test_prediction_file_without_a_predictions_list_exits_2(self, tmp_path, capsys, change):
+        views_dir, pred_dir = self._perfect_cohort(tmp_path)
+        path = pred_dir / "predictions_task2.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        capsys.readouterr()
+        out = tmp_path / "base.json"
+        assert main(["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedPrediction", "message": f"{path}: no 'predictions' list"
+        }
+        assert not out.exists()
 
     def test_failing_transport_still_produces_artifacts(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

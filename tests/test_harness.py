@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+from collections import Counter
 from datetime import datetime
 
 import pytest
@@ -375,6 +376,14 @@ class TestExecuteRun:
         corpus = small_corpus(registry, files=2)
         views = shape_views(corpus)
         transport = MockTransport(profile_reply_fn(views, registry, "PERFECT"), fail_times=2)
+        sends = Counter()
+        send = transport.send
+
+        def counting_send(request):
+            sends[request.identity] += 1
+            return send(request)
+
+        transport.send = counting_send
         models = tuple(f"m{i}" for i in range(6))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -391,8 +400,9 @@ class TestExecuteRun:
             sys.setswitchinterval(interval)
         assert {r["model"] for r in result.records} == set(models)
         assert all(r["status"] == "ok" and r["attempts"] == 3 for r in result.records)
-        assert len(transport.attempts) == len(result.records)
-        assert set(transport.attempts.values()) == {3}
+        assert len(sends) == len(result.records)
+        assert set(sends.values()) == {3}
+        assert transport.in_flight == {}
 
     def test_unexpected_send_exception_is_a_failed_attempt(self, registry, tmp_path):
         corpus = small_corpus(registry, files=2)

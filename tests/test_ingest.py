@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import tempfile
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regeval.errors import RegevalError
+from regeval.errors import MalformedPrediction, RegevalError
 from regeval import ingest
 from regeval.ingest import (
     RANKED,
@@ -29,6 +30,7 @@ from regeval.multilabel import SetPrediction, score_task2
 from regeval.retrieval import RankedPrediction, gold_keys_for_records, score_task1
 from regeval.shaping import RetrievalKey, SnippetPointer, shape_views
 from regeval.synthetic import CorpusSpec, generate_corpus, render_response_text, scripted_model
+from oracles import oracle_prediction_entries
 from test_corpus import make_instance
 
 
@@ -188,6 +190,84 @@ class TestResponseParsing:
         # Loaded rows stay plain tuples, which the cyclic GC can untrack.
         assert {type(row) for row in loaded_ranked + loaded_sets} == {tuple}
         assert {type(row[0]) for row in loaded_ranked} == {type(row[1]) for row in loaded_sets} == {tuple}
+
+
+class TestIncrementalReader:
+    """A prediction file is read one entry at a time, never whole, and as
+    `json.loads` reads it: the same rows from any layout it accepts, and the
+    same error, with its message and position, from any text it rejects."""
+
+    @pytest.fixture()
+    def entries(self, registry):
+        views = shape_views(generate_corpus(CorpusSpec(seed=5, files_per_law={"LGPD": 3, "PDPA": 3}), registry))
+        return [ranked_prediction_to_dict(pred) for pred in scripted_model("RANDOM", views, registry, seed=5).ranked]
+
+    LAYOUTS = {
+        "indent": lambda entries: json.dumps({"config": {"seed": 5}, "predictions": entries}, indent=2),
+        "predictions first": lambda entries: json.dumps({"predictions": entries, "config": {"seed": 5}}),
+        "extra members": lambda entries: json.dumps(
+            {"schema": [1, {"x": None}], "config": {}, "predictions": entries, "note": "é", "n": 1.5e3}
+        ),
+        "whitespace everywhere": lambda entries: "\n\t " + json.dumps(
+            {"config": {"a": [1, 2]}, "predictions": entries}, indent="\t", separators=(" ,\r\n ", " :  ")
+        ) + " \r\n\t",
+        "repeated predictions": lambda entries: (
+            f'{{"predictions": {json.dumps(entries[:2])}, "config": {{}}, "predictions": {json.dumps(entries)}}}'
+        ),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_layouts_json_loads_accepts_give_the_same_rows(self, registry, tmp_path, entries, layout):
+        t2 = tmp_path / "t2.json"
+        t2.write_text('{"predictions": []}')
+        compact, other = tmp_path / "compact.json", tmp_path / "other.json"
+        compact.write_text(json.dumps({"config": {}, "predictions": entries}))
+        other.write_text(self.LAYOUTS[layout](entries))
+        assert json.loads(other.read_text())["predictions"] == entries
+        expected, _ = load_prediction_files(compact, t2, registry)
+        assert len(expected) == len(entries)
+        assert load_prediction_files(other, t2, registry) == (expected, [])
+
+    def test_an_empty_list_gives_no_rows(self, registry, tmp_path):
+        t1 = tmp_path / "t1.json"
+        t1.write_text('{ "predictions" : [ ] , "config" : { } }')
+        assert load_prediction_files(t1, t1, registry) == ([], [])
+
+    @staticmethod
+    def _decode(entry):
+        return (entry["law"], tuple(entry["ranking"]))
+
+    def _outcome(self, read, path):
+        # Any other exception, such as an IndexError, fails the test.
+        try:
+            return "rows", read(path, self._decode)
+        except (json.JSONDecodeError, MalformedPrediction) as exc:
+            return type(exc).__name__, str(exc)
+
+    def test_every_cut_and_edit_reads_as_json_loads_reads_it(self, tmp_path, monkeypatch):
+        valid = json.dumps(
+            {"config": {"n": 12e5, "x": [1.5, -0.25e-3, True, None, "\u00e9 \\"]},
+             "predictions": [{"law": "LGPD", "ranking": ["1", "2"]}, {"law": "PDPA", "ranking": []}]},
+            indent=1,
+        )
+        # A malformed entry in a `predictions` list that a later one replaces.
+        replaced = '{"predictions": [{"law": "LGPD"}, 7], "m": -1E+2, "predictions": [{"law": "A", "ranking": []}]}'
+        rng = random.Random(14)
+        texts = [text[:cut] for text in (valid, replaced) for cut in range(len(text) + 1)]
+        for _ in range(150):
+            at = rng.randrange(len(valid))
+            texts.append(valid[:at] + rng.choice(' {}[],:"0123456789e.-+tn\\\n') + valid[at + rng.randrange(2):])
+        texts += [valid + " x", valid + "{}", f"[{valid}]", "\ufeff" + valid, '{"predictions": [1, 2]}']
+        path = tmp_path / "p.json"
+        kinds = set()
+        for chunk in (1, 3, 1 << 16):
+            monkeypatch.setattr(ingest, "_CHUNK", chunk)
+            for text in texts:
+                path.write_text(text, encoding="utf-8")
+                expected = self._outcome(oracle_prediction_entries, path)
+                assert self._outcome(ingest._decode_entries, path) == expected, (chunk, text)
+                kinds.add(expected[0])
+        assert kinds == {"rows", "JSONDecodeError", "MalformedPrediction"}
 
 
 class TestCanonicalIdMemo:
