@@ -7,23 +7,22 @@ coupling that is aggregated across laws the same way. Variances and standard
 deviations are population (divide-by-n) throughout; that convention reproduces
 released composite values from their published inputs.
 
-numpy is imported inside the three RCS functions, the only ones that use it,
-so a process that never computes RCS does not load it.
+Every float reduction is a left-to-right `left_sum`, and RCS factors each
+cohort's covariance by a plain-Python Cholesky decomposition, so the bytes of
+every composite are the same under any BLAS and on CPython 3.10 to 3.13; only
+`exp` and `log` come from the platform's libm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import MissingLaw, RegevalError, SingularCovariance
 from .multilabel import JudgmentMetrics
-from .retrieval import T1_METRIC_NAMES, RetrievalMetrics
+from .retrieval import T1_METRIC_NAMES, RetrievalMetrics, left_sum
 from .shaping import GRANULARITIES
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -38,6 +37,10 @@ class CompositeConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "delta", "ridge", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise RegevalError(f"{name} must be finite, got {value!r}")
         for name in ("alpha", "beta", "gamma", "delta"):
             if getattr(self, name) < 0:
                 raise RegevalError(f"{name} must be >= 0")
@@ -61,8 +64,8 @@ class CompositeConfig:
 
 
 def _population_variance(values: Sequence[float]) -> float:
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / len(values)
+    mean = left_sum(values) / len(values)
+    return left_sum((v - mean) ** 2 for v in values) / len(values)
 
 
 def sgs(values: Sequence[float], alpha: float = 1.0, epsilon: float = 1e-6) -> float:
@@ -75,62 +78,85 @@ def sgs(values: Sequence[float], alpha: float = 1.0, epsilon: float = 1e-6) -> f
     """
     if len(values) != 3:
         raise RegevalError(f"expected three granularity values, got {len(values)}")
-    harmonic = 1.0 / (sum(1.0 / (v + epsilon) for v in values) / len(values))
-    mean = sum(values) / len(values)
+    harmonic = 1.0 / (left_sum(1.0 / (v + epsilon) for v in values) / len(values))
+    mean = left_sum(values) / len(values)
     cv_sq = _population_variance(values) / max(mean, epsilon) ** 2
     return harmonic * math.exp(-alpha * cv_sq)
 
 
-def regularized_covariance(cohort: np.ndarray, ridge: float) -> np.ndarray:
-    """Population covariance of metric columns plus ridge * I.
+def _rows(matrix: Sequence[Sequence[float]], name: str) -> list[list[float]]:
+    """`matrix` as a list of float rows of one length, at least one row."""
+    try:
+        rows = [[float(value) for value in row] for row in matrix]
+    except (TypeError, ValueError):
+        rows = []
+    if not rows or len({len(row) for row in rows}) != 1:
+        raise RegevalError(f"{name} must be a non-empty 2-D array of equal-length rows")
+    return rows
+
+
+def regularized_covariance(cohort: Sequence[Sequence[float]], ridge: float) -> list[list[float]]:
+    """Population covariance of metric columns plus ridge * I, as K rows.
 
     A singleton cohort has zero deviations, so it degrades to ridge * I.
     """
-    import numpy as np
-
-    matrix = np.asarray(cohort, dtype=float)
-    if matrix.ndim != 2:
-        raise RegevalError("cohort must be a 2-D (models x metrics) array")
-    n, k = matrix.shape
-    if n < 2:
-        cov = np.zeros((k, k))
-    else:
-        cov = np.cov(matrix, rowvar=False, bias=True)
-    return cov + ridge * np.eye(k)
+    rows = _rows(cohort, "cohort")
+    n = len(rows)
+    means = [left_sum(column) / n for column in zip(*rows)]
+    deviations = [[value - mean for value, mean in zip(row, means)] for row in rows]
+    k = len(means)
+    cov = [[left_sum(d[i] * d[j] for d in deviations) / n for j in range(k)] for i in range(k)]
+    for i in range(k):
+        cov[i][i] += ridge
+    return cov
 
 
-def mahalanobis(x: Sequence[float], y: Sequence[float], cov: np.ndarray) -> float:
-    """sqrt((x - y)^T C^{-1} (x - y)) via a direct solve of the K x K system."""
-    import numpy as np
+def _cholesky(cov: Sequence[Sequence[float]]) -> list[list[float]]:
+    """Lower-triangular rows of L with L L^T = cov, read from cov's lower
+    triangle; raises SingularCovariance unless cov is positive definite."""
+    factor: list[list[float]] = []
+    for i, cov_row in enumerate(cov):
+        row: list[float] = []
+        for j in range(i):
+            row.append((cov_row[j] - left_sum(a * b for a, b in zip(row, factor[j]))) / factor[j][j])
+        pivot = cov_row[i] - left_sum(a * a for a in row)
+        if not pivot > 0:
+            raise SingularCovariance("covariance is not positive definite")
+        row.append(math.sqrt(pivot))
+        factor.append(row)
+    return factor
 
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    try:
-        solved = np.linalg.solve(cov, diff)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    value = float(diff @ solved)
-    if value < 0:
-        raise SingularCovariance("covariance is not positive definite")
-    return math.sqrt(value)
+
+def _distance(diff: Sequence[float], factor: Sequence[Sequence[float]]) -> float:
+    """sqrt(diff^T C^{-1} diff) for C = L L^T: the norm of z with L z = diff,
+    found by forward substitution."""
+    z: list[float] = []
+    for value, row in zip(diff, factor):
+        z.append((value - left_sum(a * b for a, b in zip(row, z))) / row[len(z)])
+    return math.sqrt(left_sum(v * v for v in z))
+
+
+def mahalanobis(x: Sequence[float], y: Sequence[float], cov: Sequence[Sequence[float]]) -> float:
+    """sqrt((x - y)^T C^{-1} (x - y)) through the Cholesky factor of C."""
+    diff = [float(a) - float(b) for a, b in zip(x, y, strict=True)]
+    rows = _rows(cov, "covariance")
+    if len(rows) != len(diff) or len(rows[0]) != len(diff):
+        raise RegevalError(f"covariance must be {len(diff)} x {len(diff)} for {len(diff)}-vectors")
+    return _distance(diff, _cholesky(rows))
 
 
 def rcs_scores(cohort: Sequence[Sequence[float]], config: CompositeConfig) -> list[float]:
     """TOPSIS closeness to the all-ones ideal under Mahalanobis geometry,
-    one score per cohort row. The covariance is estimated once per cohort."""
-    import numpy as np
-
-    matrix = np.asarray(cohort, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
-        raise RegevalError("cohort must contain at least one metric vector")
-    if matrix.shape[1] < 2:
+    one score per cohort row. The covariance is estimated and factored once
+    per cohort."""
+    rows = _rows(cohort, "cohort")
+    if len(rows[0]) < 2:
         raise RegevalError("metric vectors need K >= 2 entries")
-    cov = regularized_covariance(matrix, config.ridge)
-    ideal = np.ones(matrix.shape[1])
-    anti = np.zeros(matrix.shape[1])
+    factor = _cholesky(regularized_covariance(rows, config.ridge))
     scores = []
-    for row in matrix:
-        d_plus = mahalanobis(row, ideal, cov)
-        d_minus = mahalanobis(row, anti, cov)
+    for row in rows:
+        d_plus = _distance([value - 1.0 for value in row], factor)
+        d_minus = _distance(row, factor)
         scores.append(d_minus / (d_plus + d_minus) if (d_plus + d_minus) else 0.0)
     return scores
 
@@ -139,7 +165,7 @@ def crgs(per_law_scores: Sequence[float], beta: float = 2.0, epsilon: float = 1e
     """Variance-penalized geometric mean of per-law scores."""
     if not per_law_scores:
         raise MissingLaw("no per-law scores to aggregate")
-    log_sum = sum(math.log(max(score, epsilon)) for score in per_law_scores)
+    log_sum = left_sum(math.log(max(score, epsilon)) for score in per_law_scores)
     geometric = math.exp(log_sum / len(per_law_scores))
     return geometric * math.exp(-beta * _population_variance(per_law_scores))
 

@@ -13,6 +13,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import LengthMismatch, UniverseTooSmall
 from .jurisdiction import JurisdictionRegistry
+from .retrieval import left_sum
 from .shaping import SnippetPointer, Task2Record
 
 def _check_lengths(golds: Sequence, preds: Sequence) -> None:
@@ -63,9 +64,9 @@ def f1_suite(
     for label in present:
         d = 2 * tp[label] + fp[label] + fn[label]
         per_label[label] = (2 * tp[label] / d) if d else 0.0
-    macro = sum(per_label.values()) / len(present)
+    macro = left_sum(per_label.values()) / len(present)
     total_freq = sum(gold_freq[label] for label in present)
-    weighted = sum(per_label[label] * gold_freq[label] for label in present) / total_freq
+    weighted = left_sum(per_label[label] * gold_freq[label] for label in present) / total_freq
     return micro, macro, weighted
 
 

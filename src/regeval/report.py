@@ -8,6 +8,7 @@ one radar-axis row per (model, law, level) for external plotting.
 from __future__ import annotations
 
 import csv
+import sys
 from pathlib import Path
 from typing import Mapping
 
@@ -19,6 +20,8 @@ from .retrieval import T1_METRIC_NAMES, RetrievalMetrics, Task1Evaluation
 from .shaping import GRANULARITIES
 
 SCHEMA_VERSION = 1
+
+_MAX_FLOAT = sys.float_info.max
 
 
 def build_base_results(
@@ -61,11 +64,16 @@ def _member(block: dict, name: str, path: str):
 
 
 def _numbers(value, names, path: str) -> dict:
-    """`value`, checked to be an object holding each of `names` as a number."""
+    """`value`, checked to be an object holding each of `names` as a finite
+    number: `json.loads` reads `NaN` and `Infinity` as floats, and an integer
+    beyond the float range as an int."""
     block = _object(value, path)
     for name in names:
-        if type(_member(block, name, path)) not in (int, float):
-            raise MalformedBase(f"{path}/{name} must be a number, got {block[name]!r}")
+        number = _member(block, name, path)
+        if type(number) not in (int, float):
+            raise MalformedBase(f"{path}/{name} must be a number, got {number!r}")
+        if not -_MAX_FLOAT <= number <= _MAX_FLOAT:
+            raise MalformedBase(f"{path}/{name} must be a finite number, got {number!r}")
     return block
 
 

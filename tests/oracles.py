@@ -4,9 +4,10 @@ Everything here is deliberately written against the definitions, not against
 the production code: relevance vectors and explicit rank scans for the
 retrieval metrics, bit matrices for the multi-label metrics, and pairwise
 fixed-point merging for the span rule. A later section keeps the earlier
-object-keyed join of `eval` as the reference for the slot join, and the last
-one keeps the whole-document prediction-file reader as the reference for
-the incremental one.
+object-keyed join of `eval` as the reference for the slot join, the next
+keeps the whole-document prediction-file reader as the reference for the
+incremental one, and the last holds two references for RCS: the numpy
+computation it replaced and a 50-digit mpmath evaluation.
 """
 
 from __future__ import annotations
@@ -452,3 +453,57 @@ def oracle_prediction_entries(path: str | Path, decode) -> list:
     if type(entries) is not list:
         raise MalformedPrediction(f"{path}: no 'predictions' list")
     return decode_each(path, entries, decode, "prediction", MalformedPrediction)
+
+
+# --- RCS references -------------------------------------------------------------
+#
+# `composites.rcs_scores` factors each cohort's covariance in plain Python.
+# The numpy version it replaced (np.cov, then np.linalg.solve per distance) is
+# kept as a differential reference; its last bits depend on the BLAS kernel
+# OpenBLAS picks for the CPU. The mpmath version evaluates the same
+# definition at 50 digits.
+
+
+def oracle_rcs_scores(cohort: Sequence[Sequence[float]], ridge: float) -> list[float]:
+    """RCS of each cohort row as numpy computed it."""
+    import numpy as np
+
+    matrix = np.asarray(cohort, dtype=float)
+    n, k = matrix.shape
+    cov = np.zeros((k, k)) if n < 2 else np.cov(matrix, rowvar=False, bias=True)
+    cov = cov + ridge * np.eye(k)
+
+    def distance(diff):
+        return math.sqrt(float(diff @ np.linalg.solve(cov, diff)))
+
+    scores = []
+    for row in matrix:
+        d_plus, d_minus = distance(row - np.ones(k)), distance(row - np.zeros(k))
+        scores.append(d_minus / (d_plus + d_minus) if (d_plus + d_minus) else 0.0)
+    return scores
+
+
+def mp_rcs_scores(cohort: Sequence[Sequence[float]], ridge: float, dps: int = 50) -> list[float]:
+    """RCS of each cohort row evaluated with `dps` significant digits, rounded
+    to the nearest float at the end."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpf(v) for v in row] for row in cohort]
+        n, k = len(rows), len(rows[0])
+        means = [sum(row[j] for row in rows) / n for j in range(k)]
+        cov = mpmath.matrix(k, k)
+        for i in range(k):
+            for j in range(k):
+                cov[i, j] = sum((row[i] - means[i]) * (row[j] - means[j]) for row in rows) / n
+            cov[i, i] += mpmath.mpf(ridge)
+
+        def distance(diff):
+            vector = mpmath.matrix(diff)
+            return mpmath.sqrt((vector.T * mpmath.lu_solve(cov, vector))[0])
+
+        scores = []
+        for row in rows:
+            d_plus, d_minus = distance([v - 1 for v in row]), distance(row)
+            scores.append(float(d_minus / (d_plus + d_minus)) if (d_plus + d_minus) else 0.0)
+        return scores

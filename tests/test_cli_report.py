@@ -619,6 +619,12 @@ class TestCliErrors:
             ("--from-rcs", lambda base: {}, "top level: missing field 'models'"),
             ("--from-rcs", lambda base: {"models": {"m": {"task1": {"LGPD": None}, "task2": {}}}},
              "models/m/task1/LGPD must be a number, got None"),
+            ("--base", lambda base: base["models"]["PERFECT"]["task1"]["LGPD"]["file"].update(acc_at_1=float("nan")) or base,
+             "models/PERFECT/task1/LGPD/file/acc_at_1 must be a finite number, got nan"),
+            ("--from-rcs", lambda base: {"models": {"m": {"task1": {"LGPD": float("inf")}, "task2": {"LGPD": 0.5}}}},
+             "models/m/task1/LGPD must be a finite number, got inf"),
+            ("--base", lambda base: base["models"]["PERFECT"]["task2"]["LGPD"].update(jaccard=10**400) or base,
+             f"models/PERFECT/task2/LGPD/jaccard must be a finite number, got {10**400}"),
         ],
     )
     def test_malformed_base_exits_2_naming_file_and_field(self, tmp_path, capsys, source, change, problem):
@@ -629,6 +635,17 @@ class TestCliErrors:
         assert main(["compose", source, str(path), "--out-dir", str(tmp_path / "final")]) == 2
         [line] = capsys.readouterr().err.strip().splitlines()
         assert json.loads(line) == {"error": "MalformedBase", "message": f"{path}: {problem}"}
+        assert not (tmp_path / "final").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--ridge", "nan"), ("--alpha", "nan"), ("--ridge", "inf"), ("--beta", "inf"), ("--epsilon", "inf"),
+    ])
+    def test_non_finite_composite_parameter_exits_2(self, tmp_path, capsys, option, value):
+        *_, base = self._perfect_base(tmp_path)
+        capsys.readouterr()
+        assert main(["compose", "--base", str(base), option, value, "--out-dir", str(tmp_path / "final")]) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"error": "RegevalError", "message": f"{option[2:]} must be finite, got {value}"}
         assert not (tmp_path / "final").exists()
 
     @pytest.mark.parametrize(

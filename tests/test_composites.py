@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +25,15 @@ from regeval.composites import (
 )
 from regeval.errors import MissingLaw, RegevalError, SingularCovariance
 from regeval.multilabel import JudgmentMetrics
+from regeval.report import metrics_from_base
 from regeval.retrieval import RetrievalMetrics
+
+from oracles import mp_rcs_scores, oracle_rcs_scores
 
 EPS = 1e-6
 
-REFERENCE = json.loads((Path(__file__).parent / "data" / "reference_scores.json").read_text())
+DATA = Path(__file__).parent / "data"
+REFERENCE = json.loads((DATA / "reference_scores.json").read_text())
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -94,6 +100,12 @@ class TestMahalanobis:
         with pytest.raises(SingularCovariance):
             mahalanobis([1.0, 0.0], [0.0, 0.0], np.zeros((2, 2)))
 
+    def test_indefinite_covariance(self):
+        # Symmetric with eigenvalues 3 and -1: the quadratic form of (1, 1)
+        # is positive, but no Cholesky factor exists.
+        with pytest.raises(SingularCovariance):
+            mahalanobis([1.0, 1.0], [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
     def test_ridge_regularization(self):
         cohort = np.array([[0.5, 0.5], [0.5, 0.5]])
         cov = regularized_covariance(cohort, ridge=0.1)
@@ -107,7 +119,7 @@ class TestMahalanobis:
         cohort = np.array([[0.0, 0.0], [1.0, 1.0]])
         cov = regularized_covariance(cohort, ridge=0.1)
         # Population variance of {0, 1} is 0.25.
-        assert cov[0, 0] == pytest.approx(0.35, abs=1e-12)
+        assert cov[0][0] == pytest.approx(0.35, abs=1e-12)
 
 
 class TestRcs:
@@ -143,6 +155,60 @@ class TestRcs:
     def test_needs_two_metrics(self):
         with pytest.raises(RegevalError):
             rcs_scores([[1.0]], CompositeConfig())
+
+
+def _ulps(a: float, b: float) -> int:
+    """Number of floats between two non-negative floats."""
+    return abs(struct.unpack("<q", struct.pack("<d", a))[0] - struct.unpack("<q", struct.pack("<d", b))[0])
+
+
+# Metric values are 0, 1 or at least about 1e-7: SGS is floored by epsilon and
+# the rest are ratios of counts. (Far below that, near 1e-160, the squares in
+# any float evaluation underflow and no method keeps a few ulp.)
+metric_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=1e-6, max_value=1.0))
+
+
+@st.composite
+def cohorts(draw):
+    """1-7 rows of 2-6 metrics, drawn from fewer distinct rows (so rows
+    repeat), with some columns held constant."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 7))
+    distinct = draw(st.lists(st.lists(metric_values, min_size=k, max_size=k), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    rows = [list(distinct[i]) for i in picks]
+    for column in draw(st.sets(st.integers(0, k - 1))):
+        value = draw(metric_values)
+        for row in rows:
+            row[column] = value
+    return rows
+
+
+def _golden_cohorts():
+    """The (law, task) cohorts `compose` scores for both golden files: SGS
+    vectors for task 1, judgment vectors for task 2."""
+    for name in ("golden_results.json", "golden_cohort_base.json"):
+        task1, task2 = metrics_from_base(json.loads((DATA / name).read_text()))
+        report = compose(task1, task2)
+        models = sorted(task1)
+        for law in sorted(task2[models[0]]):
+            yield [list(report.sgs_tables[model][law].values()) for model in models]
+            yield [list(task2[model][law]) for model in models]
+
+
+class TestRcsReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(cohorts())
+    def test_agrees_with_numpy_within_4_ulp(self, cohort):
+        for value, expected in zip(rcs_scores(cohort, CompositeConfig()), oracle_rcs_scores(cohort, 0.1)):
+            assert _ulps(value, expected) <= 4, (cohort, value, expected)
+
+    def test_golden_cohorts_agree_with_50_digit_evaluation_within_4_ulp(self):
+        cohorts = list(_golden_cohorts())
+        assert len(cohorts) == 12
+        for cohort in cohorts:
+            for value, expected in zip(rcs_scores(cohort, CompositeConfig()), mp_rcs_scores(cohort, 0.1)):
+                assert _ulps(value, expected) <= 4, (cohort, value, expected)
 
 
 class TestCrgs:
@@ -257,3 +323,7 @@ class TestConfigValidation:
             CompositeConfig(epsilon=0.0)
         with pytest.raises(RegevalError):
             CompositeConfig(alpha=-1.0)
+        for name in ("alpha", "beta", "gamma", "delta", "ridge", "epsilon"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(RegevalError, match=f"{name} must be finite"):
+                    CompositeConfig(**{name: value})

@@ -18,6 +18,11 @@ blanked, and `run.log` as its sorted lines with the leading timestamp cut.
 The report files `compose` writes beside `results.json`, `report.txt` and
 `plot_data.csv`, are pinned by digest as they are. Regenerating also prints
 the digests of the fresh run.
+
+The golden bytes are the program's on every host: one more test runs both
+pipelines under each other CPython 3.10 to 3.13 found on PATH (with only
+`src` on its path, so without numpy unless that interpreter has it) and
+compares them with the same files.
 """
 
 from __future__ import annotations
@@ -26,12 +31,15 @@ import hashlib
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 from regeval.cli import main
 
-DATA = Path(__file__).resolve().parent / "data"
+HERE = Path(__file__).resolve().parent
+DATA = HERE / "data"
 GOLDEN = DATA / "golden_results.json"
 GOLDEN_COHORT = DATA / "golden_cohort_base.json"
 
@@ -118,6 +126,51 @@ def test_report_files_match_golden_digests(tmp_path, monkeypatch):
 def test_scripted_cohort_base_json_matches_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_scripted_cohort().read_bytes() == GOLDEN_COHORT.read_bytes()
+
+
+BOTH_PIPELINES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import run_fixed_pipeline, run_scripted_cohort
+run_fixed_pipeline()
+run_scripted_cohort()
+"""
+
+
+def other_interpreters() -> list[str]:
+    """Each `python3.10` ... `python3.13` on PATH that starts, reports that
+    version, and is not this interpreter's version."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or sys.version_info[:2] == (3, minor):
+            continue
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(*sys.version_info[:2])"], capture_output=True, text=True, timeout=60
+        )
+        if probe.returncode == 0 and probe.stdout.split() == ["3", str(minor)]:
+            found.append(exe)
+    return found
+
+
+def test_golden_files_match_under_other_interpreters(tmp_path):
+    interpreters = other_interpreters()
+    if not interpreters:
+        # Imported here: BOTH_PIPELINES imports this module in interpreters
+        # that may not have pytest.
+        import pytest
+
+        pytest.skip("no other CPython 3.10-3.13 on PATH")
+    env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+    for number, exe in enumerate(interpreters):
+        work = tmp_path / str(number)
+        work.mkdir()
+        done = subprocess.run(
+            [exe, "-c", BOTH_PIPELINES, str(HERE)], capture_output=True, text=True, env=env, cwd=work, timeout=600
+        )
+        assert done.returncode == 0, (exe, done.stderr)
+        assert (work / "final" / "results.json").read_bytes() == GOLDEN.read_bytes(), exe
+        assert (work / "cohort_base.json").read_bytes() == GOLDEN_COHORT.read_bytes(), exe
 
 
 if __name__ == "__main__":
