@@ -16,7 +16,7 @@ from pathlib import Path
 from . import report as report_mod
 from .composites import CompositeConfig, compose_from_rcs
 from .corpus import corpus_stats, load_dataset, read_json, save_dataset, write_json
-from .errors import MalformedBase, RegevalError
+from .errors import MalformedBase, MalformedView, RegevalError
 from .harness import (
     FailingTransport,
     MockTransport,
@@ -31,7 +31,7 @@ from .ingest import (
     parse_responses,
     write_prediction_files,
 )
-from .jurisdiction import JurisdictionRegistry
+from .jurisdiction import Jurisdiction, JurisdictionRegistry
 from .multilabel import score_task2
 from .retrieval import score_task1
 from .shaping import (
@@ -70,7 +70,22 @@ def _composite_config(args) -> CompositeConfig:
     )
 
 
-def _load_views(views_dir: str, laws: list[str] | None = None) -> dict[str, ShapedViews]:
+def _check_gold(path: Path, golds, jur: Jurisdiction) -> None:
+    """Raise MalformedView naming the file and the record of the first of the
+    gold sets `golds` holding a label outside `jur`'s universe."""
+    for index, gold in enumerate(golds):
+        stray = sorted(label for label in gold if not jur.contains(label))
+        if stray:
+            raise MalformedView(f"{path}: record {index}: gold labels not in the {jur.code} universe: {stray}")
+
+
+def _load_views(
+    views_dir: str, laws: list[str] | None = None, registry: JurisdictionRegistry | None = None
+) -> dict[str, ShapedViews]:
+    """The views under `views_dir`, of `laws` only if given, with every gold
+    label checked against its law's universe in `registry` (by default the
+    bundled one)."""
+    registry = JurisdictionRegistry.default() if registry is None else registry
     views: dict[str, ShapedViews] = {}
     for t1_path in sorted(Path(views_dir).glob("task1_*.json")):
         law, records = load_task1_view(t1_path)
@@ -78,6 +93,9 @@ def _load_views(views_dir: str, laws: list[str] | None = None) -> dict[str, Shap
             continue
         t2_path = Path(views_dir) / f"task2_{law}.json"
         _, t2_records = load_task2_view(t2_path)
+        jur = registry.get(law)
+        _check_gold(t1_path, (rec.file_gold.union(rec.module_gold, *(g for _, g in rec.lines)) for rec in records), jur)
+        _check_gold(t2_path, (rec.gold for rec in t2_records), jur)
         views[law] = ShapedViews(law=law, task1=records, task2=t2_records)
     if not views:
         raise RegevalError(f"no task views found under {views_dir}")
@@ -148,7 +166,7 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     registry = _registry(args)
-    views = _load_views(args.views_dir, args.law.split(",") if args.law else None)
+    views = _load_views(args.views_dir, args.law.split(",") if args.law else None, registry)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     config = RunConfig(
         models=tuple(models),
@@ -198,7 +216,7 @@ def cmd_eval(args) -> int:
     if repeated:
         raise RegevalError(f"--predictions names a directory more than once: {', '.join(repeated)}")
     registry = _registry(args)
-    views = _load_views(args.views_dir, args.law.split(",") if args.law else None)
+    views = _load_views(args.views_dir, args.law.split(",") if args.law else None, registry)
     gold = GoldIndex.from_views(views)
 
     def rows_by_model(pred_dir: Path) -> dict[str, tuple[list, list]]:

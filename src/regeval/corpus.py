@@ -97,7 +97,8 @@ def decode_each(path: str | Path, items: list, decode, noun: str, error: type[Re
         try:
             decoded.append(decode(item))
         except DECODE_ERRORS as exc:
-            raise item_error(path, noun, index, exc, error) from None
+            problem = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            raise error(f"{path}: {noun} {index}: {problem}") from None
     return decoded
 
 
@@ -105,12 +106,27 @@ def decode_each(path: str | Path, items: list, decode, noun: str, error: type[Re
 DECODE_ERRORS = (KeyError, RegevalError, TypeError)
 
 
-def item_error(path: str | Path, noun: str, index: int, exc: Exception, error: type[RegevalError]) -> RegevalError:
-    """`error` naming the file, the `noun` and the index of an item whose
-    decoder raised `exc`, one of `DECODE_ERRORS`."""
-    if isinstance(exc, KeyError):
-        return error(f"{path}: {noun} {index}: missing field {exc.args[0]!r}")
-    return error(f"{path}: {noun} {index}: {exc}")
+def check_object(error: type[RegevalError], value, path: str) -> dict:
+    """`value`, which must be an object, else `error` naming the field by its
+    `path` in the file."""
+    if type(value) is not dict:
+        raise error(f"{path} must be an object, got {type(value).__name__}")
+    return value
+
+
+def check_member(error: type[RegevalError], block: dict, name: str, path: str):
+    """`block[name]`, else `error` naming the object by its `path`."""
+    if name not in block:
+        raise error(f"{path}: missing field {name!r}")
+    return block[name]
+
+
+def check_field(error: type[RegevalError], ok: bool, value, path: str, what: str):
+    """`value` if `ok`, else `error` saying that the field at `path` must be
+    `what`."""
+    if not ok:
+        raise error(f"{path} must be {what}, got {value!r:.60}")
+    return value
 
 
 def split_pointer_path(raw: str) -> tuple[str, LineSpan]:
@@ -247,9 +263,13 @@ encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 def read_json(path: str | Path):
     """The JSON value in the file at `path`: the read twin of `write_json`.
-    Text that is not JSON raises json.JSONDecodeError whose message starts
+    Bytes that are not UTF-8 raise RegevalError naming the first bad byte;
+    text that is not JSON raises json.JSONDecodeError whose message starts
     with the path and ends with the line and column."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RegevalError(f"{path}: not UTF-8 (byte {exc.start + 1})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

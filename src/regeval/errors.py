@@ -79,6 +79,11 @@ class MalformedPrediction(RegevalError):
     lacks a field or holds a value of the wrong type or shape."""
 
 
+class MalformedConfig(RegevalError):
+    """A jurisdictions config lacks a field, holds a value of the wrong type,
+    or holds a citation style or identifier pattern that does not work."""
+
+
 class MalformedBase(RegevalError):
     """A base-metric or RCS file for `compose` lacks a field, or holds a value
     of the wrong type where an object of models or a metric number belongs."""

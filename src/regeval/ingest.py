@@ -18,7 +18,7 @@ from json.scanner import make_scanner
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .corpus import DECODE_ERRORS, atomic_write, encode_sorted, item_error, read_json
+from .corpus import DECODE_ERRORS, atomic_write, decode_each, encode_sorted, read_json
 from .errors import MalformedPrediction, MalformedResponse, OutOfUniverse, RegevalError
 from .harness import numbered_responses
 from .jurisdiction import JurisdictionRegistry
@@ -212,30 +212,24 @@ def _prediction_fields(entry, names: dict[str, str]) -> tuple[str, str]:
     return names.setdefault(law, law), names.setdefault(model, model)
 
 
-# Characters of a prediction file read at a time: its text is never held
-# whole, only the entry being decoded and at most this much after it.
+# Characters of a prediction file read at a time: a streamed file's text is
+# never held whole, only the entry being decoded and at most this much after it.
 _CHUNK = 1 << 16
 
-# Reads one JSON value at a position with the scanner, error messages and
-# error positions of `json.loads` (which adds only "Expecting value" for
-# the StopIteration it raises where no value starts).
+# Reads one JSON value at a position with the scanner of `json.loads`.
 _scan_once = make_scanner(json.JSONDecoder())
 # The delimiter after an array item, with the whitespace around it.
 _AFTER_ITEM = re.compile(r"[ \t\n\r]*(?:\]|,[ \t\n\r]*)")
 
 
-class _NotJSON(Exception):
-    """Text that `json.loads` rejects: its message and the file position."""
-
-
 class _TextWindow:
     """A text file read a chunk at a time: `text[pos:]` is what has been read
-    and not consumed, and `start` is the file position of `text[0]`."""
+    and not consumed. Text the walk does not stream raises ValueError."""
 
     def __init__(self, fh: TextIO):
         self.fh = fh
         self.text = ""
-        self.pos = self.start = 0
+        self.pos = 0
 
     def _read_more(self) -> bool:
         """Drop the consumed text and append at least `_CHUNK` characters, and
@@ -244,13 +238,9 @@ class _TextWindow:
         chunk = self.fh.read(max(_CHUNK, len(self.text) - self.pos))
         if not chunk:
             return False
-        self.start += self.pos
         self.text = self.text[self.pos :] + chunk
         self.pos = 0
         return True
-
-    def fail(self, message: str):
-        raise _NotJSON(message, self.start + self.pos)
 
     def peek(self) -> str:
         """Skip whitespace; the next character, not consumed, or "" at the end
@@ -260,10 +250,10 @@ class _TextWindow:
             if self.pos < len(self.text) or not self._read_more():
                 return self.text[self.pos : self.pos + 1]
 
-    def expect(self, char: str, message: str) -> None:
-        """Consume `char`, the next character after whitespace, or fail."""
+    def expect(self, char: str) -> None:
+        """Consume `char`, the next character after whitespace."""
         if self.peek() != char:
-            self.fail(message)
+            raise ValueError(f"expected {char!r}")
         self.pos += 1
 
     def value(self):
@@ -276,17 +266,13 @@ class _TextWindow:
         while True:
             try:
                 value, end = _scan_once(self.text, self.pos)
-            except StopIteration as exc:
-                problem = ("Expecting value", exc.value)
-            except json.JSONDecodeError as exc:
-                problem = (exc.msg, exc.pos)
-            else:
-                if end + 2 < len(self.text) or not self._read_more():
-                    self.pos = end
-                    return value
+            except (StopIteration, json.JSONDecodeError):
+                if not self._read_more():
+                    raise ValueError("not a JSON value") from None
                 continue
-            if not self._read_more():
-                raise _NotJSON(problem[0], self.start + problem[1])
+            if end + 2 < len(self.text) or not self._read_more():
+                self.pos = end
+                return value
 
     def end_of_item(self) -> bool:
         """Consume the "," or "]" after an array item; True at the "]"."""
@@ -297,86 +283,71 @@ class _TextWindow:
         if self.peek() == "]":
             self.pos += 1
             return True
-        self.expect(",", "Expecting ',' delimiter")
+        self.expect(",")
         return False
 
 
 def _decode_entries(path: str | Path, decode) -> list[tuple]:
-    """`decode` of each entry of the prediction file at `path`, read one entry
-    at a time: neither the document nor its text is ever held whole.
+    """`decode` of each entry of the `predictions` list of the prediction file
+    at `path`, with the rows and errors of `json.loads` on the whole text.
 
-    The file is read as `json.loads` reads it: text that is not JSON raises
-    json.JSONDecodeError naming the file, line and column, before any entry
-    is found malformed, and of several `predictions` members the last one
-    counts. A malformed entry of that list raises MalformedPrediction naming
-    the file and the entry's index, as does a file without such a list."""
-    with open(path, encoding="utf-8") as fh:
-        window = _TextWindow(fh)
-        if window.peek() != "{":
-            read_json(path)  # raises json.loads' error, if any, on a document that is not an object
-            raise MalformedPrediction(f"{path}: no 'predictions' list")
-        try:
-            rows, failure = _scan_predictions(window, path, decode)
-        except _NotJSON as exc:
-            message, pos = exc.args
-            raise json.JSONDecodeError(f"{path}: {message}", Path(path).read_text(encoding="utf-8"), pos) from None
-    if failure is not None:
-        raise failure
-    if rows is None:
+    A file that is one object holding one `predictions` list, every entry of
+    which decodes, is streamed one entry at a time: neither the document nor
+    its text is ever held whole. Any other file (text that is not JSON, not
+    UTF-8 or not such an object, a repeated `predictions` member, or an entry
+    that `decode` rejects) is read whole and decoded again, so its error is
+    that of `read_json`, or MalformedPrediction naming the file and, for a
+    malformed entry, the entry's index."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _scan_predictions(_TextWindow(fh), decode)
+    except (ValueError, *DECODE_ERRORS):  # UnicodeDecodeError is a ValueError
+        pass
+    data = read_json(path)
+    entries = data.get("predictions") if isinstance(data, dict) else None
+    if type(entries) is not list:
         raise MalformedPrediction(f"{path}: no 'predictions' list")
-    return rows
+    return decode_each(path, entries, decode, "prediction", MalformedPrediction)
 
 
-def _scan_predictions(window: _TextWindow, path: str | Path, decode) -> tuple[list | None, Exception | None]:
-    """The decoded rows of the last `predictions` list of the object that
-    opens at the window (None if there is none), and the error of that list's
-    first malformed entry (None if there is none). The object is walked
-    member by member as `json.loads` walks it, with its error messages and
-    positions; each member but a `predictions` list is decoded whole."""
-    rows = failure = None
-    window.pos += 1  # past "{"
+def _scan_predictions(window: _TextWindow, decode) -> list:
+    """The decoded rows of the one `predictions` list of the object that is
+    the whole text, walked member by member as `json.loads` walks it; each
+    other member is decoded whole."""
+    rows = None
+    window.expect("{")
     closed = window.peek() == "}"
     while not closed:
         if window.peek() != '"':
-            window.fail("Expecting property name enclosed in double quotes")
+            raise ValueError("expected a member name")
         name = window.value()
-        window.expect(":", "Expecting ':' delimiter")
-        if name == "predictions" and window.peek() == "[":
-            rows, failure = _scan_entries(window, path, decode)
-        else:
+        window.expect(":")
+        if name != "predictions":
             window.value()
-            if name == "predictions":
-                rows = failure = None
+        elif rows is None and window.peek() == "[":
+            rows = _scan_entries(window, decode)
+        else:
+            raise ValueError("not one 'predictions' list")
         closed = window.peek() == "}"
         if not closed:
-            window.expect(",", "Expecting ',' delimiter")
+            window.expect(",")
     window.pos += 1
-    if window.peek():
-        window.fail("Extra data")
-    return rows, failure
+    if rows is None or window.peek():
+        raise ValueError("not one object with a 'predictions' list")
+    return rows
 
 
-def _scan_entries(window: _TextWindow, path: str | Path, decode) -> tuple[list, Exception | None]:
-    """The decoded rows of the array that opens at the window, and the error
-    of its first malformed entry, after which entries are only checked as
-    JSON."""
+def _scan_entries(window: _TextWindow, decode) -> list:
+    """The decoded rows of the array that opens at the window."""
     rows: list = []
-    failure = None
     window.pos += 1  # past "["
     closed = window.peek() == "]"
     if closed:
         window.pos += 1
-    index = 0
     while not closed:
-        entry = window.value()
-        if failure is None:
-            try:
-                rows.append(decode(entry))
-            except DECODE_ERRORS as exc:
-                failure = item_error(path, "prediction", index, exc, MalformedPrediction)
-        index += 1
+        rows.append(decode(window.value()))
         closed = window.end_of_item()
-    return rows, failure
+    return rows
 
 
 @dataclass

@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import OutOfUniverse, RegevalError, UnrecognizedIdentifier
+from .errors import MalformedConfig, OutOfUniverse, RegevalError, UnrecognizedIdentifier
 
 LAWS = ("LGPD", "PDPA", "PIPEDA")
 
@@ -187,31 +187,61 @@ class JurisdictionRegistry:
 
     @classmethod
     def from_config(cls, config: Mapping[str, Mapping]) -> "JurisdictionRegistry":
+        """The registry of a jurisdictions config. Each law needs `universe`
+        (`ids`, a list, or `range`, two integers), `citation_style` and
+        `id_pattern`; a field that is missing or that does not work raises
+        MalformedConfig naming it by its path."""
+        from .corpus import check_field, check_member, check_object  # corpus imports this module
+
+        obj, member, require = (partial(check, MalformedConfig) for check in (check_object, check_member, check_field))
         laws = {}
-        for code, entry in config.items():
-            universe_cfg = entry["universe"]
+        for code, entry in obj(config, "top level").items():
+            entry = obj(entry, code)
+            universe_cfg = obj(member(entry, "universe", code), f"{code}/universe")
             if "ids" in universe_cfg:
-                universe = tuple(str(i) for i in universe_cfg["ids"])
+                ids = universe_cfg["ids"]
+                universe = tuple(str(i) for i in require(type(ids) is list, ids, f"{code}/universe/ids", "a list"))
             elif "range" in universe_cfg:
-                lo, hi = universe_cfg["range"]
-                universe = tuple(str(i) for i in range(int(lo), int(hi) + 1))
+                bounds = universe_cfg["range"]
+                two_ints = type(bounds) is list and len(bounds) == 2 and all(type(b) is int for b in bounds)
+                lo, hi = require(two_ints, bounds, f"{code}/universe/range", "two integers")
+                universe = tuple(str(i) for i in range(lo, hi + 1))
             else:
-                raise RegevalError(f"{code}: universe needs 'ids' or 'range'")
-            laws[code] = Jurisdiction(
-                code=code,
-                universe=universe,
-                citation_style=entry["citation_style"],
-                prefixes=tuple(entry.get("prefixes", ())),
-                id_pattern=entry["id_pattern"],
-                allow_bare_ids=bool(entry.get("allow_bare_ids", False)),
-            )
+                raise MalformedConfig(f"{code}/universe: needs 'ids' or 'range'")
+            style, pattern = member(entry, "citation_style", code), member(entry, "id_pattern", code)
+            prefixes = entry.get("prefixes", [])
+            allow_bare = entry.get("allow_bare_ids", False)
+            require(type(style) is str, style, f"{code}/citation_style", "a string")
+            require(type(pattern) is str, pattern, f"{code}/id_pattern", "a string")
+            strings = type(prefixes) is list and all(type(prefix) is str for prefix in prefixes)
+            require(strings, prefixes, f"{code}/prefixes", "a list of strings")
+            require(type(allow_bare) is bool, allow_bare, f"{code}/allow_bare_ids", "true or false")
+            try:
+                style.format(id="1")
+            except (AttributeError, IndexError, KeyError, ValueError) as exc:
+                raise MalformedConfig(f"{code}/citation_style cannot render an id: {exc!r}") from None
+            # Construction resolves the universe through the identifier
+            # grammar, which compiles the pattern inside larger ones.
+            try:
+                laws[code] = Jurisdiction(code, universe, style, tuple(prefixes), pattern, allow_bare)
+                matches_empty = re.fullmatch(pattern, "") is not None
+            except re.error as exc:
+                raise MalformedConfig(f"{code}/id_pattern does not compile: {exc}") from None
+            # An identifier that may be empty would never end a text scan.
+            require(not matches_empty, pattern, f"{code}/id_pattern", "a pattern no empty text matches")
         return cls(laws)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "JurisdictionRegistry":
+        """The registry of the jurisdictions config at `path`; any error of
+        the config raises MalformedConfig naming the file."""
         from .corpus import read_json  # corpus imports this module
 
-        return cls.from_config(read_json(path))
+        config = read_json(path)
+        try:
+            return cls.from_config(config)
+        except RegevalError as exc:
+            raise MalformedConfig(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls) -> "JurisdictionRegistry":

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
 from .composites import CompositeConfig, compose
-from .corpus import atomic_write, write_json
+from .corpus import atomic_write, check_member, check_object, write_json
 from .errors import MalformedBase
 from .multilabel import T2_METRIC_NAMES, JudgmentMetrics, Task2Evaluation
 from .retrieval import T1_METRIC_NAMES, RetrievalMetrics, Task1Evaluation
@@ -51,16 +52,8 @@ def build_base_results(
     return base
 
 
-def _object(value, path: str) -> dict:
-    if type(value) is not dict:
-        raise MalformedBase(f"{path} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _member(block: dict, name: str, path: str):
-    if name not in block:
-        raise MalformedBase(f"{path}: missing field {name!r}")
-    return block[name]
+_object = partial(check_object, MalformedBase)
+_member = partial(check_member, MalformedBase)
 
 
 def _numbers(value, names, path: str) -> dict:

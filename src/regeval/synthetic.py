@@ -12,10 +12,11 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import LineSpan, RawInstance, read_json, write_json
+from .corpus import LineSpan, RawInstance, check_field, check_member, check_object, read_json, write_json
 from .errors import InvalidSpec, RegevalError
 from .harness import request_identity, request_key
 from .jurisdiction import JurisdictionRegistry
@@ -24,6 +25,10 @@ from .retrieval import RankedPrediction, gold_keys_for_records
 from .shaping import ShapedViews
 
 PROFILES = ("PERFECT", "BREADTH_ONLY", "RANKING_ONLY", "MAJORITY_LABEL", "RANDOM")
+
+# The lines a synthetic instance may start at: a file has at most this many
+# instances.
+_START_LINES = range(1, 400)
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class CorpusSpec:
             if count < 1:
                 raise InvalidSpec(f"{law}: file count must be >= 1, got {count}")
         lo, hi = self.instances_per_file
-        if lo < 1 or hi < lo:
+        if lo < 1 or hi < lo or hi > len(_START_LINES):
             raise InvalidSpec(f"bad instances_per_file range: {self.instances_per_file}")
         if not (1 <= self.max_labels_per_instance <= self.max_labels_per_file):
             raise InvalidSpec("label caps must satisfy 1 <= per-instance <= per-file")
@@ -67,14 +72,29 @@ class CorpusSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CorpusSpec":
+        """The spec a synthetic_spec.json holds. `seed` and `files_per_law`
+        are required; a field of the wrong type raises InvalidSpec naming it,
+        and a boolean is not an integer."""
+        obj, member, require = (partial(check, InvalidSpec) for check in (check_object, check_member, check_field))
+
+        def integer(path: str, value) -> int:
+            return require(type(value) is int, value, path, "an integer")
+
+        data = obj(data, "top level")
+        files = obj(member(data, "files_per_law", "top level"), "files_per_law")
+        for law, count in files.items():
+            integer(f"files_per_law/{law}", count)
+        span = data.get("instances_per_file", [1, 3])
+        two_ints = type(span) is list and len(span) == 2 and all(type(n) is int for n in span)
+        skew = data.get("skew", 0.5)
         return cls(
-            seed=int(data["seed"]),
-            files_per_law={str(k): int(v) for k, v in data["files_per_law"].items()},
-            instances_per_file=tuple(data.get("instances_per_file", (1, 3))),
-            max_labels_per_file=int(data.get("max_labels_per_file", 4)),
-            max_labels_per_instance=int(data.get("max_labels_per_instance", 2)),
-            skew=float(data.get("skew", 0.5)),
-            repos=int(data.get("repos", 3)),
+            seed=integer("seed", member(data, "seed", "top level")),
+            files_per_law=files,
+            instances_per_file=tuple(require(two_ints, span, "instances_per_file", "two integers")),
+            max_labels_per_file=integer("max_labels_per_file", data.get("max_labels_per_file", 4)),
+            max_labels_per_instance=integer("max_labels_per_instance", data.get("max_labels_per_instance", 2)),
+            skew=require(type(skew) in (int, float), skew, "skew", "a number"),
+            repos=integer("repos", data.get("repos", 3)),
         )
 
 
@@ -114,7 +134,7 @@ def generate_corpus(spec: CorpusSpec, registry: JurisdictionRegistry) -> list[Ra
             pool_size = rng.randint(1, spec.max_labels_per_file)
             pool = _weighted_sample(rng, jur.universe, weights, pool_size)
             n_instances = rng.randint(*spec.instances_per_file)
-            starts = sorted(rng.sample(range(1, 400), n_instances))
+            starts = sorted(rng.sample(_START_LINES, n_instances))
             for inst_idx, start in enumerate(starts):
                 span = LineSpan(start, start + rng.randint(0, 4))
                 n_labels = rng.randint(1, min(spec.max_labels_per_instance, len(pool)))
@@ -146,7 +166,13 @@ def write_spec(spec: CorpusSpec, path: str | Path) -> None:
 
 
 def load_spec(path: str | Path) -> CorpusSpec:
-    return CorpusSpec.from_dict(read_json(path))
+    """The spec in the file at `path`; a malformed one raises InvalidSpec
+    naming the file."""
+    data = read_json(path)
+    try:
+        return CorpusSpec.from_dict(data)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{path}: {exc}") from None
 
 
 # --- scripted model behaviors -----------------------------------------------------

@@ -17,7 +17,7 @@ from regeval.ingest import GoldIndex, load_prediction_files
 from regeval.jurisdiction import JurisdictionRegistry
 from regeval.multilabel import T2_METRIC_NAMES
 from regeval.report import compose_results
-from regeval.synthetic import PROFILES
+from regeval.synthetic import PROFILES, CorpusSpec
 
 REFERENCE_FIXTURE = Path(__file__).parent / "data" / "reference_scores.json"
 
@@ -882,3 +882,136 @@ class TestCliErrors:
         for name in ("predictions_task1.json", "predictions_task2.json"):
             a, b = (json.loads((tmp_path / side / name).read_text()) for side in ("a", "b"))
             assert a["predictions"] and a["predictions"] == b["predictions"]
+
+
+class TestCheckedInputs:
+    """Every input a command reads is checked as it is read: a malformed one
+    exits 2 with one JSON line naming the file and what is wrong, and the
+    command writes nothing."""
+
+    @staticmethod
+    def _error(capsys) -> dict:
+        [line] = capsys.readouterr().err.strip().splitlines()
+        return json.loads(line)
+
+    @pytest.mark.parametrize("target", ["dataset", "view", "predictions", "base"])
+    def test_non_utf8_input_exits_2_naming_file_and_byte(self, tmp_path, capsys, target):
+        views_dir, pred_dir = TestCliErrors._perfect_cohort(tmp_path)
+        base = tmp_path / "base.json"
+        assert main(["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir), "--out", str(base)]) == 0
+        path = {"dataset": tmp_path / "corpus" / "dataset.json", "view": views_dir / "task1_LGPD.json",
+                "predictions": pred_dir / "predictions_task1.json", "base": base}[target]
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        out = tmp_path / "out"
+        argv = {
+            "dataset": ["stats", "--dataset", str(path), "--out", str(out / "stats.json")],
+            "base": ["compose", "--base", str(base), "--out-dir", str(out)],
+        }.get(target, ["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
+                       "--out", str(out / "base.json")])
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert self._error(capsys) == {"error": "RegevalError", "message": f"{path}: not UTF-8 (byte {size + 1})"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (lambda cfg: [], "top level must be an object, got list"),
+            (lambda cfg: cfg.update(LGPD="x") or cfg, "LGPD must be an object, got str"),
+            (lambda cfg: (cfg["LGPD"].pop("universe"), cfg)[1], "LGPD: missing field 'universe'"),
+            (lambda cfg: cfg["LGPD"].update(universe=[]) or cfg, "LGPD/universe must be an object, got list"),
+            (lambda cfg: cfg["LGPD"].update(universe={}) or cfg, "LGPD/universe: needs 'ids' or 'range'"),
+            (lambda cfg: cfg["LGPD"]["universe"].update(ids="5") or cfg,
+             "LGPD/universe/ids must be a list, got '5'"),
+            (lambda cfg: cfg["LGPD"]["universe"].update(ids=[]) or cfg, "LGPD: label universe must be non-empty"),
+            (lambda cfg: cfg["LGPD"].update(universe={"range": [1, True]}) or cfg,
+             "LGPD/universe/range must be two integers, got [1, True]"),
+            (lambda cfg: (cfg["LGPD"].pop("citation_style"), cfg)[1], "LGPD: missing field 'citation_style'"),
+            (lambda cfg: cfg["LGPD"].update(citation_style=None) or cfg,
+             "LGPD/citation_style must be a string, got None"),
+            (lambda cfg: cfg["LGPD"].update(citation_style="Art. {x}") or cfg,
+             "LGPD/citation_style cannot render an id: KeyError('x')"),
+            (lambda cfg: cfg["LGPD"].update(prefixes=["art", 7]) or cfg,
+             "LGPD/prefixes must be a list of strings, got ['art', 7]"),
+            (lambda cfg: cfg["LGPD"].update(prefixes="art") or cfg,
+             "LGPD/prefixes must be a list of strings, got 'art'"),
+            (lambda cfg: (cfg["LGPD"].pop("id_pattern"), cfg)[1], "LGPD: missing field 'id_pattern'"),
+            (lambda cfg: cfg["LGPD"].update(id_pattern=7) or cfg, "LGPD/id_pattern must be a string, got 7"),
+            (lambda cfg: cfg["LGPD"].update(id_pattern="(\\d+") or cfg, "LGPD/id_pattern does not compile: "),
+            (lambda cfg: cfg["LGPD"].update(id_pattern="\\d*") or cfg,
+             "LGPD/id_pattern must be a pattern no empty text matches, got '\\\\d*'"),
+            (lambda cfg: cfg["LGPD"].update(allow_bare_ids="no") or cfg,
+             "LGPD/allow_bare_ids must be true or false, got 'no'"),
+        ],
+    )
+    def test_malformed_config_exits_2_naming_file_and_field(self, tmp_path, capsys, change, problem):
+        config = JurisdictionRegistry.default().to_config()
+        path, dataset, out = tmp_path / "jurisdictions.json", tmp_path / "dataset.json", tmp_path / "stats.json"
+        path.write_text(json.dumps(change(config)))
+        dataset.write_text("[]")
+        capsys.readouterr()
+        assert main(["--config", str(path), "stats", "--dataset", str(dataset), "--out", str(out)]) == 2
+        error = self._error(capsys)
+        assert error["error"] == "MalformedConfig"
+        assert error["message"].startswith(f"{path}: {problem}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (lambda spec: [], "top level must be an object, got list"),
+            (lambda spec: (spec.pop("seed"), spec)[1], "top level: missing field 'seed'"),
+            (lambda spec: spec.update(seed=True) or spec, "seed must be an integer, got True"),
+            (lambda spec: (spec.pop("files_per_law"), spec)[1], "top level: missing field 'files_per_law'"),
+            (lambda spec: spec.update(files_per_law=["LGPD"]) or spec, "files_per_law must be an object, got list"),
+            (lambda spec: spec["files_per_law"].update(LGPD=1.5) or spec,
+             "files_per_law/LGPD must be an integer, got 1.5"),
+            (lambda spec: spec.update(instances_per_file=[1]) or spec,
+             "instances_per_file must be two integers, got [1]"),
+            (lambda spec: spec.update(instances_per_file=[1, 400]) or spec, "bad instances_per_file range: (1, 400)"),
+            (lambda spec: spec.update(max_labels_per_file="4") or spec,
+             "max_labels_per_file must be an integer, got '4'"),
+            (lambda spec: spec.update(max_labels_per_instance=1.5) or spec,
+             "max_labels_per_instance must be an integer, got 1.5"),
+            (lambda spec: spec.update(skew="x") or spec, "skew must be a number, got 'x'"),
+            (lambda spec: spec.update(repos=True) or spec, "repos must be an integer, got True"),
+        ],
+    )
+    def test_malformed_spec_exits_2_naming_file_and_field(self, tmp_path, capsys, change, problem):
+        spec = CorpusSpec(seed=3, files_per_law={"LGPD": 2}).to_dict()
+        path, out = tmp_path / "spec.json", tmp_path / "out"
+        path.write_text(json.dumps(change(spec)))
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(path), "--out-dir", str(out)]) == 2
+        assert self._error(capsys) == {"error": "InvalidSpec", "message": f"{path}: {problem}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize(
+        "view, change",
+        [
+            ("task1", lambda rec: rec["sections"]["file"].update(gold=["7", "x"])),
+            ("task1", lambda rec: rec["sections"]["line"][0].update(gold=["x"])),
+            ("task2", lambda rec: rec.update(gold=["x"])),
+        ],
+    )
+    def test_view_gold_label_outside_the_universe_exits_2(self, tmp_path, capsys, command, view, change):
+        views_dir, pred_dir = TestCliErrors._perfect_cohort(tmp_path)
+        path = views_dir / f"{view}_LGPD.json"
+        data = json.loads(path.read_text())
+        change(data["records"][1])
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--views-dir", str(views_dir), "--models", "m", "--backoff", "0", "--out-dir", str(out)],
+            "eval": ["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
+                     "--out", str(out / "base.json")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert self._error(capsys) == {
+            "error": "MalformedView", "message": f"{path}: record 1: gold labels not in the LGPD universe: ['x']"
+        }
+        assert not out.exists()

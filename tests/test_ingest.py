@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
+import subprocess
 import tempfile
 from unittest import mock
 
@@ -32,6 +34,7 @@ from regeval.shaping import RetrievalKey, SnippetPointer, shape_views
 from regeval.synthetic import CorpusSpec, generate_corpus, render_response_text, scripted_model
 from oracles import oracle_prediction_entries
 from test_corpus import make_instance
+from test_golden import HERE, other_interpreters
 
 
 class TestParseExamples:
@@ -258,6 +261,7 @@ class TestIncrementalReader:
             at = rng.randrange(len(valid))
             texts.append(valid[:at] + rng.choice(' {}[],:"0123456789e.-+tn\\\n') + valid[at + rng.randrange(2):])
         texts += [valid + " x", valid + "{}", f"[{valid}]", "\ufeff" + valid, '{"predictions": [1, 2]}']
+        texts += TRAILING_COMMAS
         path = tmp_path / "p.json"
         kinds = set()
         for chunk in (1, 3, 1 << 16):
@@ -268,6 +272,74 @@ class TestIncrementalReader:
                 assert self._outcome(ingest._decode_entries, path) == expected, (chunk, text)
                 kinds.add(expected[0])
         assert kinds == {"rows", "JSONDecodeError", "MalformedPrediction"}
+
+
+# Trailing commas in the top-level object, in `predictions`, in an entry and
+# in `config`: CPython 3.13's `json.loads` words each differently from 3.12's.
+TRAILING_COMMAS = [
+    '{"predictions": [], }',
+    '{"config": {}, "predictions": [{"law": "LGPD", "ranking": []}],}',
+    '{"predictions": [{"law": "LGPD", "ranking": []}, ]}',
+    '{"predictions": [{"law": "LGPD", "ranking": ["1", ]}]}',
+    '{"predictions": [{"law": "LGPD", "ranking": [], }]}',
+    '{"config": {"a": 1, }, "predictions": []}',
+    '{"config": {"a": [1, 2, ]}, "predictions": []}',
+]
+
+# Reads the JSON list of texts on stdin and compares, for each text as a
+# prediction file and a few chunk sizes, `_decode_entries` with the oracle,
+# which reads the file whole with `json.loads`. Run with `src` on the path
+# and the tests directory as its argument; it needs no pytest.
+READER_PARITY = """
+import json, sys, tempfile
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+from oracles import oracle_prediction_entries
+from regeval import ingest
+from regeval.errors import MalformedPrediction
+
+
+def outcome(read, path):
+    try:
+        return "rows", read(path, lambda entry: (entry["law"], tuple(entry["ranking"])))
+    except (json.JSONDecodeError, MalformedPrediction) as exc:
+        return type(exc).__name__, str(exc)
+
+
+texts = json.loads(sys.stdin.read())
+differ = 0
+with tempfile.TemporaryDirectory() as work:
+    path = Path(work) / "p.json"
+    for chunk in (1, 3, 1 << 16):
+        ingest._CHUNK = chunk
+        for text in texts:
+            path.write_text(text, encoding="utf-8")
+            got, want = outcome(ingest._decode_entries, path), outcome(oracle_prediction_entries, path)
+            if got != want:
+                differ += 1
+                print(chunk, repr(text), got, want)
+sys.exit(1 if differ else 0)
+"""
+
+
+def test_the_reader_reads_as_json_loads_under_other_interpreters():
+    """`_decode_entries` gives the rows and errors of `json.loads` under each
+    other CPython 3.10-3.13 on PATH, whose error messages differ."""
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10-3.13 on PATH")
+    valid = json.dumps(
+        {"config": {"n": 12e5, "x": [1.5, True, None]}, "predictions": [{"law": "LGPD", "ranking": ["1"]}]}
+    )
+    texts = TRAILING_COMMAS + [valid[:cut] for cut in range(len(valid) + 1)]
+    env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+    for exe in interpreters:
+        done = subprocess.run(
+            [exe, "-c", READER_PARITY, str(HERE)],
+            input=json.dumps(texts), capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, (exe, done.stdout, done.stderr)
 
 
 class TestCanonicalIdMemo:
