@@ -265,7 +265,9 @@ def read_json(path: str | Path):
     """The JSON value in the file at `path`: the read twin of `write_json`.
     Bytes that are not UTF-8 raise RegevalError naming the first bad byte;
     text that is not JSON raises json.JSONDecodeError whose message starts
-    with the path and ends with the line and column."""
+    with the path and ends with the line and column; any other value
+    `json.loads` rejects (an integer over the interpreter's digit limit)
+    raises RegevalError naming the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -274,6 +276,8 @@ def read_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    except ValueError as exc:
+        raise RegevalError(f"{path}: {exc}") from None
 
 
 def write_json(path: str | Path, payload) -> Path:

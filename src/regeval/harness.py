@@ -582,9 +582,10 @@ def numbered_responses(path: str | Path, require: Sequence[str] = ()) -> Iterato
     """Yield (line number, record) for the records of a raw_responses.jsonl
     one at a time, in file order; blank lines are skipped.
 
-    Each record is checked as it is read: a line that is not UTF-8 JSON, not an
-    object, lacks `law`, `task`, `key` (or, in task 2, `pointer`) or a field
-    named in `require`, holds a field of the wrong type (see `_RECORD_FIELDS`)
+    Each record is checked as it is read: a line that is not UTF-8 JSON (an
+    integer over the interpreter's digit limit included), not an object,
+    lacks `law`, `task`, `key` (or, in task 2, `pointer`) or a field named in
+    `require`, holds a field of the wrong type (see `_RECORD_FIELDS`)
     or a task other than task1 and task2 raises MalformedResponse naming the
     file and the line number. Records before that line have been yielded by
     then.
@@ -602,6 +603,8 @@ def numbered_responses(path: str | Path, require: Sequence[str] = ()) -> Iterato
                 raise MalformedResponse(f"{path}: line {number}: not UTF-8 (byte {exc.start + 1})") from None
             except json.JSONDecodeError as exc:
                 raise MalformedResponse(f"{path}: line {number}: not JSON ({exc.msg} at column {exc.colno})") from None
+            except ValueError as exc:
+                raise MalformedResponse(f"{path}: line {number}: {exc}") from None
             problem = _record_problem(record, required)
             if problem:
                 raise MalformedResponse(f"{path}: line {number}: {problem}")

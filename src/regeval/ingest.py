@@ -9,12 +9,9 @@ list, which keeps line numbers in free-text rationale from being captured.
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from json.decoder import WHITESPACE
-from json.scanner import make_scanner
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -159,25 +156,29 @@ def write_prediction_files(
     )
 
 
-# Entries encoded per call: a list encodes as its items' encodings joined by
-# ", " inside brackets, so a chunk costs one encoder call and holds only
-# this many entries' text at once.
-_WRITE_CHUNK = 1024
+# Entries per line of a prediction file: a list encodes as its items'
+# encodings joined by ", " inside brackets, so a line costs one encoder call,
+# and the reader holds only this many entries' text at once.
+_WRITE_CHUNK = 64
+
+# The head line of a prediction file is its encoded config between these.
+_HEAD_START, _HEAD_END = '{"config": ', ', "predictions": [\n'
 
 
 def _write_predictions(path: Path, config: dict, entries: Iterable[dict]) -> Path:
-    """Write {"config": config, "predictions": [entries]} a chunk of entries
-    at a time, atomically. The bytes are those of
-    `json.dumps(payload, sort_keys=True)` plus a newline: compact key-sorted
-    JSON, where "config" sorts before "predictions"."""
+    """Write {"config": config, "predictions": [entries]} atomically as
+    compact key-sorted JSON ("config" sorts before "predictions") in lines:
+    the head up to "[", one line per chunk of entries, each but the last
+    ending in ",", and "]}". `json.loads` reads the payload from it, and
+    `_stream_entries` reads it back a line at a time."""
     entries = iter(entries)
     with atomic_write(path) as fh:
-        fh.write(f'{{"config": {encode_sorted(config)}, "predictions": [')
+        fh.write(_HEAD_START + encode_sorted(config) + _HEAD_END)
         separator = ""
         while chunk := list(islice(entries, _WRITE_CHUNK)):
             fh.write(separator + encode_sorted(chunk)[1:-1])
-            separator = ", "
-        fh.write("]}\n")
+            separator = ",\n"
+        fh.write("\n]}\n" if separator else "]}\n")
     return path
 
 
@@ -212,95 +213,19 @@ def _prediction_fields(entry, names: dict[str, str]) -> tuple[str, str]:
     return names.setdefault(law, law), names.setdefault(model, model)
 
 
-# Characters of a prediction file read at a time: a streamed file's text is
-# never held whole, only the entry being decoded and at most this much after it.
-_CHUNK = 1 << 16
-
-# Reads one JSON value at a position with the scanner of `json.loads`.
-_scan_once = make_scanner(json.JSONDecoder())
-# The delimiter after an array item, with the whitespace around it.
-_AFTER_ITEM = re.compile(r"[ \t\n\r]*(?:\]|,[ \t\n\r]*)")
-
-
-class _TextWindow:
-    """A text file read a chunk at a time: `text[pos:]` is what has been read
-    and not consumed. Text the walk does not stream raises ValueError."""
-
-    def __init__(self, fh: TextIO):
-        self.fh = fh
-        self.text = ""
-        self.pos = 0
-
-    def _read_more(self) -> bool:
-        """Drop the consumed text and append at least `_CHUNK` characters, and
-        at least as many as are left, so that a long value decoded again after
-        each read costs linear time in all; False at the end of the file."""
-        chunk = self.fh.read(max(_CHUNK, len(self.text) - self.pos))
-        if not chunk:
-            return False
-        self.text = self.text[self.pos :] + chunk
-        self.pos = 0
-        return True
-
-    def peek(self) -> str:
-        """Skip whitespace; the next character, not consumed, or "" at the end
-        of the file."""
-        while True:
-            self.pos = WHITESPACE.match(self.text, self.pos).end()
-            if self.pos < len(self.text) or not self._read_more():
-                return self.text[self.pos : self.pos + 1]
-
-    def expect(self, char: str) -> None:
-        """Consume `char`, the next character after whitespace."""
-        if self.peek() != char:
-            raise ValueError(f"expected {char!r}")
-        self.pos += 1
-
-    def value(self):
-        """The JSON value after whitespace, consumed. The scanner may stop two
-        characters short of a number's end ("1e" of "1e+5"), so a value is
-        whole only with three characters read after it, or at the end of the
-        file; otherwise it is decoded again once more text is read."""
-        if self.text[self.pos : self.pos + 1] in " \t\n\r":  # "" too, at the end of the text read
-            self.peek()
-        while True:
-            try:
-                value, end = _scan_once(self.text, self.pos)
-            except (StopIteration, json.JSONDecodeError):
-                if not self._read_more():
-                    raise ValueError("not a JSON value") from None
-                continue
-            if end + 2 < len(self.text) or not self._read_more():
-                self.pos = end
-                return value
-
-    def end_of_item(self) -> bool:
-        """Consume the "," or "]" after an array item; True at the "]"."""
-        match = _AFTER_ITEM.match(self.text, self.pos)
-        if match:
-            self.pos = match.end()
-            return self.text[self.pos - 1] == "]"
-        if self.peek() == "]":
-            self.pos += 1
-            return True
-        self.expect(",")
-        return False
-
-
 def _decode_entries(path: str | Path, decode) -> list[tuple]:
     """`decode` of each entry of the `predictions` list of the prediction file
     at `path`, with the rows and errors of `json.loads` on the whole text.
 
-    A file that is one object holding one `predictions` list, every entry of
-    which decodes, is streamed one entry at a time: neither the document nor
-    its text is ever held whole. Any other file (text that is not JSON, not
-    UTF-8 or not such an object, a repeated `predictions` member, or an entry
-    that `decode` rejects) is read whole and decoded again, so its error is
-    that of `read_json`, or MalformedPrediction naming the file and, for a
-    malformed entry, the entry's index."""
+    A file in the layout `_write_predictions` writes, every entry of which
+    decodes, is streamed a line at a time: neither the document nor its text
+    is ever held whole. Any other file (another layout, text that is not JSON
+    or not UTF-8, or an entry that `decode` rejects) is read whole and decoded
+    again, so its error is that of `read_json`, or MalformedPrediction naming
+    the file and, for a malformed entry, the entry's index."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return _scan_predictions(_TextWindow(fh), decode)
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            return _stream_entries(fh, decode)
     except (ValueError, *DECODE_ERRORS):  # UnicodeDecodeError is a ValueError
         pass
     data = read_json(path)
@@ -310,43 +235,28 @@ def _decode_entries(path: str | Path, decode) -> list[tuple]:
     return decode_each(path, entries, decode, "prediction", MalformedPrediction)
 
 
-def _scan_predictions(window: _TextWindow, decode) -> list:
-    """The decoded rows of the one `predictions` list of the object that is
-    the whole text, walked member by member as `json.loads` walks it; each
-    other member is decoded whole."""
-    rows = None
-    window.expect("{")
-    closed = window.peek() == "}"
-    while not closed:
-        if window.peek() != '"':
-            raise ValueError("expected a member name")
-        name = window.value()
-        window.expect(":")
-        if name != "predictions":
-            window.value()
-        elif rows is None and window.peek() == "[":
-            rows = _scan_entries(window, decode)
-        else:
-            raise ValueError("not one 'predictions' list")
-        closed = window.peek() == "}"
-        if not closed:
-            window.expect(",")
-    window.pos += 1
-    if rows is None or window.peek():
-        raise ValueError("not one object with a 'predictions' list")
-    return rows
-
-
-def _scan_entries(window: _TextWindow, decode) -> list:
-    """The decoded rows of the array that opens at the window."""
+def _stream_entries(fh: TextIO, decode) -> list:
+    """The decoded rows of a file in the written layout, each line decoded by
+    `json.loads`; ValueError on any other text. A line must hold entries, so
+    that the lines joined are the one JSON text `json.loads` would read."""
+    head = fh.readline()
+    if not (head.startswith(_HEAD_START) and head.endswith(_HEAD_END)):
+        raise ValueError("not the written head")
+    json.loads(head[len(_HEAD_START) : -len(_HEAD_END)])  # the config, checked only
     rows: list = []
-    window.pos += 1  # past "["
-    closed = window.peek() == "]"
-    if closed:
-        window.pos += 1
-    while not closed:
-        rows.append(decode(window.value()))
-        closed = window.end_of_item()
+    line = fh.readline()
+    more = line != "]}\n"  # whether a line of entries follows
+    while more:
+        more = line.endswith(",\n")
+        # A last line with no "\n" loses a character here; the missing end
+        # line rejects the file anyway.
+        chunk = json.loads("[" + line[: -2 if more else -1] + "]")
+        if not chunk:
+            raise ValueError("a line with no entries")
+        rows.extend(map(decode, chunk))
+        line = fh.readline()
+    if line != "]}\n" or fh.read(1):
+        raise ValueError("not the written end")
     return rows
 
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import LineSpan, RawInstance, decode_each, decode_span, derive_module_name, read_json, write_json
+from .corpus import (
+    LineSpan, RawInstance, check_field, decode_each, decode_span, derive_module_name, read_json, write_json,
+)
 from .errors import ConflictingSnippet, EmptyCorpus, MalformedPrediction, MalformedView, RegevalError
 from .jurisdiction import JurisdictionRegistry
 
@@ -376,14 +378,21 @@ def task1_record_from_dict(law: str, data: Mapping) -> Task1Record:
     )
 
 
+def _decode_text(value, path: str) -> str:
+    return check_field(MalformedPrediction, type(value) is str, value, path, "a string")
+
+
 def task2_record_from_dict(law: str, data: Mapping) -> Task2Record:
+    """A view record decoded, its pointer, gold, snippet and provenance
+    type-checked."""
+    provenance = data["provenance"]
     return Task2Record(
         law=law,
         pointer=SnippetPointer.from_dict(data["pointer"]),
-        snippet=data["snippet"],
+        snippet=_decode_text(data["snippet"], "snippet"),
         gold=_decode_gold(data["gold"]),
-        repo_url=data["provenance"]["repo_url"],
-        app_name=data["provenance"]["app_name"],
+        repo_url=_decode_text(provenance["repo_url"], "provenance/repo_url"),
+        app_name=_decode_text(provenance["app_name"], "provenance/app_name"),
     )
 
 

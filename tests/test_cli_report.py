@@ -1015,3 +1015,66 @@ class TestCheckedInputs:
             "error": "MalformedView", "message": f"{path}: record 1: gold labels not in the LGPD universe: ['x']"
         }
         assert not out.exists()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+    @pytest.mark.parametrize("stage", ["eval", "parse", "replay"])
+    def test_integer_over_the_digit_limit_exits_2(self, tmp_path, capsys, stage):
+        """`json.loads` rejects such an integer with a ValueError that is not
+        a JSONDecodeError; each reader names the file (and line) for it."""
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ValueError) as limit:
+            json.loads(digits)
+        views_dir, pred_dir = TestCliErrors._perfect_cohort(tmp_path)
+        out = tmp_path / "out"
+        if stage == "eval":
+            path = pred_dir / "predictions_task1.json"
+            text = path.read_text()
+            path.write_text(text.replace('{"config": {', f'{{"config": {{"n": {digits}, ', 1))
+            argv = ["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir), "--out", str(out / "b.json")]
+            expected = {"error": "RegevalError", "message": f"{path}: {limit.value}"}
+        else:
+            assert main(["run", "--views-dir", str(views_dir), "--models", "m", "--backoff", "0",
+                         "--out-dir", str(tmp_path / "run")]) == 0
+            path = tmp_path / "run" / "raw_responses.jsonl"
+            lines = path.read_text().splitlines()
+            lines[1] = f'{lines[1][:-1]}, "n": {digits}}}'
+            path.write_text("\n".join(lines) + "\n")
+            argv = {
+                "parse": ["parse", "--responses", str(path), "--out-dir", str(out)],
+                "replay": ["run", "--views-dir", str(views_dir), "--models", "m", "--transport", "replay",
+                           "--replay", str(path), "--out-dir", str(out)],
+            }[stage]
+            expected = {"error": "MalformedResponse", "message": f"{path}: line 2: {limit.value}"}
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert self._error(capsys) == expected
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (lambda rec: rec.update(snippet=5), "snippet must be a string, got 5"),
+            (lambda rec: rec.update(snippet=None), "snippet must be a string, got None"),
+            (lambda rec: rec.update(snippet=1.5), "snippet must be a string, got 1.5"),
+            (lambda rec: rec["provenance"].update(repo_url=7), "provenance/repo_url must be a string, got 7"),
+            (lambda rec: rec["provenance"].update(app_name=None), "provenance/app_name must be a string, got None"),
+        ],
+        ids=["snippet-int", "snippet-null", "snippet-float", "repo_url-int", "app_name-null"],
+    )
+    def test_task2_view_snippet_and_provenance_must_be_strings(self, tmp_path, capsys, command, change, problem):
+        views_dir, pred_dir = TestCliErrors._perfect_cohort(tmp_path)
+        path = views_dir / "task2_LGPD.json"
+        data = json.loads(path.read_text())
+        change(data["records"][1])
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--views-dir", str(views_dir), "--models", "m", "--backoff", "0", "--out-dir", str(out)],
+            "eval": ["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
+                     "--out", str(out / "base.json")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert self._error(capsys) == {"error": "MalformedView", "message": f"{path}: record 1: {problem}"}
+        assert not out.exists()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regeval.corpus import encode_sorted, read_json
 from regeval.errors import MalformedPrediction, RegevalError
 from regeval import ingest
 from regeval.ingest import (
@@ -196,9 +197,10 @@ class TestResponseParsing:
 
 
 class TestIncrementalReader:
-    """A prediction file is read one entry at a time, never whole, and as
-    `json.loads` reads it: the same rows from any layout it accepts, and the
-    same error, with its message and position, from any text it rejects."""
+    """A prediction file in the layout `_write_predictions` writes is read one
+    line at a time, never whole, and every file is read as `json.loads` reads
+    it: the same rows from any layout it accepts, and the same error, with its
+    message and position, from any text it rejects."""
 
     @pytest.fixture()
     def entries(self, registry):
@@ -255,23 +257,64 @@ class TestIncrementalReader:
         )
         # A malformed entry in a `predictions` list that a later one replaces.
         replaced = '{"predictions": [{"law": "LGPD"}, 7], "m": -1E+2, "predictions": [{"law": "A", "ranking": []}]}'
+        written = written_documents(tmp_path)
         rng = random.Random(14)
-        texts = [text[:cut] for text in (valid, replaced) for cut in range(len(text) + 1)]
-        for _ in range(150):
-            at = rng.randrange(len(valid))
-            texts.append(valid[:at] + rng.choice(' {}[],:"0123456789e.-+tn\\\n') + valid[at + rng.randrange(2):])
+        texts = [text[:cut] for text in (valid, replaced, *written) for cut in range(len(text) + 1)]
+        for text in (valid, *written):
+            for _ in range(100):
+                at = rng.randrange(len(text))
+                texts.append(text[:at] + rng.choice(' {}[],:"0123456789e.-+tn\\\n') + text[at + rng.randrange(2):])
+        texts += [edit for text in written for edit in line_edits(text)]
         texts += [valid + " x", valid + "{}", f"[{valid}]", "\ufeff" + valid, '{"predictions": [1, 2]}']
         texts += TRAILING_COMMAS
+        whole_reads = []
+        monkeypatch.setattr(ingest, "read_json", lambda path: whole_reads.append(path) or read_json(path))
         path = tmp_path / "p.json"
-        kinds = set()
-        for chunk in (1, 3, 1 << 16):
-            monkeypatch.setattr(ingest, "_CHUNK", chunk)
-            for text in texts:
-                path.write_text(text, encoding="utf-8")
-                expected = self._outcome(oracle_prediction_entries, path)
-                assert self._outcome(ingest._decode_entries, path) == expected, (chunk, text)
-                kinds.add(expected[0])
+        kinds, streamed = set(), 0
+        for text in texts:
+            path.write_text(text, encoding="utf-8")
+            expected = self._outcome(oracle_prediction_entries, path)
+            whole_reads.clear()
+            assert self._outcome(ingest._decode_entries, path) == expected, text
+            kinds.add(expected[0])
+            streamed += not whole_reads
         assert kinds == {"rows", "JSONDecodeError", "MalformedPrediction"}
+        assert streamed >= len(written)
+
+
+def written_documents(tmp_path) -> list[str]:
+    """Texts `_write_predictions` writes at one and two entries per line: of
+    three entries, of none, and of two under a config string that holds the
+    end of the head line."""
+    entries = [
+        {"law": "LGPD", "ranking": ["1", "2"]}, {"law": "PDPA", "ranking": []},
+        {"law": "LGPD", "model": "m", "ranking": ["3"]},
+    ]
+    documents = [
+        ({"n": 12e5, "x": [1.5, True, None, "\u00e9 \\"]}, entries),
+        ({}, []),
+        ({"s": ', "predictions": ['}, entries[:2]),
+    ]
+    path = tmp_path / "written.json"
+    texts = []
+    for chunk in (1, 2):
+        with mock.patch.object(ingest, "_WRITE_CHUNK", chunk):
+            for config, items in documents:
+                ingest._write_predictions(path, config, items)
+                texts.append(path.read_text(encoding="utf-8"))
+    return texts
+
+
+def line_edits(text: str) -> list[str]:
+    """`text` with each line dropped, doubled, preceded by a blank line,
+    blanked, and re-ended with its comma added or removed."""
+    lines = text.splitlines(keepends=True)
+    edits = []
+    for at, line in enumerate(lines):
+        reended = line[:-2] + "\n" if line.endswith(",\n") else line[:-1] + ",\n"
+        for replacement in ([], [line, line], ["\n", line], ["\n"], [reended]):
+            edits.append("".join(lines[:at] + replacement + lines[at + 1 :]))
+    return edits
 
 
 # Trailing commas in the top-level object, in `predictions`, in an entry and
@@ -287,9 +330,9 @@ TRAILING_COMMAS = [
 ]
 
 # Reads the JSON list of texts on stdin and compares, for each text as a
-# prediction file and a few chunk sizes, `_decode_entries` with the oracle,
-# which reads the file whole with `json.loads`. Run with `src` on the path
-# and the tests directory as its argument; it needs no pytest.
+# prediction file, `_decode_entries` with the oracle, which reads the file
+# whole with `json.loads`. Run with `src` on the path and the tests directory
+# as its argument; it needs no pytest.
 READER_PARITY = """
 import json, sys, tempfile
 from pathlib import Path
@@ -311,19 +354,17 @@ texts = json.loads(sys.stdin.read())
 differ = 0
 with tempfile.TemporaryDirectory() as work:
     path = Path(work) / "p.json"
-    for chunk in (1, 3, 1 << 16):
-        ingest._CHUNK = chunk
-        for text in texts:
-            path.write_text(text, encoding="utf-8")
-            got, want = outcome(ingest._decode_entries, path), outcome(oracle_prediction_entries, path)
-            if got != want:
-                differ += 1
-                print(chunk, repr(text), got, want)
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        got, want = outcome(ingest._decode_entries, path), outcome(oracle_prediction_entries, path)
+        if got != want:
+            differ += 1
+            print(repr(text), got, want)
 sys.exit(1 if differ else 0)
 """
 
 
-def test_the_reader_reads_as_json_loads_under_other_interpreters():
+def test_the_reader_reads_as_json_loads_under_other_interpreters(tmp_path):
     """`_decode_entries` gives the rows and errors of `json.loads` under each
     other CPython 3.10-3.13 on PATH, whose error messages differ."""
     interpreters = other_interpreters()
@@ -332,7 +373,9 @@ def test_the_reader_reads_as_json_loads_under_other_interpreters():
     valid = json.dumps(
         {"config": {"n": 12e5, "x": [1.5, True, None]}, "predictions": [{"law": "LGPD", "ranking": ["1"]}]}
     )
-    texts = TRAILING_COMMAS + [valid[:cut] for cut in range(len(valid) + 1)]
+    written = written_documents(tmp_path)
+    texts = TRAILING_COMMAS + [text[:cut] for text in (valid, *written) for cut in range(len(text) + 1)]
+    texts += [edit for text in written for edit in line_edits(text)]
     env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
     for exe in interpreters:
         done = subprocess.run(
@@ -529,12 +572,25 @@ _CONFIG_VALUE = st.recursive(
     config=st.none() | st.dictionaries(_TEXT, _CONFIG_VALUE, max_size=3),
 )
 def test_streamed_prediction_files_equal_one_dump_of_the_payload(ranked, sets, config):
-    """Entries are written a chunk at a time (two here, so most files span
-    several chunks), with the bytes of one compact key-sorted dump of the
-    whole payload: no entries, entries without a model, and any text
-    included."""
-    with tempfile.TemporaryDirectory() as out, mock.patch.object(ingest, "_WRITE_CHUNK", 2):
+    """Entries are written a line of entries at a time (two here, so most
+    files span several lines): `json.loads` reads the payload back, the bytes
+    are one compact key-sorted dump of it with newlines after the head and
+    between lines, and `_decode_entries` streams the file without reading it
+    whole. No entries, entries without a model, and any text included."""
+    with (
+        tempfile.TemporaryDirectory() as out,
+        mock.patch.object(ingest, "_WRITE_CHUNK", 2),
+        mock.patch.object(ingest, "read_json", side_effect=AssertionError("read whole")),
+    ):
         t1, t2 = write_prediction_files(out, ranked, sets, config)
         for path, entries in ((t1, map(ranked_prediction_to_dict, ranked)), (t2, map(set_prediction_to_dict, sets))):
             payload = {"config": dict(config or {}), "predictions": list(entries)}
-            assert path.read_bytes() == (json.dumps(payload, indent=None, sort_keys=True) + "\n").encode()
+            text = path.read_text(encoding="utf-8")
+            # A NaN in the config is not equal to itself, so the values are
+            # compared by their encodings.
+            assert encode_sorted(json.loads(text)) == encode_sorted(payload)
+            # Encoded strings hold no raw newline: each one is layout.
+            dump = json.dumps(payload, indent=None, sort_keys=True)
+            assert text.replace(",\n", ", ").replace("\n", "") == dump and text.endswith("]}\n")
+            assert text.count("\n") == 2 + (len(payload["predictions"]) + 1) // 2
+            assert ingest._decode_entries(path, lambda entry: entry) == payload["predictions"]
