@@ -16,7 +16,7 @@ from pathlib import Path
 from . import report as report_mod
 from .composites import CompositeConfig, compose_from_rcs
 from .corpus import corpus_stats, load_dataset, read_json, save_dataset, write_json
-from .errors import MalformedBase, MalformedView, RegevalError
+from .errors import MalformedBase, MalformedView, RegevalError, UnmatchedPredictions
 from .harness import (
     FailingTransport,
     MockTransport,
@@ -105,14 +105,13 @@ def _load_views(
 def cmd_stats(args) -> int:
     registry = _registry(args)
     corpus = load_dataset(args.dataset, registry, law=args.law)
-    stats = corpus_stats(corpus, registry, top_k=args.top_k)
     payload = {
         "config": {
             "dataset": str(args.dataset),
             "top_k": args.top_k,
             "jurisdictions": registry.to_config(),
         },
-        "stats": stats.to_dict(),
+        "stats": corpus_stats(corpus, registry, top_k=args.top_k),
     }
     write_json(args.out, payload)
     print(f"wrote {args.out}")
@@ -241,12 +240,14 @@ def cmd_eval(args) -> int:
                 kept.append(row)
         return grouped
 
-    # A model's scores and diagnostics, and the directories it appeared in.
+    # A model's scores and bind report, the directories it appeared in, and
+    # the laws of which its rows match nothing.
     scored: dict[str, tuple] = {}
     dirs_of: dict[str, list[Path]] = {}
+    strays: dict[str, list[str]] = {}
 
     def score(model: str, pred_dir: Path, ranked: list, sets: list) -> tuple:
-        """`model`'s task-1 and task-2 scores and diagnostics, from its rows in
+        """`model`'s task-1 and task-2 scores and bind report, from its rows in
         `pred_dir` joined after its rows in the directories it appeared in
         before, in the order given."""
         earlier = dirs_of.setdefault(model, [])
@@ -256,8 +257,9 @@ def cmd_eval(args) -> int:
             sets = [row for _ranked, rows in before for row in rows] + sets
         earlier.append(pred_dir)
         bound = bind_predictions(gold, ranked, sets, args.policy)
+        strays[model] = bound.stray_laws()
         return (
-            score_task1(bound.task1, registry) if args.task in ("both", "task1") else {},
+            score_task1(bound.task1) if args.task in ("both", "task1") else {},
             score_task2(bound.task2, registry) if args.task in ("both", "task2") else {},
             bound.to_dict(),
         )
@@ -272,12 +274,15 @@ def cmd_eval(args) -> int:
         for model in list(grouped):
             scored[model] = score(model, pred_dir, *grouped.pop(model))
 
-    per_model_task1 = {model: task1 for model, (task1, _task2, _diagnostics) in scored.items()}
-    per_model_task2 = {model: task2 for model, (_task1, task2, _diagnostics) in scored.items()}
-    diagnostics = {model: block for model, (_task1, _task2, block) in scored.items()}
+    # Rows of a law that match nothing at all were made for other views, and
+    # would score as a model that answered nothing.
+    for model, laws in sorted(strays.items()):
+        if laws:
+            raise UnmatchedPredictions(
+                f"model {model!r}: no {laws[0]} prediction matches a gold key or pointer in {args.views_dir}"
+            )
     base = report_mod.build_base_results(
-        per_model_task1,
-        per_model_task2,
+        scored,
         config_echo={
             "policy": args.policy,
             "task": args.task,
@@ -285,7 +290,6 @@ def cmd_eval(args) -> int:
             "predictions": [str(p) for p in prediction_dirs],
         },
     )
-    base["diagnostics"] = diagnostics
     write_json(args.out, base)
     print(f"wrote {args.out}")
     return 0

@@ -13,7 +13,7 @@ import os
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import Iterator, Mapping, Sequence, TextIO
 
@@ -173,8 +173,7 @@ class RawInstance:
 
 def _articles_from_field(value, law: str, registry: JurisdictionRegistry) -> frozenset[str]:
     items: Sequence = value if isinstance(value, (list, tuple)) else [value]
-    refs = {registry.canonicalize_article(str(item), law).article for item in items}
-    return frozenset(refs)
+    return frozenset(registry.canonicalize_article(str(item), law) for item in items)
 
 
 def instance_from_record(record: Mapping, registry: JurisdictionRegistry, law: str | None = None) -> RawInstance:
@@ -289,43 +288,21 @@ def write_json(path: str | Path, payload) -> Path:
     return path
 
 
-@dataclass
-class CorpusStats:
-    """Corpus-level counts mirroring the dataset summary tables."""
-
-    per_law: dict[str, dict[str, int]] = field(default_factory=dict)
-    coverage: dict[str, dict[str, int]] = field(default_factory=dict)
-    label_frequencies: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-    theme_overlap: dict[str, int] = field(default_factory=dict)
-    total_instances: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "total_instances": self.total_instances,
-            "per_law": self.per_law,
-            "coverage": self.coverage,
-            "label_frequencies": {
-                law: [[article, count] for article, count in ranking]
-                for law, ranking in self.label_frequencies.items()
-            },
-            "theme_overlap": self.theme_overlap,
-        }
-
-
 def corpus_stats(
     corpus: Sequence[RawInstance],
     registry: JurisdictionRegistry,
     top_k: int = 10,
-) -> CorpusStats:
-    """Distinct-anchor counts, repository coverage, label ranking, theme overlap.
+) -> dict:
+    """The `stats` block of stats.json: distinct-anchor counts, repository
+    coverage, label ranking and theme overlap per law.
 
     All counts are permutation-invariant. The theme overlap entry for a law
     pair counts themes whose anchor article appears in both laws' instances.
-    `top_k` bounds each law's label ranking; 0 keeps every label.
+    `top_k` bounds each law's label ranking, a list of [article, count]
+    pairs; 0 keeps every label.
     """
     if top_k < 0:
         raise RegevalError(f"top_k must be >= 0, got {top_k}")
-    stats = CorpusStats()
     files: dict[str, set] = {law: set() for law in registry.codes}
     modules: dict[str, set] = {law: set() for law in registry.codes}
     lines: dict[str, set] = {law: set() for law in registry.codes}
@@ -346,23 +323,25 @@ def corpus_stats(
         for article in inst.articles:
             label_counts[law][article] += 1
 
+    stats: dict = {"total_instances": len(corpus), "per_law": {}, "coverage": {}, "label_frequencies": {}}
     for law in registry.codes:
-        stats.per_law[law] = {
+        stats["per_law"][law] = {
             "files": len(files[law]),
             "modules": len(modules[law]),
             "lines": len(lines[law]),
             "snippets": len(snippets[law]),
             "instances": instances[law],
         }
-        stats.coverage[law] = dict(sorted(coverage[law].items()))
+        stats["coverage"][law] = dict(sorted(coverage[law].items()))
         jur = registry.get(law)
         ranked = sorted(
             label_counts[law].items(),
             key=lambda item: (-item[1], jur.universe_index(item[0])),
         )
-        stats.label_frequencies[law] = ranked[:top_k] if top_k else ranked
+        stats["label_frequencies"][law] = [list(item) for item in (ranked[:top_k] if top_k else ranked)]
 
     codes = list(registry.codes)
+    stats["theme_overlap"] = {}
     for i, law_a in enumerate(codes):
         for law_b in codes[i + 1 :]:
             shared = 0
@@ -372,7 +351,5 @@ def corpus_stats(
                     continue
                 if label_counts[law_a][anchors[law_a]] and label_counts[law_b][anchors[law_b]]:
                     shared += 1
-            stats.theme_overlap[f"{law_a}|{law_b}"] = shared
-
-    stats.total_instances = len(corpus)
+            stats["theme_overlap"][f"{law_a}|{law_b}"] = shared
     return stats

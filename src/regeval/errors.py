@@ -87,3 +87,9 @@ class MalformedConfig(RegevalError):
 class MalformedBase(RegevalError):
     """A base-metric or RCS file for `compose` lacks a field, or holds a value
     of the wrong type where an object of models or a metric number belongs."""
+
+
+class UnmatchedPredictions(RegevalError):
+    """A model's predictions for a law match no gold key and no gold pointer
+    of the views they are scored against, as when they were made for another
+    corpus."""

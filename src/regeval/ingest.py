@@ -59,13 +59,13 @@ def parse_prediction_text(
     seen: set[str] = set()
     for token in registry.get(law).scan(text or ""):
         try:
-            ref = registry.canonicalize_article(token, law)
+            article = registry.canonicalize_article(token, law)
         except OutOfUniverse:
             dropped.append(token)
             continue
-        if ref.article not in seen:
-            seen.add(ref.article)
-            ids.append(ref.article)
+        if article not in seen:
+            seen.add(article)
+            ids.append(article)
     return ParsedPrediction(law=law, mode=mode, ids=tuple(ids), dropped_out_of_universe=tuple(dropped))
 
 
@@ -198,7 +198,7 @@ def _canonical_ids(
             article = known[raw]
         except (KeyError, TypeError):
             text = str(raw)
-            article = known[text] = registry.canonicalize_article(text, law).article
+            article = known[text] = registry.canonicalize_article(text, law)
         ids[article] = None
     return tuple(ids)
 
@@ -363,6 +363,16 @@ class BindResult:
                 for law, tasks in sorted(self.cardinality.items())
             },
         }
+
+    def stray_laws(self) -> list[str]:
+        """The laws, sorted, for which the joined rows match no gold key
+        (relaxed fallbacks count) and no gold pointer."""
+        matched = Counter()
+        for (law, _gran), match in self.task1.items():
+            matched[law] += match.report.matched_keys
+        for law, match in self.task2.items():
+            matched[law] += match.report.matched_pointers
+        return [law for law in sorted(self.cardinality) if not matched[law]]
 
 
 def bind_predictions(

@@ -1,8 +1,8 @@
 """Jurisdiction registry: label universes, citation styles, and article canonicalization.
 
 Each supported law keeps its native article numbering. Canonical ids are plain
-strings ("7", "4.3"); equality across laws is never implied even when the digit
-strings match, so cross-law comparisons always go through ArticleRef.
+strings ("7", "4.3"), always read together with their law: equality across
+laws is never implied even when the digit strings match.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Iterable, Mapping
 
 from .errors import MalformedConfig, OutOfUniverse, RegevalError, UnrecognizedIdentifier
 
-LAWS = ("LGPD", "PDPA", "PIPEDA")
-
 THEMES = ("consent", "notice", "collection", "retention", "security", "transfer")
 
 # Per-law anchor article for each shared compliance theme.
@@ -30,17 +28,6 @@ THEME_ANCHORS: dict[str, dict[str, str]] = {
     "security": {"LGPD": "46", "PDPA": "24", "PIPEDA": "4.7"},
     "transfer": {"LGPD": "33", "PDPA": "26", "PIPEDA": "4.1"},
 }
-
-
-@dataclass(frozen=True, order=True)
-class ArticleRef:
-    """A native article identifier scoped to one law."""
-
-    law: str
-    article: str
-
-    def __str__(self) -> str:
-        return f"{self.law}:{self.article}"
 
 
 # Separators that continue an identifier list: "Art. 7, 12 and 15".
@@ -57,8 +44,8 @@ class Jurisdiction:
     The identifier grammar is compiled once per law: `head` and
     `continuation` scan free text, `surface_form` matches one whole token.
     Construction also builds a dict index over the universe and the map from
-    each universe member the surface form resolves to itself onto its shared
-    `ArticleRef`, so canonical ids skip the regex.
+    each universe member the surface form resolves to itself onto the
+    universe's own string, so canonical ids skip the regex.
     """
 
     code: str
@@ -68,7 +55,7 @@ class Jurisdiction:
     id_pattern: str
     allow_bare_ids: bool
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _canonical: dict[str, ArticleRef] = field(init=False, repr=False, compare=False)
+    _canonical: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.universe:
@@ -80,11 +67,10 @@ class Jurisdiction:
         canonical = {}
         for article in self.universe:
             try:
-                ref = self.resolve(article)
+                if self.resolve(article) == article:
+                    canonical[article] = article
             except (UnrecognizedIdentifier, OutOfUniverse):
-                continue
-            if ref.article == article:
-                canonical[article] = ref
+                pass
         object.__setattr__(self, "_canonical", canonical)
 
     def universe_index(self, article: str) -> int:
@@ -156,8 +142,9 @@ class Jurisdiction:
                 pos = cont.end()
         return tokens
 
-    def resolve(self, raw: str) -> ArticleRef:
-        """Resolve one surface form through the grammar (the regex path)."""
+    def resolve(self, raw: str) -> str:
+        """The canonical id of one surface form, resolved through the grammar
+        (the regex path)."""
         if not raw or not raw.strip():
             raise UnrecognizedIdentifier(f"{self.code}: empty identifier text")
         match = self.surface_form.match(raw)
@@ -166,7 +153,7 @@ class Jurisdiction:
         canonical = _canonical_token(match.group(1))
         if not self.contains(canonical):
             raise OutOfUniverse(f"{self.code}: article {canonical!r} not in universe")
-        return ArticleRef(self.code, canonical)
+        return canonical
 
 
 def _canonical_token(token: str) -> str:
@@ -273,27 +260,15 @@ class JurisdictionRegistry:
             for code, jur in self._by_code.items()
         }
 
-    def canonicalize_article(self, raw: str, law: str) -> ArticleRef:
-        """Resolve one identifier surface form to its canonical ArticleRef.
+    def canonicalize_article(self, raw: str, law: str) -> str:
+        """Resolve one identifier surface form of `law` to its canonical id.
 
-        A universe member already in canonical form is one dict lookup; any
-        other text goes through the law's surface-form grammar. Raises
+        A universe member already in canonical form is one dict lookup that
+        returns the universe's own string; any other text goes through the
+        law's surface-form grammar. Raises
         UnrecognizedIdentifier when the text is not an identifier at all and
         OutOfUniverse when it parses but names an unknown provision.
         """
         jur = self.get(law)
-        ref = jur._canonical.get(raw)
-        return ref if ref is not None else jur.resolve(raw)
-
-
-def theme_anchor(theme: str, law: str, registry: JurisdictionRegistry | None = None) -> ArticleRef:
-    """Fixed anchor article for a compliance theme under one law."""
-    key = theme.lower()
-    if key not in THEME_ANCHORS:
-        raise RegevalError(f"unknown theme: {theme!r}")
-    anchors = THEME_ANCHORS[key]
-    if law not in anchors:
-        raise RegevalError(f"unknown jurisdiction: {law!r}")
-    if registry is not None and not registry.get(law).contains(anchors[law]):
-        raise OutOfUniverse(f"{law}: anchor {anchors[law]!r} missing from configured universe")
-    return ArticleRef(law, anchors[law])
+        article = jur._canonical.get(raw)
+        return article if article is not None else jur.resolve(raw)

@@ -194,12 +194,6 @@ class Task2Match:
 
 
 @dataclass
-class Task2Evaluation:
-    metrics: JudgmentMetrics
-    report: PointerMatchReport
-
-
-@dataclass
 class GoldPointers:
     """One law's gold task-2 records, indexed once per `eval` and shared by
     every model's join: their gold sets in record order, a slot per distinct
@@ -269,16 +263,16 @@ def match_task2(
 def score_task2(
     matches: Mapping[str, Task2Match],
     registry: JurisdictionRegistry,
-) -> dict[str, Task2Evaluation]:
+) -> dict[str, JudgmentMetrics]:
     """Per-law oriented metric vector; unmatched gold pointers score as empty
     predictions."""
-    results: dict[str, Task2Evaluation] = {}
+    results: dict[str, JudgmentMetrics] = {}
     for law, match in matches.items():
         universe = registry.get(law).universe
         golds = match.golds
         pred_sets = [frozenset(order) for order in match.orders]
         micro, macro, weighted = f1_suite(golds, pred_sets, universe)
-        metrics = JudgmentMetrics(
+        results[law] = JudgmentMetrics(
             micro_f1=micro,
             macro_f1=macro,
             weighted_f1=weighted,
@@ -286,7 +280,6 @@ def score_task2(
             one_minus_coverage_error=1.0 - normalized_coverage_error(golds, match.orders, universe),
             one_minus_hamming=1.0 - hamming_loss(golds, pred_sets, universe),
         )
-        results[law] = Task2Evaluation(metrics=metrics, report=match.report)
     return results
 
 
@@ -294,6 +287,6 @@ def evaluate_task2(
     records: Sequence[Task2Record],
     predictions: Sequence[SetPrediction],
     registry: JurisdictionRegistry,
-) -> dict[str, Task2Evaluation]:
+) -> dict[str, JudgmentMetrics]:
     """Per-law metrics of `predictions` against `records`."""
     return score_task2(match_task2(index_pointers(records), predictions), registry)

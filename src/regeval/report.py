@@ -16,8 +16,8 @@ from typing import Mapping
 from .composites import CompositeConfig, compose
 from .corpus import atomic_write, check_member, check_object, write_json
 from .errors import MalformedBase
-from .multilabel import T2_METRIC_NAMES, JudgmentMetrics, Task2Evaluation
-from .retrieval import T1_METRIC_NAMES, RetrievalMetrics, Task1Evaluation
+from .multilabel import T2_METRIC_NAMES, JudgmentMetrics
+from .retrieval import T1_METRIC_NAMES, RetrievalMetrics
 from .shaping import GRANULARITIES
 
 SCHEMA_VERSION = 1
@@ -26,29 +26,25 @@ _MAX_FLOAT = sys.float_info.max
 
 
 def build_base_results(
-    per_model_task1: Mapping[str, Mapping[tuple[str, str], Task1Evaluation]],
-    per_model_task2: Mapping[str, Mapping[str, Task2Evaluation]],
+    scored: Mapping[str, tuple[Mapping[tuple[str, str], RetrievalMetrics], Mapping[str, JudgmentMetrics], dict]],
     config_echo: Mapping,
 ) -> dict:
-    """Assemble the base-metric block of results.json from evaluation outputs."""
-    base: dict = {"schema_version": SCHEMA_VERSION, "config": dict(config_echo), "models": {}}
-    for model in sorted(per_model_task1):
-        t1 = per_model_task1[model]
-        t2 = per_model_task2.get(model, {})
-        laws = sorted({law for (law, _gran) in t1})
-        model_block: dict = {"task1": {}, "task2": {}, "coverage": {"task1": {}, "task2": {}}}
-        for law in laws:
-            model_block["task1"][law] = {}
-            for gran in GRANULARITIES:
-                evaluation = t1.get((law, gran))
-                if evaluation is None:
-                    continue
-                model_block["task1"][law][gran] = evaluation.metrics._asdict()
-                model_block["coverage"]["task1"].setdefault(law, {})[gran] = evaluation.report.to_dict()
-        for law, evaluation in sorted(t2.items()):
-            model_block["task2"][law] = evaluation.metrics._asdict()
-            model_block["coverage"]["task2"][law] = evaluation.report.to_dict()
-        base["models"][model] = model_block
+    """The base.json payload of `eval` from each model's task-1 metrics per
+    (law, granularity), task-2 metrics per law (either empty when its task was
+    not scored) and bind report (`BindResult.to_dict()`). A model block holds
+    the metrics and, for each scored slice, its coverage report from the bind
+    report, which is the model's `diagnostics` entry in full."""
+    base: dict = {"schema_version": SCHEMA_VERSION, "config": dict(config_echo), "models": {}, "diagnostics": {}}
+    for model, (task1, task2, bind) in sorted(scored.items()):
+        block: dict = {"task1": {}, "task2": {}, "coverage": {"task1": {}, "task2": {}}}
+        for (law, gran), metrics in task1.items():
+            block["task1"].setdefault(law, {})[gran] = metrics._asdict()
+            block["coverage"]["task1"].setdefault(law, {})[gran] = bind["task1"][f"{law}/{gran}"]
+        for law, metrics in task2.items():
+            block["task2"][law] = metrics._asdict()
+            block["coverage"]["task2"][law] = bind["task2"][law]
+        base["models"][model] = block
+        base["diagnostics"][model] = bind
     return base
 
 

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyGold
-from .jurisdiction import JurisdictionRegistry
 from .shaping import GRANULARITIES, RetrievalKey, Task1Record
 
 STRICT = "strict"
@@ -263,13 +262,6 @@ class Task1Match:
     orphans: list[tuple]
 
 
-@dataclass
-class Task1Evaluation:
-    metrics: RetrievalMetrics
-    report: KeyMatchReport
-    truncated_rankings: int = 0
-
-
 def match_keys(gold: GoldSlice, predictions: Sequence[tuple], policy: str = STRICT) -> Task1Match:
     """Align one slice's predictions, `RankedPrediction`s or plain tuples laid
     out like them, to its gold keys: one key lookup per prediction.
@@ -348,45 +340,29 @@ def match_task1(
     return matches, orphans
 
 
-def score_task1(
-    matches: Mapping[tuple[str, str], Task1Match],
-    registry: JurisdictionRegistry,
-) -> dict[tuple[str, str], Task1Evaluation]:
+def score_task1(matches: Mapping[tuple[str, str], Task1Match]) -> dict[tuple[str, str], RetrievalMetrics]:
     """Per-slice metric means over all gold keys.
 
     Unmatched gold keys contribute all-zero rows, and a slice without gold
-    keys scores all zeros. Rankings longer than the label universe are
-    truncated (extra ranks cannot contain hits) and the truncation is counted
-    in the result.
+    keys scores all zeros.
     """
-    results: dict[tuple[str, str], Task1Evaluation] = {}
-    for (law, granularity), match in matches.items():
-        universe_size = len(registry.get(law).universe)
-        truncated = 0
+    results: dict[tuple[str, str], RetrievalMetrics] = {}
+    for slice_key, match in matches.items():
         totals = [0.0] * len(T1_METRIC_NAMES)
         for gold_set, row in zip(match.gold.golds, match.aligned):
-            if row is None:
-                continue
-            ranking = row[1]
-            if len(ranking) > universe_size:
-                ranking = ranking[:universe_size]
-                truncated += 1
-            totals = list(map(operator.add, totals, _metric_row(gold_set, ranking)))
+            if row is not None:
+                totals = list(map(operator.add, totals, _metric_row(gold_set, row[1])))
         count = max(len(match.gold.golds), 1)
-        mean = RetrievalMetrics(*(t / count for t in totals))
-        results[(law, granularity)] = Task1Evaluation(
-            metrics=mean, report=match.report, truncated_rankings=truncated
-        )
+        results[slice_key] = RetrievalMetrics(*(t / count for t in totals))
     return results
 
 
 def evaluate_task1(
     records: Sequence[Task1Record],
     predictions: Sequence[RankedPrediction],
-    registry: JurisdictionRegistry,
     policy: str = STRICT,
-) -> dict[tuple[str, str], Task1Evaluation]:
+) -> dict[tuple[str, str], RetrievalMetrics]:
     """Per-(law, granularity) metrics of `predictions` against `records`."""
     slices = index_gold_keys(gold_keys_for_records(records))
     matches, _orphans = match_task1(slices, predictions, policy)
-    return score_task1(matches, registry)
+    return score_task1(matches)

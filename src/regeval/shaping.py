@@ -303,23 +303,6 @@ def shape_views(
     }
 
 
-def task2_as_instances(records: Sequence[Task2Record]) -> list[RawInstance]:
-    """Re-read judgment records as raw instances (provenance round trip)."""
-    return [
-        RawInstance(
-            app_name=rec.app_name,
-            repo_url=rec.repo_url,
-            commit_id=rec.pointer.commit_id,
-            law=rec.law,
-            articles=rec.gold,
-            file_path=rec.pointer.file_path,
-            span=rec.pointer.span,
-            snippet=rec.snippet,
-        )
-        for rec in records
-    ]
-
-
 # --- JSON views ---------------------------------------------------------------
 
 

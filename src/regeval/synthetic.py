@@ -222,41 +222,30 @@ def scripted_model(
         majority = max(jur.universe, key=lambda lab: (frequencies[lab], -jur.universe_index(lab)))
         rng = random.Random(f"{profile}:{seed}:{law}")
 
-        def ranking_for(gold: frozenset[str]) -> tuple[str, ...]:
-            ordered = tuple(jur.sort_articles(gold))
+        def answer(gold: frozenset[str], random_size) -> tuple[str, ...]:
+            """The profile's ids for one gold set; RANDOM draws
+            `random_size()` of them."""
             if profile == "PERFECT":
-                return ordered
+                return tuple(jur.sort_articles(gold))
             if profile == "BREADTH_ONLY":
-                return (_distractor(jur.universe, gold),) + ordered
+                return (_distractor(jur.universe, gold),) + tuple(jur.sort_articles(gold))
             if profile == "RANKING_ONLY":
-                top = max(gold, key=lambda lab: (frequencies[lab], -jur.universe_index(lab)))
-                return (top,)
+                return (max(gold, key=lambda lab: (frequencies[lab], -jur.universe_index(lab))),)
             if profile == "MAJORITY_LABEL":
                 return (majority,)
-            k = min(5, len(jur.universe))
-            return tuple(rng.sample(list(jur.universe), k))
+            return tuple(rng.sample(list(jur.universe), random_size()))
 
+        ranking_size = partial(min, 5, len(jur.universe))
         for key, gold in sorted(
             gold_keys_for_records(view.task1).items(), key=lambda kv: kv[0].sort_key()
         ):
             result.ranked.append(
-                RankedPrediction(key=key, ranking=ranking_for(gold), model=profile)
+                RankedPrediction(key=key, ranking=answer(gold, ranking_size), model=profile)
             )
+        label_count = partial(rng.randint, 1, min(3, len(jur.universe)))
         for rec in view.task2:
-            if profile == "RANDOM":
-                k = rng.randint(1, min(3, len(jur.universe)))
-                labels = tuple(rng.sample(list(jur.universe), k))
-            elif profile == "MAJORITY_LABEL":
-                labels = (majority,)
-            elif profile == "RANKING_ONLY":
-                top = max(rec.gold, key=lambda lab: (frequencies[lab], -jur.universe_index(lab)))
-                labels = (top,)
-            elif profile == "BREADTH_ONLY":
-                labels = (_distractor(jur.universe, rec.gold),) + tuple(jur.sort_articles(rec.gold))
-            else:
-                labels = tuple(jur.sort_articles(rec.gold))
             result.sets.append(
-                SetPrediction(law=law, pointer=rec.pointer, labels=labels, model=profile)
+                SetPrediction(law=law, pointer=rec.pointer, labels=answer(rec.gold, label_count), model=profile)
             )
     return result
 

@@ -21,12 +21,10 @@ from typing import Sequence
 from regeval.corpus import decode_each, read_json
 from regeval.errors import EmptyGold, MalformedPrediction, OutOfUniverse, UnrecognizedIdentifier
 from regeval.multilabel import PointerMatchReport, SetPrediction, Task2Match, score_task2
-from regeval.report import build_base_results
 from regeval.retrieval import (
     KeyMatchReport,
     RankedPrediction,
     RetrievalMetrics,
-    Task1Evaluation,
     gold_keys_for_records,
     score_ranking,
 )
@@ -258,7 +256,7 @@ def _seed_key(law: str, data) -> RetrievalKey:
 
 
 def _seed_ids(raw_ids, law: str, registry) -> tuple[str, ...]:
-    return tuple({registry.canonicalize_article(str(raw), law).article: None for raw in raw_ids})
+    return tuple({registry.canonicalize_article(str(raw), law): None for raw in raw_ids})
 
 
 def oracle_load_predictions(pred_dir: Path, registry) -> tuple[list, list]:
@@ -365,30 +363,28 @@ def oracle_match_task2(records, predictions) -> dict:
     return matches
 
 
-def oracle_score_task1(matches: dict, registry) -> dict:
+def oracle_score_task1(matches: dict) -> dict:
     results = {}
-    for (law, granularity), (slice_gold, alignment, report) in matches.items():
-        universe_size = len(registry.get(law).universe)
-        truncated = 0
+    for (law, granularity), (slice_gold, alignment, _report) in matches.items():
         totals = [0.0] * 6
         for key, gold_set in slice_gold.items():
             pred = alignment.get(key)
             if pred is None:
                 continue
-            ranking = pred.ranking
-            if len(ranking) > universe_size:
-                ranking = ranking[:universe_size]
-                truncated += 1
-            for i, value in enumerate(score_ranking(gold_set, ranking)):
+            for i, value in enumerate(score_ranking(gold_set, pred.ranking)):
                 totals[i] += value
         count = len(slice_gold)
-        mean = RetrievalMetrics(*(t / count for t in totals)) if count else RetrievalMetrics(*totals)
-        results[(law, granularity)] = Task1Evaluation(metrics=mean, report=report, truncated_rankings=truncated)
+        results[(law, granularity)] = RetrievalMetrics(*(t / count if count else t for t in totals))
     return results
 
 
-def oracle_eval_base(views: dict, pred_dirs: Sequence[Path], registry, policy: str, task: str, config_echo: dict) -> dict:
-    """The `base.json` payload the seed's `eval` wrote for these inputs."""
+def oracle_eval_base(
+    views: dict, pred_dirs: Sequence[Path], registry, policy: str, task: str, config_echo: dict
+) -> tuple[dict, list[tuple[str, str]]]:
+    """The `base.json` payload the seed's `eval` wrote for these inputs, and
+    the (model, law) pairs, sorted, whose rows of that law match no gold key
+    (relaxed fallbacks count) and no gold pointer, for which `eval` writes
+    nothing and fails instead."""
     gold = gold_keys_for_records([rec for view in views.values() for rec in view.task1])
     for gold_set in gold.values():
         if not gold_set:
@@ -406,7 +402,8 @@ def oracle_eval_base(views: dict, pred_dirs: Sequence[Path], registry, policy: s
             if pred.law in views:
                 kept.append(pred)
 
-    per_model_task1, per_model_task2, diagnostics = {}, {}, {}
+    base = {"schema_version": 1, "config": dict(config_echo), "models": {}, "diagnostics": {}}
+    strays = []
     for model in sorted(set(ranked_by_model) | set(sets_by_model)):
         ranked = ranked_by_model.get(model, [])
         sets = sets_by_model.get(model, [])
@@ -425,7 +422,11 @@ def oracle_eval_base(views: dict, pred_dirs: Sequence[Path], registry, policy: s
         for pred in sets:
             hist = cardinality.setdefault(pred.law, {}).setdefault("task2", {})
             hist[len(pred.labels)] = hist.get(len(pred.labels), 0) + 1
-        diagnostics[model] = {
+        for law in sorted(cardinality):
+            key_hits = sum(len(alignment) for (of_law, _gran), (_gold, alignment, _r) in task1.items() if of_law == law)
+            if not key_hits and not (law in task2 and task2[law].report.matched_pointers):
+                strays.append((model, law))
+        base["diagnostics"][model] = {
             "task1": {f"{law}/{gran}": m[2].to_dict() for (law, gran), m in sorted(task1.items())},
             "task2": {law: m.report.to_dict() for law, m in sorted(task2.items())},
             "orphan_task1_predictions": orphans,
@@ -434,12 +435,23 @@ def oracle_eval_base(views: dict, pred_dirs: Sequence[Path], registry, policy: s
                 for law, tasks in sorted(cardinality.items())
             },
         }
-        per_model_task1[model] = oracle_score_task1(task1, registry) if task in ("both", "task1") else {}
-        per_model_task2[model] = score_task2(task2, registry) if task in ("both", "task2") else {}
 
-    base = build_base_results(per_model_task1, per_model_task2, config_echo)
-    base["diagnostics"] = diagnostics
-    return base
+        block: dict = {"task1": {}, "task2": {}, "coverage": {"task1": {}, "task2": {}}}
+        if task in ("both", "task1"):
+            metrics = oracle_score_task1(task1)
+            for law in sorted({law for (law, _gran) in task1}):
+                block["task1"][law] = {}
+                for gran in GRANULARITIES:
+                    if (law, gran) in task1:
+                        block["task1"][law][gran] = metrics[(law, gran)]._asdict()
+                        block["coverage"]["task1"].setdefault(law, {})[gran] = task1[(law, gran)][2].to_dict()
+        if task in ("both", "task2"):
+            metrics = score_task2(task2, registry)
+            for law, match in sorted(task2.items()):
+                block["task2"][law] = metrics[law]._asdict()
+                block["coverage"]["task2"][law] = match.report.to_dict()
+        base["models"][model] = block
+    return base, strays
 
 
 # --- whole-document prediction-file reader ------------------------------------

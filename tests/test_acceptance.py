@@ -212,15 +212,14 @@ def test_criterion_7_synthetic_profile_ordering(registry):
         task2_metrics = {}
         for profile in ("PERFECT", "BREADTH_ONLY", "RANDOM"):
             scripted = scripted_model(profile, views, registry, seed=spec.seed)
-            t1_eval = evaluate_task1(all_t1, scripted.ranked, registry, "strict")
-            t2_eval = evaluate_task2(all_t2, scripted.sets, registry)
+            t1_eval = evaluate_task1(all_t1, scripted.ranked, "strict")
             task1_metrics[profile] = {}
-            for (law, gran), evaluation in t1_eval.items():
-                task1_metrics[profile].setdefault(law, {})[gran] = evaluation.metrics
+            for (law, gran), metrics in t1_eval.items():
+                task1_metrics[profile].setdefault(law, {})[gran] = metrics
                 if profile == "BREADTH_ONLY":
-                    assert evaluation.metrics.acc_at_5 == 1.0, (law, gran)
-                    assert evaluation.metrics.mrr <= 0.5, (law, gran)
-            task2_metrics[profile] = {law: ev.metrics for law, ev in t2_eval.items()}
+                    assert metrics.acc_at_5 == 1.0, (law, gran)
+                    assert metrics.mrr <= 0.5, (law, gran)
+            task2_metrics[profile] = evaluate_task2(all_t2, scripted.sets, registry)
 
         report = compose(task1_metrics, task2_metrics, CompositeConfig())
         ocs_by_profile = report.ocs_scores
@@ -268,18 +267,17 @@ def test_criterion_8_harness_determinism_and_faults(registry, tmp_path):
         t1_eval = evaluate_task1(
             [rec for view in views.values() for rec in view.task1],
             [p for p in ranked if p.model == "model-x"],
-            registry,
             "strict",
         )
-        for evaluation in t1_eval.values():
-            assert evaluation.metrics == (0.0,) * 6
+        for metrics in t1_eval.values():
+            assert metrics == (0.0,) * 6
         t2_eval = evaluate_task2(
             [rec for view in views.values() for rec in view.task2],
             [p for p in sets if p.model == "model-x"],
             registry,
         )
-        for evaluation in t2_eval.values():
-            assert evaluation.metrics.micro_f1 == 0.0
+        for metrics in t2_eval.values():
+            assert metrics.micro_f1 == 0.0
 
 
 def test_criterion_9_shaping_determinism(registry, tmp_path):

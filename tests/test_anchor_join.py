@@ -10,6 +10,10 @@ line slice has no gold. Predictions include gold keys and pointers as they
 are, shifted spans, renamed modules, stray files, line keys for PDPA, entries
 for PIPEDA (a law without views), repeated entries, entries without a model
 or named like their directory, empty id lists and id lists longer than the universe in mixed surface forms.
+When a model's rows of a law all match nothing, `eval` must fail with
+UnmatchedPredictions naming the first such (model, law) the reference finds
+and write no `base.json`; the same files without those rows are then scored
+and compared, so every example checks a `base.json`.
 """
 
 from __future__ import annotations
@@ -147,21 +151,12 @@ def prediction_dirs(draw, keys: list[dict], pointers: list[dict]) -> list[tuple[
 )
 def test_anchor_join_matches_reference_join(views_dir, dirs, policy, laws, task):
     root = views_dir.parent
-    pred_dirs = []
-    for i, (ranked, sets) in enumerate(dirs):
-        pred_dir = root / f"predictions_{i}"
-        pred_dir.mkdir(exist_ok=True)
-        (pred_dir / "predictions_task1.json").write_text(json.dumps({"predictions": ranked}))
-        (pred_dir / "predictions_task2.json").write_text(json.dumps({"predictions": sets}))
-        pred_dirs.append(pred_dir)
+    pred_dirs = [root / f"predictions_{i}" for i in range(len(dirs))]
     out = root / "base.json"
     argv = ["eval", "--views-dir", str(views_dir), "--policy", policy, "--task", task, "--out", str(out)]
     argv += ["--law", laws] if laws else []
     for pred_dir in pred_dirs:
         argv += ["--predictions", str(pred_dir)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-
     config_echo = {
         "policy": policy,
         "task": task,
@@ -169,5 +164,42 @@ def test_anchor_join_matches_reference_join(views_dir, dirs, policy, laws, task)
         "predictions": [str(p) for p in pred_dirs],
     }
     views = _load_views(views_dir, laws.split(",") if laws else None)
-    expected = oracles.oracle_eval_base(views, pred_dirs, REGISTRY, policy, task, config_echo)
+
+    def evaluate() -> tuple[int, str, dict, list]:
+        """Write `dirs`, run `eval` on them, and return its exit code and
+        stderr beside the reference's base.json and unmatched pairs."""
+        for pred_dir, (ranked, sets) in zip(pred_dirs, dirs):
+            pred_dir.mkdir(exist_ok=True)
+            (pred_dir / "predictions_task1.json").write_text(json.dumps({"predictions": ranked}))
+            (pred_dir / "predictions_task2.json").write_text(json.dumps({"predictions": sets}))
+        out.unlink(missing_ok=True)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        expected, strays = oracles.oracle_eval_base(views, pred_dirs, REGISTRY, policy, task, config_echo)
+        return code, stderr.getvalue(), expected, strays
+
+    code, stderr, expected, strays = evaluate()
+    if strays:
+        # A model whose rows of a law all match nothing fails the run, named
+        # with that law and the views; the first such pair is reported.
+        model, law = strays[0]
+        assert code == 2
+        error = json.loads(stderr)
+        assert error["error"] == "UnmatchedPredictions"
+        assert f"model {model!r}: no {law} prediction" in error["message"]
+        assert str(views_dir) in error["message"]
+        assert not out.exists()
+        # Without the rows of those pairs, which join nothing else, the run
+        # scores: compare its base.json too.
+        dirs = [
+            tuple(
+                [entry for entry in entries if (entry.get("model") or pred_dir.name, entry["law"]) not in strays]
+                for entries in pair
+            )
+            for pred_dir, pair in zip(pred_dirs, dirs)
+        ]
+        code, stderr, expected, strays = evaluate()
+        assert not strays
+    assert code == 0, stderr
     assert json.loads(out.read_text()) == json.loads(json.dumps(expected, sort_keys=True))

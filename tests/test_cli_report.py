@@ -251,6 +251,102 @@ class TestEvalLawFilter:
             assert lgpd["models"]["PERFECT"][task] == {"LGPD": full["models"]["PERFECT"][task]["LGPD"]}
 
 
+class TestUnmatchedPredictions:
+    """A model whose rows of a law match no gold key (relaxed fallbacks
+    count) and no gold pointer of that law was scored against other views
+    than its own: `eval` exits 2 naming the model, the law and the views,
+    and writes no `base.json`. Rows that match but say nothing still score."""
+
+    def _corpus(self, tmp_path, seed, files, profiles="PERFECT"):
+        corpus_dir, views_dir = tmp_path / f"corpus{seed}", tmp_path / f"views{seed}"
+        assert main(["synth", "--seed", str(seed), "--files", str(files), "--laws", "LGPD,PDPA",
+                     "--profiles", profiles, "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        return corpus_dir, views_dir
+
+    def _eval(self, views_dir, pred_dir, out, *options):
+        return main(["eval", "--views-dir", str(views_dir), "--predictions", str(pred_dir),
+                     "--out", str(out), *options])
+
+    def test_predictions_of_another_corpus_exit_2(self, tmp_path, capsys):
+        theirs, _ = self._corpus(tmp_path, 9, 60)
+        _, views_dir = self._corpus(tmp_path, 7, 80, profiles="")
+        capsys.readouterr()
+        out = tmp_path / "base.json"
+        assert self._eval(views_dir, theirs / "predictions_PERFECT", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "UnmatchedPredictions",
+            "message": f"model 'PERFECT': no LGPD prediction matches a gold key or pointer in {views_dir}",
+        }
+        assert not out.exists()
+
+    def test_a_model_whose_every_request_failed_scores_zero(self, tmp_path):
+        _, views_dir = self._corpus(tmp_path, 2, 3, profiles="")
+        assert main(["run", "--views-dir", str(views_dir), "--models", "m", "--transport", "failing",
+                     "--retries", "0", "--backoff", "0", "--out-dir", str(tmp_path / "run")]) == 0
+        assert main(["parse", "--responses", str(tmp_path / "run" / "raw_responses.jsonl"),
+                     "--out-dir", str(tmp_path / "parsed")]) == 0
+        assert self._eval(views_dir, tmp_path / "parsed", tmp_path / "base.json") == 0
+        block = json.loads((tmp_path / "base.json").read_text())["models"]["m"]
+        values = [v for by_gran in block["task1"].values() for row in by_gran.values() for v in row.values()]
+        # An empty label set still ranks some gold label and misses few.
+        names = ("micro_f1", "macro_f1", "weighted_f1", "jaccard")
+        values += [row[name] for row in block["task2"].values() for name in names]
+        assert values and set(values) == {0.0}
+        assert all(rep["matched_pointers"] == rep["gold_pointers"] for rep in block["coverage"]["task2"].values())
+
+    def _stray(self, pred_dir, keep):
+        """Move every entry of `pred_dir` for which `keep` is false to a file
+        no gold record has."""
+        for name in ("predictions_task1.json", "predictions_task2.json"):
+            data = json.loads((pred_dir / name).read_text())
+            for entry in data["predictions"]:
+                if not keep(entry):
+                    entry["file_path"] = "app/Stray.kt"
+            (pred_dir / name).write_text(json.dumps(data))
+
+    def test_a_law_with_some_orphans_still_scores(self, tmp_path):
+        corpus_dir, views_dir = self._corpus(tmp_path, 4, 4)
+        pred_dir = corpus_dir / "predictions_PERFECT"
+        self._stray(pred_dir, lambda entry: entry["file_path"].endswith(("0.kt", "1.kt", "2.kt")))
+        assert self._eval(views_dir, pred_dir, tmp_path / "base.json") == 0
+        diagnostics = json.loads((tmp_path / "base.json").read_text())["diagnostics"]["PERFECT"]
+        assert diagnostics["orphan_task1_predictions"]
+        for law in ("LGPD", "PDPA"):
+            assert 0 < diagnostics["task2"][law]["matched_pointers"] < diagnostics["task2"][law]["gold_pointers"]
+
+    def test_one_law_that_matches_nothing_exits_2(self, tmp_path, capsys):
+        corpus_dir, views_dir = self._corpus(tmp_path, 4, 4)
+        pred_dir = corpus_dir / "predictions_PERFECT"
+        self._stray(pred_dir, lambda entry: entry["law"] == "LGPD")
+        capsys.readouterr()
+        assert self._eval(views_dir, pred_dir, tmp_path / "base.json") == 2
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            f"model 'PERFECT': no PDPA prediction matches a gold key or pointer in {views_dir}"
+        )
+        # Out of scope under --law, the unmatched law fails nothing.
+        assert self._eval(views_dir, pred_dir, tmp_path / "base.json", "--law", "LGPD") == 0
+
+    def test_relaxed_fallbacks_count_as_matches(self, tmp_path, capsys):
+        corpus_dir, views_dir = self._corpus(tmp_path, 4, 4)
+        pred_dir = corpus_dir / "predictions_PERFECT"
+        t1 = json.loads((pred_dir / "predictions_task1.json").read_text())
+        # Only line keys, each shifted off its gold span but in its gold file.
+        t1["predictions"] = [
+            {**entry, "span": [entry["span"][0] + 1, entry["span"][1] + 1]}
+            for entry in t1["predictions"]
+            if entry["granularity"] == "line"
+        ]
+        (pred_dir / "predictions_task1.json").write_text(json.dumps(t1))
+        (pred_dir / "predictions_task2.json").write_text(json.dumps({"predictions": []}))
+        capsys.readouterr()
+        assert self._eval(views_dir, pred_dir, tmp_path / "strict.json") == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UnmatchedPredictions"
+        assert self._eval(views_dir, pred_dir, tmp_path / "relaxed.json", "--policy", "relaxed") == 0
+
+
 class TestModelSpanningDirectories:
     """A model spread over several `--predictions` directories is joined
     once, over its rows in the order the directories are given: its scores

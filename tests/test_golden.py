@@ -16,8 +16,9 @@ The first pipeline's `run` outputs are pinned by digest too, modulo their
 timestamps: `raw_responses.jsonl` with every `started`/`finished` value
 blanked, and `run.log` as its sorted lines with the leading timestamp cut.
 The report files `compose` writes beside `results.json`, `report.txt` and
-`plot_data.csv`, are pinned by digest as they are. Regenerating also prints
-the digests of the fresh run.
+`plot_data.csv`, are pinned by digest as they are, and so is the `stats.json`
+that `stats --dataset corpus/dataset.json` writes for the first pipeline's
+corpus. Regenerating also prints the digests of the fresh run.
 
 The golden bytes are the program's on every host: one more test runs both
 pipelines under each other CPython 3.10 to 3.13 found on PATH (with only
@@ -50,6 +51,8 @@ RUN_LOG_SHA256 = "65e0af14a14d59b72114771a6120830f1d40e331d67295ca92e3addfcab799
 # sha256 of the fixed pipeline's `final/report.txt` and `final/plot_data.csv`.
 REPORT_TXT_SHA256 = "7b282f62b6431dbaaeffa90adcbea362f952f88872e245026c94d484d5dc50f1"
 PLOT_DATA_SHA256 = "83fb8ac78659bdf77e63b6fdc8979eb30f7a57b93d72cc87628e4b8c1f8f06ac"
+# sha256 of `stats.json` for the fixed pipeline's corpus (see `stats_digest`).
+STATS_JSON_SHA256 = "1b63c5b315d9a6c769f58dccc360f6007b6575eda6be1fcd287235b37040e27e"
 
 COHORT_PROFILES = ("PERFECT", "BREADTH_ONLY", "RANKING_ONLY", "MAJORITY_LABEL", "RANDOM")
 
@@ -87,6 +90,14 @@ def report_digests(final_dir: Path) -> tuple[str, str]:
     return tuple(hashlib.sha256((final_dir / name).read_bytes()).hexdigest() for name in ("report.txt", "plot_data.csv"))
 
 
+def stats_digest() -> str:
+    """sha256 of the `stats.json` that `stats` writes for the fixed
+    pipeline's corpus, synthesized in the current directory."""
+    assert main(["synth", "--seed", "7", "--files", "20", "--out-dir", "corpus"]) == 0
+    assert main(["stats", "--dataset", "corpus/dataset.json"]) == 0
+    return hashlib.sha256(Path("stats.json").read_bytes()).hexdigest()
+
+
 def run_scripted_cohort() -> Path:
     """Score five scripted profiles in the current directory; return the base.json path."""
     steps = [
@@ -121,6 +132,11 @@ def test_report_files_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_fixed_pipeline()
     assert report_digests(Path("final")) == (REPORT_TXT_SHA256, PLOT_DATA_SHA256)
+
+
+def test_stats_json_matches_golden_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert stats_digest() == STATS_JSON_SHA256
 
 
 def test_scripted_cohort_base_json_matches_golden(tmp_path, monkeypatch):
@@ -179,12 +195,12 @@ if __name__ == "__main__":
         os.chdir(work)
         try:
             shutil.copyfile(run_fixed_pipeline(), GOLDEN)
-            digests = run_digests(Path("run")) + report_digests(Path("final"))
+            digests = run_digests(Path("run")) + report_digests(Path("final")) + (stats_digest(),)
             shutil.copyfile(run_scripted_cohort(), GOLDEN_COHORT)
         finally:
             os.chdir(here)
     print(f"wrote {GOLDEN}")
     print(f"wrote {GOLDEN_COHORT}")
-    names = ("RAW_RESPONSES_SHA256", "RUN_LOG_SHA256", "REPORT_TXT_SHA256", "PLOT_DATA_SHA256")
+    names = ("RAW_RESPONSES_SHA256", "RUN_LOG_SHA256", "REPORT_TXT_SHA256", "PLOT_DATA_SHA256", "STATS_JSON_SHA256")
     for name, digest in zip(names, digests):
         print(f"{name} = {digest!r}")

@@ -112,7 +112,7 @@ class TestGrammar:
 
     def test_scan_takes_the_prefixes_of_the_surface_form(self, registry):
         # One prefix grammar: "§." is a prefix in free text as in a single token.
-        assert registry.canonicalize_article("§. 24", "PDPA").article == "24"
+        assert registry.canonicalize_article("§. 24", "PDPA") == "24"
         parsed = parse_prediction_text("see §. 24 and § .13", "PDPA", RANKED, registry)
         assert parsed.ids == ("24", "13")
 
@@ -417,13 +417,49 @@ class TestCanonicalIdMemo:
         ranked_again, _ = load_prediction_files(t1, t2, registry, cache)
 
         expected = {
-            law: {raw: original(registry, raw, law).article for raw in forms}
+            law: {raw: original(registry, raw, law) for raw in forms}
             for law, forms in self.FORMS.items()
         }
         assert cache.ids == expected
         assert sorted(calls) == sorted((law, raw) for law, forms in self.FORMS.items() for raw in forms)
         for (anchor, ids, _model) in ranked + ranked_again:
             assert ids == tuple(dict.fromkeys(expected[anchor[0]][raw] for raw in self.FORMS[anchor[0]]))
+
+
+def test_an_id_list_longer_than_the_universe_decodes_to_distinct_universe_ids(registry, tmp_path):
+    """Scoring reads rankings as they are decoded, with no cut at the
+    universe's size: a stored list of every surface form of every id, each
+    twice, decodes through `load_prediction_files` and through `parse` to
+    each universe id once, in first-occurrence order."""
+    key = {"repo_url": "r", "app_name": "a", "commit_id": "a" * 40, "file_path": "app/A.kt"}
+    pointer = {"file_path": "app/A.kt", "span": [1, 2], "commit_id": "a" * 40}
+    forms, ranked, sets, records = {}, [], [], []
+    for law in registry.codes:
+        jur = registry.get(law)
+        padded = [".".join(part.zfill(3) for part in article.split(".")) for article in jur.universe]
+        forms[law] = [*jur.universe, *map(jur.render, jur.universe), *padded] * 2
+        ranked.append({"law": law, **key, "granularity": "file", "ranking": forms[law]})
+        sets.append({"law": law, **pointer, "labels": forms[law]})
+        text = ", ".join([jur.render(jur.universe[0]), *forms[law]])
+        records += [
+            {"model": "m", "task": "task1", "law": law, "key": {**key, "granularity": "file"}, "text": text},
+            {"model": "m", "task": "task2", "law": law, "key": pointer, "text": text},
+        ]
+    t1, t2 = tmp_path / "t1.json", tmp_path / "t2.json"
+    t1.write_text(json.dumps({"predictions": ranked}))
+    t2.write_text(json.dumps({"predictions": sets}))
+    responses = tmp_path / "raw_responses.jsonl"
+    responses.write_text("".join(json.dumps(record) + "\n" for record in records))
+    loaded_ranked, loaded_sets = load_prediction_files(t1, t2, registry)
+    parsed_ranked, parsed_sets, _summary = parse_responses(responses, registry)
+    decoded = [(row[0][0], row[1]) for row in loaded_ranked] + [(row[0], row[2]) for row in loaded_sets]
+    decoded += [(pred.key.law, pred.ranking) for pred in parsed_ranked]
+    decoded += [(pred.law, pred.labels) for pred in parsed_sets]
+    assert len(decoded) == 4 * len(registry.codes)
+    for law, ids in decoded:
+        universe = registry.get(law).universe
+        assert len(forms[law]) > len(universe) >= len(ids)
+        assert ids == universe
 
 
 class TestSharedDecodedObjects:
@@ -513,13 +549,7 @@ class TestEvalPermutationInvariance:
 
     def _scores(self, ranked, sets):
         bound = bind_predictions(self._gold, ranked, sets, "strict")
-        task1 = score_task1(bound.task1, self._registry)
-        task2 = score_task2(bound.task2, self._registry)
-        return (
-            {slice_: (ev.metrics, ev.truncated_rankings) for slice_, ev in task1.items()},
-            {law: ev.metrics for law, ev in task2.items()},
-            bound.to_dict(),
-        )
+        return score_task1(bound.task1), score_task2(bound.task2, self._registry), bound.to_dict()
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

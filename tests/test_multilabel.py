@@ -14,7 +14,9 @@ from regeval.multilabel import (
     evaluate_task2,
     f1_suite,
     hamming_loss,
+    index_pointers,
     jaccard_samples,
+    match_task2,
     normalized_coverage_error,
     prediction_first_ranking,
 )
@@ -172,28 +174,30 @@ class TestEvaluateTask2:
     def _pred(self, record, labels, model="m"):
         return SetPrediction(law=record.law, pointer=record.pointer, labels=labels, model=model)
 
+    def _report(self, records, preds):
+        """The LGPD pointer-match report of the join `evaluate_task2` scores."""
+        return match_task2(index_pointers(records), preds)["LGPD"].report
+
     def test_perfect_singletons_all_ones(self, registry):
         records = self._view()
         preds = [self._pred(rec, tuple(rec.gold)) for rec in records]
-        result = evaluate_task2(records, preds, registry)["LGPD"]
-        assert result.metrics == (1.0,) * 6
-        assert result.report.coverage == 1.0
+        assert evaluate_task2(records, preds, registry)["LGPD"] == (1.0,) * 6
+        assert self._report(records, preds).coverage == 1.0
 
     def test_empty_predictions_hamming_is_one_minus_density(self, registry):
         records = self._view()
-        result = evaluate_task2(records, [], registry)["LGPD"]
+        metrics = evaluate_task2(records, [], registry)["LGPD"]
         universe_size = len(registry.get("LGPD").universe)
         density = sum(len(r.gold) for r in records) / (len(records) * universe_size)
-        assert result.metrics.micro_f1 == 0.0
-        assert result.metrics.one_minus_hamming == pytest.approx(1 - density, abs=1e-12)
-        assert result.report.matched_pointers == 0
+        assert metrics.micro_f1 == 0.0
+        assert metrics.one_minus_hamming == pytest.approx(1 - density, abs=1e-12)
+        assert self._report(records, []).matched_pointers == 0
 
     def test_unmatched_pointer_scores_as_empty(self, registry):
         records = self._view()
         preds = [self._pred(records[0], tuple(records[0].gold))]
-        result = evaluate_task2(records, preds, registry)["LGPD"]
-        assert result.report.matched_pointers == 1
-        assert 0 < result.metrics.micro_f1 < 1
+        assert self._report(records, preds).matched_pointers == 1
+        assert 0 < evaluate_task2(records, preds, registry)["LGPD"].micro_f1 < 1
 
     def test_orphan_prediction_reported(self, registry):
         records = self._view()
@@ -202,11 +206,10 @@ class TestEvaluateTask2:
             pointer=SnippetPointer("app/Zed.kt", 9, 9, "a" * 40),
             labels=("7",),
         )
-        result = evaluate_task2(records, [orphan], registry)["LGPD"]
-        assert len(result.report.orphans) == 1
+        assert len(self._report(records, [orphan]).orphans) == 1
 
     def test_vector_order_matches_oriented_names(self, registry):
         records = self._view()
         preds = [self._pred(rec, tuple(rec.gold)) for rec in records]
-        metrics = evaluate_task2(records, preds, registry)["LGPD"].metrics
+        metrics = evaluate_task2(records, preds, registry)["LGPD"]
         assert tuple(metrics._asdict()) == T2_METRIC_NAMES

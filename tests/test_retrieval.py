@@ -14,8 +14,10 @@ from regeval.retrieval import (
     acc_at_k,
     evaluate_task1,
     gold_keys_for_records,
+    index_gold_keys,
     map_score,
     match_keys,
+    match_task1,
     mrr,
     ndcg_at_5,
     r_precision,
@@ -250,34 +252,40 @@ class TestEvaluateTask1:
         ]
         return shape_task1(corpus)
 
-    def test_mean_over_keys(self, registry):
+    def _reports(self, records, preds):
+        """Each slice's key-match report of the join `evaluate_task1` scores."""
+        matches, _orphans = match_task1(index_gold_keys(gold_keys_for_records(records)), preds, "strict")
+        return {slice_key: match.report for slice_key, match in matches.items()}
+
+    def test_mean_over_keys(self):
         records = self._records()
         gold = gold_keys_for_records(records)
         file_keys = [k for k in gold if k.granularity == "file"]
         preds = [RankedPrediction(key=file_keys[0], ranking=tuple(gold[file_keys[0]]))]
-        results = evaluate_task1(records, preds, registry, "strict")
-        metrics = results[("LGPD", "file")].metrics
+        results = evaluate_task1(records, preds, "strict")
+        metrics = results[("LGPD", "file")]
         # One perfect key, one unmatched zero key.
         assert metrics.acc_at_1 == 0.5
         assert metrics.mrr == 0.5
-        assert results[("LGPD", "file")].report.matched_keys == 1
+        assert self._reports(records, preds)[("LGPD", "file")].matched_keys == 1
 
-    def test_all_unmatched_all_zero(self, registry):
+    def test_all_unmatched_all_zero(self):
         records = self._records()
-        results = evaluate_task1(records, [], registry, "strict")
-        for (law, gran), evaluation in results.items():
-            assert evaluation.metrics == (0.0,) * 6
-            assert evaluation.report.matched_keys == 0
+        results = evaluate_task1(records, [], "strict")
+        reports = self._reports(records, [])
+        for slice_key, metrics in results.items():
+            assert metrics == (0.0,) * 6
+            assert reports[slice_key].matched_keys == 0
 
-    def test_single_perfect_key_all_ones(self, registry):
+    def test_single_perfect_key_all_ones(self):
         records = shape_task1([make_instance(articles=("7",), span=(1, 1))])
         gold = gold_keys_for_records(records)
         preds = [RankedPrediction(key=key, ranking=("7",)) for key in gold]
-        results = evaluate_task1(records, preds, registry, "strict")
-        for evaluation in results.values():
-            assert evaluation.metrics == (1.0,) * 6
+        results = evaluate_task1(records, preds, "strict")
+        for metrics in results.values():
+            assert metrics == (1.0,) * 6
 
-    def test_empty_gold_record_is_integrity_failure(self, registry):
+    def test_empty_gold_record_is_integrity_failure(self):
         record = Task1Record(
             file=_key("file"),
             file_gold=frozenset(),
@@ -286,17 +294,7 @@ class TestEvaluateTask1:
             lines=(),
         )
         with pytest.raises(EmptyGold):
-            evaluate_task1([record], [], registry, "strict")
-
-    def test_overlong_ranking_truncated(self, registry):
-        records = shape_task1([make_instance(articles=("7",), span=(1, 1))])
-        gold = gold_keys_for_records(records)
-        long_ranking = tuple(str(i) for i in range(100, 130)) + ("7",)
-        preds = [RankedPrediction(key=key, ranking=long_ranking) for key in gold]
-        results = evaluate_task1(records, preds, registry, "strict")
-        evaluation = results[("LGPD", "file")]
-        assert evaluation.truncated_rankings == 1
-        assert evaluation.metrics.acc_at_5 == 0.0
+            evaluate_task1([record], [], "strict")
 
 
 class TestExhaustiveOracle:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_merge_spans
-from regeval.corpus import LineSpan
+from regeval.corpus import LineSpan, RawInstance
 from regeval.errors import ConflictingSnippet, EmptyCorpus, RegevalError
 from regeval.retrieval import gold_keys_for_records
 from regeval.shaping import (
@@ -21,9 +21,25 @@ from regeval.shaping import (
     shape_task1,
     shape_task2,
     shape_views,
-    task2_as_instances,
 )
 from test_corpus import make_instance
+
+
+def task2_as_instances(records) -> list[RawInstance]:
+    """Re-read judgment records as raw instances (provenance round trip)."""
+    return [
+        RawInstance(
+            app_name=rec.app_name,
+            repo_url=rec.repo_url,
+            commit_id=rec.pointer.commit_id,
+            law=rec.law,
+            articles=rec.gold,
+            file_path=rec.pointer.file_path,
+            span=rec.pointer.span,
+            snippet=rec.snippet,
+        )
+        for rec in records
+    ]
 
 
 def _line_sections(record) -> list:

@@ -29,8 +29,8 @@ class TestGenerateCorpus:
         spec = CorpusSpec(seed=4, files_per_law={"LGPD": 90})
         corpus = generate_corpus(spec, registry)
         stats = corpus_stats(corpus, registry)
-        assert stats.per_law["LGPD"]["files"] == 90
-        assert stats.per_law["LGPD"]["modules"] == 90
+        assert stats["per_law"]["LGPD"]["files"] == 90
+        assert stats["per_law"]["LGPD"]["modules"] == 90
 
     def test_invalid_specs(self, registry):
         with pytest.raises(InvalidSpec):
@@ -65,7 +65,7 @@ class TestGenerateCorpus:
         spec = CorpusSpec(seed=10, files_per_law={"LGPD": 120})
         corpus = generate_corpus(spec, registry)
         stats = corpus_stats(corpus, registry, top_k=0)
-        ranking = stats.label_frequencies["LGPD"]
+        ranking = stats["label_frequencies"]["LGPD"]
         # Geometric weighting: the top label clearly outweighs the tail.
         assert ranking[0][1] >= 3 * ranking[-1][1]
 
@@ -92,36 +92,36 @@ class TestScriptedProfiles:
     def test_perfect_task1_hits_everything_after_rank1(self, registry, synth_views):
         scripted = scripted_model("PERFECT", synth_views, registry)
         records = [rec for view in synth_views.values() for rec in view.task1]
-        results = evaluate_task1(records, scripted.ranked, registry, "strict")
-        for evaluation in results.values():
-            assert evaluation.metrics.acc_at_5 == 1.0
-            assert evaluation.metrics.mrr == 1.0
-            assert evaluation.metrics.map == 1.0
-            assert evaluation.metrics.r_precision == 1.0
+        results = evaluate_task1(records, scripted.ranked, "strict")
+        for metrics in results.values():
+            assert metrics.acc_at_5 == 1.0
+            assert metrics.mrr == 1.0
+            assert metrics.map == 1.0
+            assert metrics.r_precision == 1.0
 
     def test_perfect_task2_f1_is_one(self, registry, synth_views):
         scripted = scripted_model("PERFECT", synth_views, registry)
         records = [rec for view in synth_views.values() for rec in view.task2]
-        for law, evaluation in evaluate_task2(records, scripted.sets, registry).items():
-            assert evaluation.metrics.micro_f1 == 1.0
-            assert evaluation.metrics.jaccard == 1.0
+        for metrics in evaluate_task2(records, scripted.sets, registry).values():
+            assert metrics.micro_f1 == 1.0
+            assert metrics.jaccard == 1.0
 
     def test_breadth_only_metric_shape(self, registry, synth_views):
         scripted = scripted_model("BREADTH_ONLY", synth_views, registry)
         records = [rec for view in synth_views.values() for rec in view.task1]
-        results = evaluate_task1(records, scripted.ranked, registry, "strict")
-        for (law, gran), evaluation in results.items():
-            assert evaluation.metrics.acc_at_5 == 1.0
-            assert evaluation.metrics.acc_at_1 == 0.0
-            assert evaluation.metrics.mrr <= 0.5
+        results = evaluate_task1(records, scripted.ranked, "strict")
+        for metrics in results.values():
+            assert metrics.acc_at_5 == 1.0
+            assert metrics.acc_at_1 == 0.0
+            assert metrics.mrr <= 0.5
 
     def test_breadth_only_singleton_example(self, registry):
         from test_corpus import make_instance
 
         views = shape_views([make_instance(articles=("7",), span=(1, 1))])
         scripted = scripted_model("BREADTH_ONLY", views, registry)
-        results = evaluate_task1(views["LGPD"].task1, scripted.ranked, registry, "strict")
-        metrics = results[("LGPD", "file")].metrics
+        results = evaluate_task1(views["LGPD"].task1, scripted.ranked, "strict")
+        metrics = results[("LGPD", "file")]
         assert metrics.acc_at_1 == 0.0
         assert metrics.acc_at_5 == 1.0
         assert metrics.mrr == 0.5
@@ -138,8 +138,8 @@ class TestScriptedProfiles:
     def test_majority_label_macro_below_micro(self, registry, synth_views):
         scripted = scripted_model("MAJORITY_LABEL", synth_views, registry)
         records = [rec for view in synth_views.values() for rec in view.task2]
-        for law, evaluation in evaluate_task2(records, scripted.sets, registry).items():
-            assert evaluation.metrics.macro_f1 < evaluation.metrics.micro_f1
+        for metrics in evaluate_task2(records, scripted.sets, registry).values():
+            assert metrics.macro_f1 < metrics.micro_f1
 
     def test_random_deterministic_per_seed(self, registry, synth_views):
         a = scripted_model("RANDOM", synth_views, registry, seed=5)
@@ -159,13 +159,11 @@ class TestScriptedProfiles:
         task1_metrics, task2_metrics = {}, {}
         for profile in ("PERFECT", "BREADTH_ONLY", "RANDOM"):
             scripted = scripted_model(profile, views, registry, seed=seed)
-            evaluations = evaluate_task1(t1, scripted.ranked, registry, "strict")
+            evaluations = evaluate_task1(t1, scripted.ranked, "strict")
             task1_metrics[profile] = {}
-            for (law, gran), evaluation in evaluations.items():
-                task1_metrics[profile].setdefault(law, {})[gran] = evaluation.metrics
-            task2_metrics[profile] = {
-                law: ev.metrics for law, ev in evaluate_task2(t2, scripted.sets, registry).items()
-            }
+            for (law, gran), metrics in evaluations.items():
+                task1_metrics[profile].setdefault(law, {})[gran] = metrics
+            task2_metrics[profile] = evaluate_task2(t2, scripted.sets, registry)
         scores = compose(task1_metrics, task2_metrics, CompositeConfig()).ocs_scores
         assert scores["PERFECT"] > scores["BREADTH_ONLY"] > scores["RANDOM"]
 
