@@ -84,7 +84,7 @@ def _load_views(
 ) -> dict[str, ShapedViews]:
     """The views under `views_dir`, of `laws` only if given, with every gold
     label checked against its law's universe in `registry` (by default the
-    bundled one)."""
+    bundled one). A code in `laws` without views raises RegevalError."""
     registry = JurisdictionRegistry.default() if registry is None else registry
     views: dict[str, ShapedViews] = {}
     for t1_path in sorted(Path(views_dir).glob("task1_*.json")):
@@ -97,6 +97,9 @@ def _load_views(
         _check_gold(t1_path, (rec.file_gold.union(rec.module_gold, *(g for _, g in rec.lines)) for rec in records), jur)
         _check_gold(t2_path, (rec.gold for rec in t2_records), jur)
         views[law] = ShapedViews(law=law, task1=records, task2=t2_records)
+    missing = [law for law in laws or () if law not in views]
+    if missing:
+        raise RegevalError(f"no task views for {', '.join(missing)} under {views_dir}")
     if not views:
         raise RegevalError(f"no task views found under {views_dir}")
     return views
@@ -201,7 +204,7 @@ def cmd_parse(args) -> int:
         args.out_dir,
         ranked,
         sets,
-        config_echo={"responses": str(args.responses), "parse": summary.to_dict()},
+        config_echo={"responses": str(args.responses), "parse": summary},
     )
     print(f"wrote {t1}")
     print(f"wrote {t2}")

@@ -24,7 +24,6 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -320,13 +319,7 @@ class MockTransport:
 class FailingTransport:
     """Transport whose every attempt fails."""
 
-    def __init__(self) -> None:
-        self.attempts = 0
-        self._lock = threading.Lock()
-
     def send(self, request: TransportRequest) -> str:
-        with self._lock:
-            self.attempts += 1
         raise TransportFailure("permanent scripted failure")
 
 
@@ -378,11 +371,6 @@ class RunResult:
     responses_path: Path
     config_path: Path
     log_path: Path
-
-    @cached_property
-    def records(self) -> list[dict]:
-        """The records of `responses_path`, read on first use."""
-        return list(load_responses(self.responses_path))
 
 
 def _prompt_rows(items: Iterable[PromptItem]) -> list[tuple[str, str, str, dict, PromptItem]]:

@@ -72,31 +72,18 @@ def parse_prediction_text(
 # --- response records -> prediction tables -------------------------------------
 
 
-@dataclass
-class ParseSummary:
-    responses: int = 0
-    empty_predictions: int = 0
-    dropped_out_of_universe: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "responses": self.responses,
-            "empty_predictions": self.empty_predictions,
-            "dropped_out_of_universe": self.dropped_out_of_universe,
-        }
-
-
 def parse_responses(
     path: str | Path,
     registry: JurisdictionRegistry,
-) -> tuple[list[RankedPrediction], list[SetPrediction], ParseSummary]:
+) -> tuple[list[RankedPrediction], list[SetPrediction], dict[str, int]]:
     """Turn the records of a raw_responses.jsonl into canonical task-1 /
-    task-2 predictions. A record whose law is unknown or whose key or
-    pointer is malformed raises MalformedResponse naming the file and the
-    line."""
+    task-2 predictions, and count the responses, the empty predictions and
+    the ids dropped as out of universe. A record whose law is unknown or
+    whose key or pointer is malformed raises MalformedResponse naming the
+    file and the line."""
     ranked: list[RankedPrediction] = []
     sets: list[SetPrediction] = []
-    summary = ParseSummary()
+    summary = {"responses": 0, "empty_predictions": 0, "dropped_out_of_universe": 0}
     for number, record in numbered_responses(path):
         law = record["law"]
         task1 = record["task"] == "task1"
@@ -109,11 +96,11 @@ def parse_responses(
                 target = SnippetPointer.from_dict(record["pointer"] if "pointer" in record else record["key"])
         except MalformedPrediction as exc:
             raise MalformedResponse(f"{path}: line {number}: {exc}") from None
-        summary.responses += 1
+        summary["responses"] += 1
         parsed = parse_prediction_text(record.get("text", ""), law, RANKED if task1 else SET, registry)
-        summary.dropped_out_of_universe += len(parsed.dropped_out_of_universe)
+        summary["dropped_out_of_universe"] += len(parsed.dropped_out_of_universe)
         if parsed.empty:
-            summary.empty_predictions += 1
+            summary["empty_predictions"] += 1
         model = record.get("model", "")
         if task1:
             ranked.append(RankedPrediction(target, parsed.ids, model))

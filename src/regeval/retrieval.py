@@ -7,7 +7,6 @@ rows, so coverage gaps lower the averages instead of hiding inside them.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,68 +33,9 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _require_gold(gold: frozenset[str] | set[str]) -> None:
-    if not gold:
-        raise EmptyGold("gold set is empty")
-
-
-def acc_at_k(gold: Iterable[str], ranking: Sequence[str], k: int) -> float:
-    """Recall of the gold set within the top-k ranks."""
-    gold = frozenset(gold)
-    _require_gold(gold)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return len(gold.intersection(ranking[:k])) / len(gold)
-
-
-def r_precision(gold: Iterable[str], ranking: Sequence[str]) -> float:
-    """Precision at depth R = |gold|; short rankings are not padded."""
-    gold = frozenset(gold)
-    _require_gold(gold)
-    depth = len(gold)
-    return len(gold.intersection(ranking[:depth])) / depth
-
-
-def mrr(gold: Iterable[str], ranking: Sequence[str]) -> float:
-    """Reciprocal rank of the first correct prediction, zero if no hit."""
-    gold = frozenset(gold)
-    _require_gold(gold)
-    for position, item in enumerate(ranking, start=1):
-        if item in gold:
-            return 1.0 / position
-    return 0.0
-
-
-def map_score(gold: Iterable[str], ranking: Sequence[str]) -> float:
-    """Average precision over all gold items; items missing from the ranking
-    contribute zero while keeping |gold| as the denominator."""
-    gold = frozenset(gold)
-    _require_gold(gold)
-    total = 0.0
-    hits = 0
-    for position, item in enumerate(ranking, start=1):
-        if item in gold:
-            hits += 1
-            total += hits / position
-    return total / len(gold)
-
-
-def ndcg_at_5(gold: Iterable[str], ranking: Sequence[str]) -> float:
-    """Binary-gain nDCG at rank 5 against the ideal ordering."""
-    gold = frozenset(gold)
-    _require_gold(gold)
-    dcg = left_sum(
-        1.0 / math.log2(position + 1)
-        for position, item in enumerate(ranking[:5], start=1)
-        if item in gold
-    )
-    ideal = left_sum(1.0 / math.log2(position + 1) for position in range(1, min(len(gold), 5) + 1))
-    return dcg / ideal
-
-
-# Rank discounts 1/log2(p + 1) for p = 1..5, and the ideal DCG@5 for
-# 1..5 gold items, each summed exactly as `ndcg_at_5` sums it.
-_DISCOUNTS = tuple(1.0 / math.log2(position + 1) for position in range(1, 6))
+# Rank discounts 1/log2(p + 1) for p = 1..5, with log2 correctly rounded,
+# and the ideal DCG@5 for 1..5 gold items, each a left sum of the discounts.
+_DISCOUNTS = (1.0, 0.6309297535714575, 0.5, 0.43067655807339306, 0.38685280723454163)
 _IDEAL_DCG = tuple(left_sum(_DISCOUNTS[:n]) for n in range(1, 6))
 
 
@@ -118,19 +58,26 @@ class RetrievalMetrics(NamedTuple):
 T1_METRIC_NAMES = RetrievalMetrics._fields
 
 
-def score_ranking(gold: Iterable[str], ranking: Sequence[str]) -> RetrievalMetrics:
-    """All six metrics of one ranking, equal bit for bit to the per-metric
-    functions above."""
-    gold = frozenset(gold)
-    _require_gold(gold)
-    return RetrievalMetrics(*_metric_row(gold, ranking))
+def score_ranking(gold: frozenset[str] | set[str], ranking: Sequence[str]) -> RetrievalMetrics:
+    """The six task-1 metrics of one ranking against its gold set G.
 
+    - Acc@k (k = 1, 5): the share of G within the top k ranks.
+    - R-Precision: the share of G within the top |G| ranks; a shorter
+      ranking is not padded.
+    - MRR: 1 / rank of the first hit, 0 without one.
+    - MAP: precision at the rank of each hit, summed over |G|, so gold ids
+      missing from the ranking count zero.
+    - nDCG@5: binary-gain DCG of the top 5 ranks, discounted by
+      1/log2(rank + 1), over the DCG of min(|G|, 5) hits at the top.
 
-def _metric_row(gold: frozenset[str], ranking: Sequence[str]) -> tuple[float, ...]:
-    """`score_ranking` of a non-empty gold set as a plain tuple. MRR, MAP and
-    nDCG@5 come from one pass over the ranking, summed in the same order as
-    the per-metric functions; the set-based metrics keep their
-    intersections, so rankings with repeated ids score as they do there."""
+    MRR, MAP and nDCG@5 come from one pass over the ranking, which must be
+    duplicate-free: a repeated hit counts again, so G = {a} and ranking
+    (a, a) give MAP 2.0. No decoded ranking repeats an id: both
+    `ingest._canonical_ids` and `ingest.parse_prediction_text` drop
+    duplicates. An empty G raises EmptyGold.
+    """
+    if not gold:
+        raise EmptyGold("gold set is empty")
     size = len(gold)
     reciprocal_rank = 0.0
     precision_sum = 0.0
@@ -144,7 +91,7 @@ def _metric_row(gold: frozenset[str], ranking: Sequence[str]) -> tuple[float, ..
             precision_sum += hits / position
             if position <= 5:
                 gains.append(_DISCOUNTS[position - 1])
-    return (
+    return RetrievalMetrics(
         len(gold.intersection(ranking[:1])) / size,
         len(gold.intersection(ranking[:5])) / size,
         len(gold.intersection(ranking[:size])) / size,
@@ -351,7 +298,7 @@ def score_task1(matches: Mapping[tuple[str, str], Task1Match]) -> dict[tuple[str
         totals = [0.0] * len(T1_METRIC_NAMES)
         for gold_set, row in zip(match.gold.golds, match.aligned):
             if row is not None:
-                totals = list(map(operator.add, totals, _metric_row(gold_set, row[1])))
+                totals = list(map(operator.add, totals, score_ranking(gold_set, row[1])))
         count = max(len(match.gold.golds), 1)
         results[slice_key] = RetrievalMetrics(*(t / count for t in totals))
     return results

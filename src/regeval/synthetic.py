@@ -180,7 +180,6 @@ def load_spec(path: str | Path) -> CorpusSpec:
 
 @dataclass
 class ScriptedPredictions:
-    profile: str
     ranked: list[RankedPrediction] = field(default_factory=list)
     sets: list[SetPrediction] = field(default_factory=list)
 
@@ -215,7 +214,7 @@ def scripted_model(
     """
     if profile not in PROFILES:
         raise RegevalError(f"unknown profile: {profile!r} (choose from {PROFILES})")
-    result = ScriptedPredictions(profile=profile)
+    result = ScriptedPredictions()
     for law, view in sorted(views.items()):
         jur = registry.get(law)
         frequencies = _law_label_frequencies(view)

@@ -43,14 +43,7 @@ from regeval.multilabel import (
     jaccard_samples,
     normalized_coverage_error,
 )
-from regeval.retrieval import (
-    acc_at_k,
-    evaluate_task1,
-    map_score,
-    mrr,
-    ndcg_at_5,
-    r_precision,
-)
+from regeval.retrieval import evaluate_task1, score_ranking
 from regeval.shaping import dump_views, shape_views
 from regeval.synthetic import CorpusSpec, generate_corpus, profile_reply_fn, scripted_model
 
@@ -116,12 +109,13 @@ def test_criterion_4_retrieval_oracle_equivalence():
         for gold in golds:
             gold_set = set(gold)
             for ranking in predictions:
-                assert abs(acc_at_k(gold, ranking, 1) - oracles.oracle_acc_at_k(gold_set, ranking, 1)) <= 1e-12
-                assert abs(acc_at_k(gold, ranking, 5) - oracles.oracle_acc_at_k(gold_set, ranking, 5)) <= 1e-12
-                assert abs(r_precision(gold, ranking) - oracles.oracle_r_precision(gold_set, ranking)) <= 1e-12
-                assert abs(mrr(gold, ranking) - oracles.oracle_mrr(gold_set, ranking)) <= 1e-12
-                assert abs(map_score(gold, ranking) - oracles.oracle_map(gold_set, ranking)) <= 1e-12
-                assert abs(ndcg_at_5(gold, ranking) - oracles.oracle_ndcg_at_5(gold_set, ranking)) <= 1e-12
+                row = score_ranking(gold, ranking)
+                assert abs(row.acc_at_1 - oracles.oracle_acc_at_k(gold_set, ranking, 1)) <= 1e-12
+                assert abs(row.acc_at_5 - oracles.oracle_acc_at_k(gold_set, ranking, 5)) <= 1e-12
+                assert abs(row.r_precision - oracles.oracle_r_precision(gold_set, ranking)) <= 1e-12
+                assert abs(row.mrr - oracles.oracle_mrr(gold_set, ranking)) <= 1e-12
+                assert abs(row.map - oracles.oracle_map(gold_set, ranking)) <= 1e-12
+                assert abs(row.ndcg_at_5 - oracles.oracle_ndcg_at_5(gold_set, ranking)) <= 1e-12
                 cases += 1
         assert cases == 25 * 326
 
@@ -249,8 +243,9 @@ def test_criterion_8_harness_determinism_and_faults(registry, tmp_path):
         assert stripped(first) == stripped(second)
 
         flaky = run("c", MockTransport(profile_reply_fn(views, registry, "PERFECT"), fail_times=2))
-        assert all(rec["status"] == "ok" for rec in flaky.records)
-        assert all(rec["attempts"] == 3 for rec in flaky.records)
+        flaky_records = list(load_responses(flaky.responses_path))
+        assert all(rec["status"] == "ok" for rec in flaky_records)
+        assert all(rec["attempts"] == 3 for rec in flaky_records)
 
         def answers(result):
             return [
@@ -261,9 +256,10 @@ def test_criterion_8_harness_determinism_and_faults(registry, tmp_path):
         assert answers(flaky) == answers(first)
 
         dead = run("d", FailingTransport())
-        assert all(rec["status"] == "exhausted_retries" for rec in dead.records)
+        dead_records = list(load_responses(dead.responses_path))
+        assert all(rec["status"] == "exhausted_retries" for rec in dead_records)
         ranked, sets, summary = parse_responses(dead.responses_path, registry)
-        assert summary.empty_predictions == len(dead.records)
+        assert summary["empty_predictions"] == len(dead_records)
         t1_eval = evaluate_task1(
             [rec for view in views.values() for rec in view.task1],
             [p for p in ranked if p.model == "model-x"],

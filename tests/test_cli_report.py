@@ -250,6 +250,24 @@ class TestEvalLawFilter:
         for task in ("task1", "task2"):
             assert lgpd["models"]["PERFECT"][task] == {"LGPD": full["models"]["PERFECT"][task]["LGPD"]}
 
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_a_law_without_views_exits_2(self, tmp_path, capsys, command):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "3", "--files", "2", "--laws", "LGPD,PDPA", "--profiles", "PERFECT",
+                     "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--models", "m", "--backoff", "0", "--out-dir", str(out)],
+            "eval": ["eval", "--predictions", str(corpus_dir / "predictions_PERFECT"), "--out", str(out / "base.json")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--views-dir", str(views_dir), "--law", "LGPD,PIPEDA"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "RegevalError", "message": f"no task views for PIPEDA under {views_dir}"
+        }
+        assert not out.exists()
+
 
 class TestUnmatchedPredictions:
     """A model whose rows of a law match no gold key (relaxed fallbacks

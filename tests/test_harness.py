@@ -167,7 +167,8 @@ class TestExecuteRun:
 
         anchors = sum(len(gold_keys_for_records(v.task1)) for v in views.values())
         snippets = sum(len(v.task2) for v in views.values())
-        assert len(result.records) == 2 * (anchors + snippets)
+        records = list(load_responses(result.responses_path))
+        assert len(records) == 2 * (anchors + snippets)
 
     def test_retry_then_success(self, registry, tmp_path):
         corpus = small_corpus(registry, files=2)
@@ -181,8 +182,9 @@ class TestExecuteRun:
             transport=transport,
             config=RunConfig(models=("model-x",), backoff_seconds=0.0),
         )
-        assert all(rec["status"] == "ok" for rec in result.records)
-        assert all(rec["attempts"] == 3 for rec in result.records)
+        records = list(load_responses(result.responses_path))
+        assert all(rec["status"] == "ok" for rec in records)
+        assert all(rec["attempts"] == 3 for rec in records)
 
     def test_exhausted_retries_scores_empty(self, registry, tmp_path):
         corpus = small_corpus(registry, files=2)
@@ -195,19 +197,21 @@ class TestExecuteRun:
             transport=FailingTransport(),
             config=RunConfig(models=("model-x",), backoff_seconds=0.0),
         )
-        assert all(rec["status"] == "exhausted_retries" for rec in result.records)
-        assert all(rec["text"] == "" for rec in result.records)
-        assert all(rec["attempts"] == 4 for rec in result.records)  # initial + 3 retries
+        records = list(load_responses(result.responses_path))
+        assert all(rec["status"] == "exhausted_retries" for rec in records)
+        assert all(rec["text"] == "" for rec in records)
+        assert all(rec["attempts"] == 4 for rec in records)  # initial + 3 retries
 
     def test_no_models_aborts_before_any_call(self, registry, tmp_path):
         corpus = small_corpus(registry, files=2)
         views = shape_views(corpus)
-        transport = FailingTransport()
+        sent = []
+        transport = MockTransport(sent.append)
         with pytest.raises(TransportConfigError):
             execute_run(
                 RunConfig(models=()), views, transport, tmp_path / "x", registry, corpus=corpus
             )
-        assert transport.attempts == 0
+        assert sent == []
 
     def test_lane_discipline(self, registry, tmp_path):
         corpus = small_corpus(registry, files=3)
@@ -283,7 +287,8 @@ class TestExecuteRun:
         for model, identities in sent.items():
             assert identities == sorted(identities)
             assert [i[1:] for i in identities] == [i[1:] for i in sent["model-x"]]
-        order = [(r["model"], r["task"], r["law"], json.dumps(r["key"], sort_keys=True)) for r in result.records]
+        records = list(load_responses(result.responses_path))
+        order = [(r["model"], r["task"], r["law"], json.dumps(r["key"], sort_keys=True)) for r in records]
         assert order == sent["model-x"] + sent["model-y"]
         assert result.record_count == len(order)
 
@@ -320,7 +325,8 @@ class TestExecuteRun:
     def test_response_lines_are_the_sorted_key_dumps_of_the_records(self, registry, tmp_path):
         result = self._run(registry, tmp_path, out="lines")
         lines = result.responses_path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert lines == [json.dumps(r, sort_keys=True) + "\n" for r in result.records]
+        records = list(load_responses(result.responses_path))
+        assert lines == [json.dumps(r, sort_keys=True) + "\n" for r in records]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -357,7 +363,8 @@ class TestExecuteRun:
         assert stamps == sorted(stamps)
         assert lines[0].split(" ", 1)[1].startswith("run start ")
         assert lines[-1].split(" ", 1)[1].startswith("run complete (")
-        per_request = len(result.records) // 2
+        records = list(load_responses(result.responses_path))
+        per_request = len(records) // 2
         for model in ("model-x", "model-y"):
             events = [
                 line.split(" ", 1)[1] for line in lines if line.split(" ", 2)[1] == model
@@ -398,9 +405,10 @@ class TestExecuteRun:
             )
         finally:
             sys.setswitchinterval(interval)
-        assert {r["model"] for r in result.records} == set(models)
-        assert all(r["status"] == "ok" and r["attempts"] == 3 for r in result.records)
-        assert len(sends) == len(result.records)
+        records = list(load_responses(result.responses_path))
+        assert {r["model"] for r in records} == set(models)
+        assert all(r["status"] == "ok" and r["attempts"] == 3 for r in records)
+        assert len(sends) == len(records)
         assert set(sends.values()) == {3}
         assert transport.in_flight == {}
 
@@ -429,13 +437,14 @@ class TestExecuteRun:
         for name in ("raw_responses.jsonl", "run_config.json", "run.log"):
             assert (tmp_path / "timeout" / name).is_file()
         timed_out = sent[6]
+        records = list(load_responses(result.responses_path))
         [record] = [
-            r for r in result.records
+            r for r in records
             if (r["task"], r["law"], r["key"]) == (timed_out.task, timed_out.law, timed_out.key)
         ]
         assert record["status"] == "ok" and record["attempts"] == 2
         assert record["text"] == inner(timed_out)
-        assert all(r["attempts"] == 1 for r in result.records if r is not record)
+        assert all(r["attempts"] == 1 for r in records if r is not record)
         assert "model-x attempt 1/4 failed: TimeoutError: read timed out" in result.log_path.read_text()
 
     def test_always_raising_transport_exhausts_retries(self, registry, tmp_path):
@@ -449,9 +458,10 @@ class TestExecuteRun:
             transport=Broken(),
             config=RunConfig(models=("model-x",), retries=1, backoff_seconds=0.0),
         )
-        assert result.records
-        assert all(r["status"] == "exhausted_retries" for r in result.records)
-        assert all(r["attempts"] == 2 and r["text"] == "" for r in result.records)
+        records = list(load_responses(result.responses_path))
+        assert records
+        assert all(r["status"] == "exhausted_retries" for r in records)
+        assert all(r["attempts"] == 2 and r["text"] == "" for r in records)
 
 
 class TestReplayTransport:
@@ -467,7 +477,8 @@ class TestReplayTransport:
             registry,
             corpus=corpus,
         )
-        assert all(r["status"] == "ok" and r["attempts"] == 3 for r in first.records)
+        first_records = list(load_responses(first.responses_path))
+        assert all(r["status"] == "ok" and r["attempts"] == 3 for r in first_records)
         second = execute_run(
             config,
             views,
@@ -476,18 +487,16 @@ class TestReplayTransport:
             registry,
             corpus=corpus,
         )
-        assert len(second.records) == len(first.records)
-        for old, new in zip(first.records, second.records):
+        second_records = list(load_responses(second.responses_path))
+        assert len(second_records) == len(first_records)
+        for old, new in zip(first_records, second_records):
             assert new["status"] == "ok" and new["attempts"] == 1
             assert {k: new[k] for k in ("model", "task", "law", "key", "text")} == {
                 k: old[k] for k in ("model", "task", "law", "key", "text")
             }
-        order = [
-            (r["model"], r["task"], r["law"], json.dumps(r["key"], sort_keys=True))
-            for r in load_responses(second.responses_path)
-        ]
+        order = [(r["model"], r["task"], r["law"], json.dumps(r["key"], sort_keys=True)) for r in second_records]
         assert order == sorted(order)
-        assert {r["model"] for r in second.records} == {"model-x", "model-y"}
+        assert {r["model"] for r in second_records} == {"model-x", "model-y"}
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(TransportConfigError):
@@ -527,7 +536,7 @@ class TestReplayTransport:
             registry,
             corpus=corpus,
         )
-        record = first.records[0]
+        record = list(load_responses(first.responses_path))[0]
         n = first.record_count
         missing = f"model-unknown {record['task']} {record['law']} {json.dumps(record['key'], sort_keys=True)}"
         with pytest.raises(TransportConfigError) as info:

@@ -182,8 +182,8 @@ class TestResponseParsing:
         ranked, sets, summary = parse_responses(self._responses(tmp_path), registry)
         assert len(ranked) == 1 and ranked[0].ranking == ("7", "12")
         assert len(sets) == 2 and sets[0].labels == ("24",)
-        assert summary.responses == 3
-        assert summary.empty_predictions == 1
+        assert summary["responses"] == 3
+        assert summary["empty_predictions"] == 1
 
     def test_prediction_file_round_trip(self, registry, tmp_path):
         ranked, sets, _ = parse_responses(self._responses(tmp_path), registry)
