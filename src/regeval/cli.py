@@ -79,20 +79,35 @@ def _check_gold(path: Path, golds, jur: Jurisdiction) -> None:
             raise MalformedView(f"{path}: record {index}: gold labels not in the {jur.code} universe: {stray}")
 
 
+def _view_records(path: Path, law: str, load) -> list:
+    """The records of the view at `path`, which must hold `law`, the law its
+    file name names; a view of another law raises MalformedView."""
+    held, records = load(path)
+    if held != law:
+        raise MalformedView(f"{path}: holds law {held!r}, but its file name names {law!r}")
+    return records
+
+
 def _load_views(
     views_dir: str, laws: list[str] | None = None, registry: JurisdictionRegistry | None = None
 ) -> dict[str, ShapedViews]:
-    """The views under `views_dir`, of `laws` only if given, with every gold
-    label checked against its law's universe in `registry` (by default the
-    bundled one). A code in `laws` without views raises RegevalError."""
+    """The views under `views_dir`, with every gold label checked against its
+    law's universe in `registry` (by default the bundled one). With `laws`,
+    only their `task1_<LAW>.json` and `task2_<LAW>.json` are opened, by name;
+    a code in `laws` without views raises RegevalError. A view holds the law
+    its file name names, or MalformedView is raised."""
     registry = JurisdictionRegistry.default() if registry is None else registry
+    root = Path(views_dir)
+    if laws:
+        t1_paths = sorted(path for path in {root / f"task1_{law}.json" for law in laws} if path.is_file())
+    else:
+        t1_paths = sorted(root.glob("task1_*.json"))
     views: dict[str, ShapedViews] = {}
-    for t1_path in sorted(Path(views_dir).glob("task1_*.json")):
-        law, records = load_task1_view(t1_path)
-        if laws and law not in laws:
-            continue
-        t2_path = Path(views_dir) / f"task2_{law}.json"
-        _, t2_records = load_task2_view(t2_path)
+    for t1_path in t1_paths:
+        law = t1_path.stem[len("task1_"):]
+        t2_path = root / f"task2_{law}.json"
+        records = _view_records(t1_path, law, load_task1_view)
+        t2_records = _view_records(t2_path, law, load_task2_view)
         jur = registry.get(law)
         _check_gold(t1_path, (rec.file_gold.union(rec.module_gold, *(g for _, g in rec.lines)) for rec in records), jur)
         _check_gold(t2_path, (rec.gold for rec in t2_records), jur)

@@ -229,7 +229,7 @@ def load_dataset(path: str | Path, registry: JurisdictionRegistry, law: str | No
 
 
 def save_dataset(path: str | Path, corpus: Sequence[RawInstance], registry: JurisdictionRegistry) -> None:
-    write_json(path, [instance_to_record(inst, registry) for inst in corpus])
+    write_compact_json(path, [instance_to_record(inst, registry) for inst in corpus])
 
 
 @contextmanager
@@ -256,7 +256,8 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
 
 # Compact key-sorted JSON text: the bytes of `json.dumps(value, sort_keys=True)`,
 # from one encoder built once (json.dumps builds a new one per call when given
-# any option). Request keys, the replay index and prediction entries use it.
+# any option). Request keys, the replay index, prediction entries, the dataset
+# and the views use it.
 encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
@@ -285,6 +286,16 @@ def write_json(path: str | Path, payload) -> Path:
     path = Path(path)
     with atomic_write(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def write_compact_json(path: str | Path, payload) -> Path:
+    """Write `payload` as compact key-sorted JSON (`encode_sorted`) plus a
+    newline, atomically. For files only programs read: unlike `write_json`'s
+    indent, it keeps to json's C encoder."""
+    path = Path(path)
+    with atomic_write(path) as fh:
+        fh.write(encode_sorted(payload) + "\n")
     return path
 
 

@@ -119,6 +119,11 @@ def normalized_coverage_error(
 
     Each sample contributes (max rank over true labels - 1) / (L - 1) under
     the prediction-first ranking; samples with no true labels contribute 0.
+    Labels the model did not predict are not tied: they follow the predicted
+    ones in the order of `universe`, so the score depends on that order. An
+    empty prediction for gold {"1"} over universe 1..5 scores 0.0, and 1.0
+    with the universe reversed. Every other task-2 metric reads the universe
+    as a set.
     """
     _check_lengths(golds, prediction_orders)
     size = len(universe)

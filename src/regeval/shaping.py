@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
-    LineSpan, RawInstance, check_field, decode_each, decode_span, derive_module_name, read_json, write_json,
+    LineSpan, RawInstance, check_field, decode_each, decode_span, derive_module_name, read_json, write_compact_json,
 )
 from .errors import ConflictingSnippet, EmptyCorpus, MalformedPrediction, MalformedView, RegevalError
 from .jurisdiction import JurisdictionRegistry
@@ -385,7 +385,8 @@ def dump_views(
     registry: JurisdictionRegistry,
     config_echo: Mapping | None = None,
 ) -> list[Path]:
-    """Write task1_<LAW>.json / task2_<LAW>.json with canonical ordering."""
+    """Write task1_<LAW>.json / task2_<LAW>.json with canonical ordering, as
+    compact key-sorted JSON."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -399,7 +400,7 @@ def dump_views(
                 "config": dict(config_echo or {}),
                 "records": [render(rec, registry) for rec in records],
             }
-            written.append(write_json(out / f"{task}_{law}.json", payload))
+            written.append(write_compact_json(out / f"{task}_{law}.json", payload))
     return written
 
 

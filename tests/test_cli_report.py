@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import regeval.cli
 import regeval.retrieval
 from regeval.cli import _load_views, main
 from regeval.composites import CompositeConfig
@@ -265,6 +266,41 @@ class TestEvalLawFilter:
         assert main(argv + ["--views-dir", str(views_dir), "--law", "LGPD,PIPEDA"]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "error": "RegevalError", "message": f"no task views for PIPEDA under {views_dir}"
+        }
+        assert not out.exists()
+
+    def test_law_reads_only_its_own_views(self, tmp_path, monkeypatch):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "3", "--files", "2", "--profiles", "PERFECT",
+                     "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        read = []
+        for name in ("load_task1_view", "load_task2_view"):
+            load = getattr(regeval.cli, name)
+            monkeypatch.setattr(regeval.cli, name, lambda path, load=load: read.append(path) or load(path))
+        assert main(["eval", "--views-dir", str(views_dir), "--predictions", str(corpus_dir / "predictions_PERFECT"),
+                     "--law", "LGPD", "--out", str(tmp_path / "base.json")]) == 0
+        assert read == [views_dir / "task1_LGPD.json", views_dir / "task2_LGPD.json"]
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("task", ["task1", "task2"])
+    @pytest.mark.parametrize("law_option", [[], ["--law", "PDPA"]])
+    def test_a_view_holding_another_law_than_its_name_exits_2(self, tmp_path, capsys, command, task, law_option):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "3", "--files", "2", "--laws", "LGPD,PDPA", "--profiles", "PERFECT",
+                     "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        path = views_dir / f"{task}_PDPA.json"
+        path.write_bytes((views_dir / f"{task}_LGPD.json").read_bytes())
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--models", "m", "--backoff", "0", "--out-dir", str(out)],
+            "eval": ["eval", "--predictions", str(corpus_dir / "predictions_PERFECT"), "--out", str(out / "base.json")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--views-dir", str(views_dir)] + law_option) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedView", "message": f"{path}: holds law 'LGPD', but its file name names 'PDPA'"
         }
         assert not out.exists()
 

@@ -20,6 +20,7 @@ from regeval.corpus import (
     normalize_path,
     save_dataset,
     split_pointer_path,
+    write_compact_json,
     write_json,
 )
 from regeval.errors import InvalidPath, RegevalError
@@ -158,6 +159,13 @@ class TestDatasetIO:
         payload = {"b": [1, 2], "a": {"y": 1, "x": None}}
         assert write_json(path, payload) == path
         assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.json"]
+
+    def test_write_compact_json_bytes_and_no_temp_file_left(self, tmp_path):
+        path = tmp_path / "nested" / "out.json"
+        payload = {"b": [1, 2], "a": {"y": 1, "x": None}, "é": "ü"}
+        assert write_compact_json(path, payload) == path
+        assert path.read_text(encoding="utf-8") == encode_sorted(payload) + "\n"
         assert [p.name for p in path.parent.iterdir()] == ["out.json"]
 
     @given(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from regeval.errors import LengthMismatch, UniverseTooSmall
+from regeval.jurisdiction import JurisdictionRegistry
 from regeval.multilabel import (
+    PointerMatchReport,
     SetPrediction,
     T2_METRIC_NAMES,
+    Task2Match,
     evaluate_task2,
     f1_suite,
     hamming_loss,
@@ -19,6 +23,7 @@ from regeval.multilabel import (
     match_task2,
     normalized_coverage_error,
     prediction_first_ranking,
+    score_task2,
 )
 from regeval.shaping import SnippetPointer, shape_task2
 from test_corpus import make_instance
@@ -102,6 +107,48 @@ class TestCoverageError:
     def test_universe_too_small(self):
         with pytest.raises(UniverseTooSmall):
             normalized_coverage_error([{"a"}], [["a"]], ["a"])
+
+    def test_unpredicted_labels_are_ranked_in_universe_order(self):
+        """Today's convention: labels the model did not predict follow in
+        universe order, so an empty prediction's coverage error depends on
+        where the gold labels sit in the universe."""
+        universe = ["1", "2", "3", "4", "5"]
+        assert normalized_coverage_error([{"1"}], [[]], universe) == 0.0
+        assert normalized_coverage_error([{"1"}], [[]], universe[::-1]) == 1.0
+
+
+LGPD_UNIVERSE = JurisdictionRegistry.default().get("LGPD").universe
+
+
+class TestUniversePermutation:
+    """Every task-2 metric but the coverage error reads the universe as a set.
+    Macro and weighted F1 sum their per-label terms in universe order, so a
+    permutation may move only their last bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.sets(st.sampled_from(LGPD_UNIVERSE), min_size=1, max_size=4).map(frozenset),
+                st.lists(st.sampled_from(LGPD_UNIVERSE), max_size=5, unique=True).map(tuple),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        permuted=st.permutations(LGPD_UNIVERSE),
+    )
+    def test_metrics_other_than_coverage_error_ignore_universe_order(self, registry, samples, permuted):
+        golds = [gold for gold, _ in samples]
+        orders = [order for _, order in samples]
+        match = {"LGPD": Task2Match(golds=golds, orders=orders, report=PointerMatchReport())}
+        jur = registry.get("LGPD")
+        reordered = JurisdictionRegistry({"LGPD": dataclasses.replace(jur, universe=tuple(permuted))})
+        base = score_task2(match, registry)["LGPD"]
+        moved = score_task2(match, reordered)["LGPD"]
+        for name in ("micro_f1", "jaccard", "one_minus_hamming"):
+            assert getattr(moved, name) == getattr(base, name)
+        for name in ("macro_f1", "weighted_f1"):
+            assert getattr(moved, name) == pytest.approx(getattr(base, name), abs=1e-12)
 
 
 class TestExhaustiveOracleSlice:
