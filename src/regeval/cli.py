@@ -93,15 +93,12 @@ def _load_views(
 ) -> dict[str, ShapedViews]:
     """The views under `views_dir`, with every gold label checked against its
     law's universe in `registry` (by default the bundled one). With `laws`,
-    only their `task1_<LAW>.json` and `task2_<LAW>.json` are opened, by name;
-    a code in `laws` without views raises RegevalError. A view holds the law
-    its file name names, or MalformedView is raised."""
+    only the views whose file names name one of them are opened; a code in
+    `laws` without views raises RegevalError. A view holds the law its file
+    name names, or MalformedView is raised."""
     registry = JurisdictionRegistry.default() if registry is None else registry
     root = Path(views_dir)
-    if laws:
-        t1_paths = sorted(path for path in {root / f"task1_{law}.json" for law in laws} if path.is_file())
-    else:
-        t1_paths = sorted(root.glob("task1_*.json"))
+    t1_paths = [path for path in sorted(root.glob("task1_*.json")) if not laws or path.stem[len("task1_"):] in laws]
     views: dict[str, ShapedViews] = {}
     for t1_path in t1_paths:
         law = t1_path.stem[len("task1_"):]

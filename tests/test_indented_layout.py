@@ -36,26 +36,23 @@ def test_indented_dataset_and_views_load_to_the_same_records(registry, tmp_path)
             assert load(_indent(compact / name, indented / name)) == load(compact / name)
 
 
-def test_indented_inputs_score_to_the_same_base_bytes(tmp_path, monkeypatch):
-    """synth -> shape -> run -> parse -> eval, once on the compact files and
-    once with `dataset.json` and the views rewritten indented before they are
-    read. Relative paths keep the config echoes equal."""
-
-    def pipeline(root: Path, indent: bool) -> bytes:
-        root.mkdir()
-        monkeypatch.chdir(root)
-        assert main(["synth", "--seed", "4", "--files", "3", "--out-dir", "corpus"]) == 0
-        if indent:
-            _indent(Path("corpus/dataset.json"), Path("corpus/dataset.json"))
-        assert main(["shape", "--dataset", "corpus/dataset.json", "--out-dir", "views"]) == 0
-        if indent:
-            for path in sorted(Path("views").glob("task*.json")):
-                _indent(path, path)
-        assert main(["run", "--views-dir", "views", "--models", "m1,m2", "--transport", "mock",
-                     "--profile", "RANDOM", "--backoff", "0", "--dataset", "corpus/dataset.json",
-                     "--out-dir", "run"]) == 0
-        assert main(["parse", "--responses", "run/raw_responses.jsonl", "--out-dir", "parsed"]) == 0
-        assert main(["eval", "--views-dir", "views", "--predictions", "parsed", "--out", "base.json"]) == 0
-        return Path("base.json").read_bytes()
-
-    assert pipeline(tmp_path / "indented", True) == pipeline(tmp_path / "compact", False)
+def test_indented_inputs_score_to_the_same_base_bytes(tmp_path):
+    """synth -> shape -> run -> parse -> eval with `dataset.json` and the
+    views rewritten indented before they are read; `eval` of the same
+    predictions over the views shaped compact again gives the same bytes."""
+    dataset, views = tmp_path / "corpus" / "dataset.json", tmp_path / "views"
+    shape = ["shape", "--dataset", str(dataset), "--out-dir", str(views)]
+    evaluate = ["eval", "--views-dir", str(views), "--predictions", str(tmp_path / "parsed"), "--out"]
+    assert main(["synth", "--seed", "4", "--files", "3", "--out-dir", str(dataset.parent)]) == 0
+    _indent(dataset, dataset)
+    assert main(shape) == 0
+    for path in sorted(views.glob("task*.json")):
+        _indent(path, path)
+    assert main(["run", "--views-dir", str(views), "--models", "m1,m2", "--transport", "mock", "--profile", "RANDOM",
+                 "--backoff", "0", "--dataset", str(dataset), "--out-dir", str(tmp_path / "run")]) == 0
+    assert main(["parse", "--responses", str(tmp_path / "run" / "raw_responses.jsonl"),
+                 "--out-dir", str(tmp_path / "parsed")]) == 0
+    assert main(evaluate + [str(tmp_path / "indented.json")]) == 0
+    assert main(shape) == 0
+    assert main(evaluate + [str(tmp_path / "compact.json")]) == 0
+    assert (tmp_path / "indented.json").read_bytes() == (tmp_path / "compact.json").read_bytes()
