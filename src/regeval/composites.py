@@ -16,19 +16,16 @@ every composite are the same under any BLAS and on CPython 3.10 to 3.13; only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
+from .corpus import Checked
 from .errors import MissingLaw, RegevalError, SingularCovariance
 from .multilabel import JudgmentMetrics
 from .retrieval import T1_METRIC_NAMES, RetrievalMetrics, left_sum
 from .shaping import GRANULARITIES
 
 
-@dataclass(frozen=True)
-class CompositeConfig:
-    """Aggregation weights and numeric guards."""
-
+class _CompositeConfig(NamedTuple):
     alpha: float = 1.0
     beta: float = 2.0
     gamma: float = 2.0
@@ -36,7 +33,13 @@ class CompositeConfig:
     ridge: float = 0.1
     epsilon: float = 1e-6
 
-    def __post_init__(self) -> None:
+
+class CompositeConfig(Checked, _CompositeConfig):
+    """Aggregation weights and numeric guards."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta", "ridge", "epsilon"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -189,18 +192,30 @@ def ocs(
     return value, coupled
 
 
-@dataclass
 class CompositeReport:
     """Full aggregation output for one evaluation cohort."""
 
-    config: CompositeConfig
-    sgs_tables: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
-    rcs_task1: dict[str, dict[str, float]] = field(default_factory=dict)
-    rcs_task2: dict[str, dict[str, float]] = field(default_factory=dict)
-    crgs_task1: dict[str, float] = field(default_factory=dict)
-    crgs_task2: dict[str, float] = field(default_factory=dict)
-    coupled: dict[str, dict[str, float]] = field(default_factory=dict)
-    ocs_scores: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("config", "sgs_tables", "rcs_task1", "rcs_task2", "crgs_task1", "crgs_task2", "coupled", "ocs_scores")
+
+    def __init__(
+        self,
+        config: CompositeConfig,
+        sgs_tables: dict[str, dict[str, dict[str, float]]] | None = None,
+        rcs_task1: dict[str, dict[str, float]] | None = None,
+        rcs_task2: dict[str, dict[str, float]] | None = None,
+        crgs_task1: dict[str, float] | None = None,
+        crgs_task2: dict[str, float] | None = None,
+        coupled: dict[str, dict[str, float]] | None = None,
+        ocs_scores: dict[str, float] | None = None,
+    ):
+        self.config = config
+        self.sgs_tables = {} if sgs_tables is None else sgs_tables
+        self.rcs_task1 = {} if rcs_task1 is None else rcs_task1
+        self.rcs_task2 = {} if rcs_task2 is None else rcs_task2
+        self.crgs_task1 = {} if crgs_task1 is None else crgs_task1
+        self.crgs_task2 = {} if crgs_task2 is None else crgs_task2
+        self.coupled = {} if coupled is None else coupled
+        self.ocs_scores = {} if ocs_scores is None else ocs_scores
 
     def to_dict(self) -> dict:
         return {

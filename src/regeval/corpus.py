@@ -13,9 +13,8 @@ import os
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import InvalidPath, MalformedDataset, MalformedPrediction, RegevalError
 from .jurisdiction import THEME_ANCHORS, THEMES, JurisdictionRegistry
@@ -50,14 +49,38 @@ def derive_module_name(file_path: str) -> str:
     return PurePosixPath(file_path).stem
 
 
-@dataclass(frozen=True, order=True)
-class LineSpan:
-    """Closed 1-based line range."""
+class Checked:
+    """Mixin for a `NamedTuple` record whose fields must pass its `_check`.
 
+    List it before the record's `NamedTuple` base. The constructor, `_make`
+    and `_replace` (which calls `_make`) all run `_check`, so a bad value
+    raises the same error however the record is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _LineSpan(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self) -> None:
+
+class LineSpan(Checked, _LineSpan):
+    """Closed 1-based line range; it orders, hashes and compares as
+    (start, end)."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.start < 1:
             raise RegevalError(f"span start must be >= 1, got {self.start}")
         if self.end < self.start:
@@ -139,10 +162,7 @@ def split_pointer_path(raw: str) -> tuple[str, LineSpan]:
     return normalize_path(raw[: match.start()]), LineSpan(start, end)
 
 
-@dataclass(frozen=True)
-class RawInstance:
-    """One expert-validated evidence record, scoped to a single law."""
-
+class _RawInstance(NamedTuple):
     app_name: str
     repo_url: str
     commit_id: str
@@ -153,7 +173,13 @@ class RawInstance:
     snippet: str
     note: str = ""
 
-    def __post_init__(self) -> None:
+
+class RawInstance(Checked, _RawInstance):
+    """One expert-validated evidence record, scoped to a single law."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.articles:
             raise RegevalError("instance has no article ids")
         if not _COMMIT_HEX.match(self.commit_id):

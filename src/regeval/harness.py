@@ -20,26 +20,21 @@ import shutil
 import threading
 import time
 from collections import Counter
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
-from .corpus import RawInstance, atomic_write, encode_sorted, write_json
+from .corpus import Checked, RawInstance, atomic_write, encode_sorted, write_json
 from .errors import LawMismatch, MalformedResponse, RegevalError, TransportConfigError
 from .jurisdiction import THEMES, Jurisdiction, JurisdictionRegistry
 from .retrieval import gold_keys_for_records
 from .shaping import RetrievalKey, ShapedViews, SnippetPointer
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Uniform inference settings; defaults are the reference decoding setup."""
-
+class _RunConfig(NamedTuple):
     models: tuple[str, ...] = ()
     temperature: float = 0.0
     max_tokens: int = 2048
@@ -48,7 +43,13 @@ class RunConfig:
     backoff_seconds: float = 2.0
     context_window: int = 3
 
-    def __post_init__(self) -> None:
+
+class RunConfig(Checked, _RunConfig):
+    """Uniform inference settings; defaults are the reference decoding setup."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         repeated = sorted(name for name, count in Counter(self.models).items() if count > 1)
         if repeated:
             raise TransportConfigError(f"model names repeat: {repeated}")
@@ -70,11 +71,8 @@ class RunConfig:
 
     def overrides(self) -> dict:
         """Settings that differ from the reference defaults."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "models" and getattr(self, f.name) != f.default
-        }
+        defaults = self._field_defaults
+        return {name: value for name, value in self._asdict().items() if name != "models" and value != defaults[name]}
 
     def to_dict(self) -> dict:
         return {
@@ -89,8 +87,7 @@ class RunConfig:
         }
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(NamedTuple):
     """Fixed per-law instruction template; never carries expert notes."""
 
     law: str
@@ -129,8 +126,7 @@ def default_template(jur: Jurisdiction) -> PromptTemplate:
     )
 
 
-@dataclass(frozen=True)
-class LocalizationPromptItem:
+class LocalizationPromptItem(NamedTuple):
     """Task-1 request: one gold anchor plus compact code context."""
 
     law: str
@@ -138,8 +134,7 @@ class LocalizationPromptItem:
     context: str = ""
 
 
-@dataclass(frozen=True)
-class JudgmentPromptItem:
+class JudgmentPromptItem(NamedTuple):
     """Task-2 request: one snippet window."""
 
     law: str
@@ -258,14 +253,7 @@ def request_identity(model: str, task: str, law: str, key: Mapping) -> tuple[str
     return (model, task, law, encode_sorted(dict(key)))
 
 
-@dataclass(frozen=True)
-class TransportRequest:
-    """One attempt-independent request; adapters may ignore the key fields.
-
-    `key_json` is `encode_sorted(key)`, the key's text in the identity; the
-    requests of one prompt item share one string.
-    """
-
+class _TransportRequest(NamedTuple):
     model: str
     task: str
     law: str
@@ -274,11 +262,28 @@ class TransportRequest:
     temperature: float
     max_tokens: int
     timeout_seconds: float
-    key_json: str = field(repr=False, compare=False)
-    identity: tuple[str, str, str, str] = field(init=False, repr=False, compare=False)
+    key_json: str
+    identity: tuple[str, str, str, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "identity", (self.model, self.task, self.law, self.key_json))
+
+class TransportRequest(_TransportRequest):
+    """One attempt-independent request; adapters may ignore the key fields.
+
+    `key_json` is `encode_sorted(key)`, the key's text in the identity; the
+    requests of one prompt item share one string. `identity`, (model, task,
+    law, key_json), is made once at construction and is not an argument:
+    `_make` and `_replace` make it again from the other fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, model, task, law, key, prompt, temperature, max_tokens, timeout_seconds, key_json):
+        fields = (model, task, law, key, prompt, temperature, max_tokens, timeout_seconds, key_json)
+        return tuple.__new__(cls, (*fields, (model, task, law, key_json)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*tuple(iterable)[:9])
 
 
 class TransportFailure(RegevalError):
@@ -363,8 +368,7 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """Where a run wrote its artifacts, and how many records it wrote."""
 
     record_count: int
@@ -417,6 +421,8 @@ def execute_run(
     interrupt) stops every lane at its next request and is re-raised, and
     no artifact is written.
     """
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait  # loaded by `run` alone
+
     if not config.models:
         raise TransportConfigError("run config lists no models")
     templates = {law: default_template(registry.get(law)) for law in views}

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .corpus import DECODE_ERRORS, atomic_write, decode_each, encode_sorted, read_json
 from .errors import MalformedPrediction, MalformedResponse, OutOfUniverse, RegevalError
@@ -27,8 +26,7 @@ RANKED = "ranked"
 SET = "set"
 
 
-@dataclass(frozen=True)
-class ParsedPrediction:
+class ParsedPrediction(NamedTuple):
     """Canonical ids in first-occurrence order plus parse diagnostics."""
 
     law: str
@@ -247,7 +245,6 @@ def _stream_entries(fh: TextIO, decode) -> list:
     return rows
 
 
-@dataclass
 class DecodeCache:
     """What the prediction files of one `eval` share, so that a value decoded
     from many entries, files or models is held once:
@@ -262,9 +259,17 @@ class DecodeCache:
     Rankings and label tuples are not shared: real model output rarely
     repeats them."""
 
-    ids: dict[str, dict[str, str]] = field(default_factory=dict)
-    anchors: dict[tuple, tuple] = field(default_factory=dict)
-    names: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("ids", "anchors", "names")
+
+    def __init__(
+        self,
+        ids: dict[str, dict[str, str]] | None = None,
+        anchors: dict[tuple, tuple] | None = None,
+        names: dict[str, str] | None = None,
+    ):
+        self.ids = {} if ids is None else ids
+        self.anchors = {} if anchors is None else anchors
+        self.names = {} if names is None else names
 
 
 def load_prediction_files(
@@ -306,8 +311,7 @@ def load_prediction_files(
 # --- binding -------------------------------------------------------------------
 
 
-@dataclass
-class GoldIndex:
+class GoldIndex(NamedTuple):
     """The gold anchors (per law and granularity) and task-2 pointers (per
     law) of the loaded views, indexed once per `eval` and shared by every
     model's join."""
@@ -330,15 +334,23 @@ class GoldIndex:
         return cls(task1, task2, DecodeCache(anchors={anchor: anchor for anchor in map(tuple, anchors)}))
 
 
-@dataclass
 class BindResult:
     """The one join of a model's predictions to gold: per-slice task-1 and
     per-law task-2 matches, which scoring reads, plus diagnostics."""
 
-    task1: dict[tuple[str, str], Task1Match] = field(default_factory=dict)
-    task2: dict[str, Task2Match] = field(default_factory=dict)
-    orphan_task1: list[dict] = field(default_factory=list)
-    cardinality: dict[str, dict[str, dict[int, int]]] = field(default_factory=dict)
+    __slots__ = ("task1", "task2", "orphan_task1", "cardinality")
+
+    def __init__(
+        self,
+        task1: dict[tuple[str, str], Task1Match] | None = None,
+        task2: dict[str, Task2Match] | None = None,
+        orphan_task1: list[dict] | None = None,
+        cardinality: dict[str, dict[str, dict[int, int]]] | None = None,
+    ):
+        self.task1 = {} if task1 is None else task1
+        self.task2 = {} if task2 is None else task2
+        self.orphan_task1 = [] if orphan_task1 is None else orphan_task1
+        self.cardinality = {} if cardinality is None else cardinality
 
     def to_dict(self) -> dict:
         return {

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
@@ -37,7 +36,6 @@ _CONNECTIVE = r"(?:\s*(?:,|;|/|&|\+|\band\b|\bor\b|\be\b)\s*)+"
 _TAIL_GUARD = r"(?![A-Za-z])(?!\.?\d)"
 
 
-@dataclass(frozen=True)
 class Jurisdiction:
     """One law's label universe plus the lexical rules for its identifiers.
 
@@ -48,30 +46,33 @@ class Jurisdiction:
     universe's own string, so canonical ids skip the regex.
     """
 
-    code: str
-    universe: tuple[str, ...]
-    citation_style: str
-    prefixes: tuple[str, ...]
-    id_pattern: str
-    allow_bare_ids: bool
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _canonical: dict[str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.universe:
-            raise RegevalError(f"{self.code}: label universe must be non-empty")
-        index = {article: i for i, article in enumerate(self.universe)}
-        if len(index) != len(self.universe):
-            raise RegevalError(f"{self.code}: label universe contains duplicates")
-        object.__setattr__(self, "_index", index)
-        canonical = {}
-        for article in self.universe:
+    def __init__(
+        self,
+        code: str,
+        universe: tuple[str, ...],
+        citation_style: str,
+        prefixes: tuple[str, ...],
+        id_pattern: str,
+        allow_bare_ids: bool,
+    ):
+        if not universe:
+            raise RegevalError(f"{code}: label universe must be non-empty")
+        self._index = {article: i for i, article in enumerate(universe)}
+        if len(self._index) != len(universe):
+            raise RegevalError(f"{code}: label universe contains duplicates")
+        self.code = code
+        self.universe = universe
+        self.citation_style = citation_style
+        self.prefixes = prefixes
+        self.id_pattern = id_pattern
+        self.allow_bare_ids = allow_bare_ids
+        self._canonical = {}
+        for article in universe:
             try:
                 if self.resolve(article) == article:
-                    canonical[article] = article
+                    self._canonical[article] = article
             except (UnrecognizedIdentifier, OutOfUniverse):
                 pass
-        object.__setattr__(self, "_canonical", canonical)
 
     def universe_index(self, article: str) -> int:
         """Position of an article in the stable universe order."""

@@ -8,7 +8,6 @@ and Hamming loss) so every entry reads higher-is-better downstream.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import LengthMismatch, UniverseTooSmall
@@ -169,11 +168,13 @@ class SetPrediction(NamedTuple):
     model: str = ""
 
 
-@dataclass
 class PointerMatchReport:
-    gold_pointers: int = 0
-    matched_pointers: int = 0
-    orphans: list[dict] = field(default_factory=list)
+    __slots__ = ("gold_pointers", "matched_pointers", "orphans")
+
+    def __init__(self, gold_pointers: int = 0, matched_pointers: int = 0, orphans: list[dict] | None = None):
+        self.gold_pointers = gold_pointers
+        self.matched_pointers = matched_pointers
+        self.orphans = [] if orphans is None else orphans
 
     @property
     def coverage(self) -> float:
@@ -188,8 +189,7 @@ class PointerMatchReport:
         }
 
 
-@dataclass
-class Task2Match:
+class Task2Match(NamedTuple):
     """One law's gold label sets in record order and, for each, the output
     order of its matched prediction (empty when no prediction matched)."""
 
@@ -198,15 +198,22 @@ class Task2Match:
     report: PointerMatchReport
 
 
-@dataclass
 class GoldPointers:
     """One law's gold task-2 records, indexed once per `eval` and shared by
     every model's join: their gold sets in record order, a slot per distinct
     pointer, and each record's slot."""
 
-    golds: list[frozenset[str]] = field(default_factory=list)
-    slot: dict[tuple, int] = field(default_factory=dict)
-    record_slots: list[int] = field(default_factory=list)
+    __slots__ = ("golds", "slot", "record_slots")
+
+    def __init__(
+        self,
+        golds: list[frozenset[str]] | None = None,
+        slot: dict[tuple, int] | None = None,
+        record_slots: list[int] | None = None,
+    ):
+        self.golds = [] if golds is None else golds
+        self.slot = {} if slot is None else slot
+        self.record_slots = [] if record_slots is None else record_slots
 
 
 def index_pointers(records: Sequence[Task2Record]) -> dict[str, GoldPointers]:

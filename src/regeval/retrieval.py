@@ -8,7 +8,6 @@ rows, so coverage gaps lower the averages instead of hiding inside them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -127,7 +126,6 @@ def gold_keys_for_records(records: Sequence[Task1Record]) -> dict[RetrievalKey, 
     return gold
 
 
-@dataclass
 class GoldSlice:
     """The gold anchors of one (law, granularity) slice, indexed once per
     `eval` and shared by every model's join. Slot i holds `keys[i]` and its
@@ -135,9 +133,15 @@ class GoldSlice:
     order in which the metric means are summed; `slot` maps each key to its
     slot."""
 
-    keys: list[RetrievalKey] = field(default_factory=list)
-    golds: list[frozenset[str]] = field(default_factory=list)
-    slot: dict[tuple, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        keys: list[RetrievalKey] | None = None,
+        golds: list[frozenset[str]] | None = None,
+        slot: dict[tuple, int] | None = None,
+    ):
+        self.keys = [] if keys is None else keys
+        self.golds = [] if golds is None else golds
+        self.slot = {} if slot is None else slot
 
     def add(self, key: RetrievalKey, gold_set: frozenset[str]) -> None:
         if not gold_set:
@@ -166,15 +170,24 @@ def index_gold_keys(gold: Mapping[RetrievalKey, frozenset[str]]) -> dict[tuple[s
     return slices
 
 
-@dataclass
 class KeyMatchReport:
     """Coverage of gold anchors by predictions under one matching policy."""
 
-    policy: str
-    gold_keys: int = 0
-    matched_keys: int = 0
-    unmatched: list[RetrievalKey] = field(default_factory=list)
-    duplicates: list[dict] = field(default_factory=list)
+    __slots__ = ("policy", "gold_keys", "matched_keys", "unmatched", "duplicates")
+
+    def __init__(
+        self,
+        policy: str,
+        gold_keys: int = 0,
+        matched_keys: int = 0,
+        unmatched: list[RetrievalKey] | None = None,
+        duplicates: list[dict] | None = None,
+    ):
+        self.policy = policy
+        self.gold_keys = gold_keys
+        self.matched_keys = matched_keys
+        self.unmatched = [] if unmatched is None else unmatched
+        self.duplicates = [] if duplicates is None else duplicates
 
     @property
     def coverage(self) -> float:
@@ -196,8 +209,7 @@ class KeyMatchReport:
         }
 
 
-@dataclass
-class Task1Match:
+class Task1Match(NamedTuple):
     """One slice's join. `aligned[i]` is the prediction matched to gold
     slot i, or None; `orphans` are the slice's predictions that match no gold key
     (and, under the relaxed policy, serve as no fallback), in prediction

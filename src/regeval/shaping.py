@@ -9,7 +9,6 @@ canonically so regeneration is byte-stable.
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -172,8 +171,7 @@ def decode_pointer(data: Mapping) -> tuple:
     return (file_path, start, end, commit_id)
 
 
-@dataclass(frozen=True)
-class Task2Record:
+class Task2Record(NamedTuple):
     law: str
     pointer: SnippetPointer
     snippet: str
@@ -279,11 +277,13 @@ def shape_task2(corpus: Sequence[RawInstance]) -> list[Task2Record]:
     return records
 
 
-@dataclass
 class ShapedViews:
-    law: str
-    task1: list[Task1Record] = field(default_factory=list)
-    task2: list[Task2Record] = field(default_factory=list)
+    __slots__ = ("law", "task1", "task2")
+
+    def __init__(self, law: str, task1: list[Task1Record] | None = None, task2: list[Task2Record] | None = None):
+        self.law = law
+        self.task1 = [] if task1 is None else task1
+        self.task2 = [] if task2 is None else task2
 
 
 def shape_views(

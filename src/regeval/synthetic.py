@@ -8,15 +8,13 @@ profiles can place all gold items inside the top five ranks.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import LineSpan, RawInstance, check_field, check_member, check_object, read_json, write_json
+from .corpus import Checked, LineSpan, RawInstance, check_field, check_member, check_object, read_json, write_json
 from .errors import InvalidSpec, RegevalError
 from .harness import request_identity, request_key
 from .jurisdiction import JurisdictionRegistry
@@ -31,10 +29,7 @@ PROFILES = ("PERFECT", "BREADTH_ONLY", "RANKING_ONLY", "MAJORITY_LABEL", "RANDOM
 _START_LINES = range(1, 400)
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    """Shape of a synthetic corpus: per-law file counts and label skew."""
-
+class _CorpusSpec(NamedTuple):
     seed: int
     files_per_law: Mapping[str, int]
     instances_per_file: tuple[int, int] = (1, 3)
@@ -43,7 +38,13 @@ class CorpusSpec:
     skew: float = 0.5
     repos: int = 3
 
-    def __post_init__(self) -> None:
+
+class CorpusSpec(Checked, _CorpusSpec):
+    """Shape of a synthetic corpus: per-law file counts and label skew."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.files_per_law:
             raise InvalidSpec("files_per_law is empty")
         for law, count in self.files_per_law.items():
@@ -99,6 +100,8 @@ class CorpusSpec:
 
 
 def _stable_hex(*parts: object) -> str:
+    import hashlib  # loaded by `synth` alone
+
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).hexdigest()
     return digest[:40]
 
@@ -178,10 +181,12 @@ def load_spec(path: str | Path) -> CorpusSpec:
 # --- scripted model behaviors -----------------------------------------------------
 
 
-@dataclass
 class ScriptedPredictions:
-    ranked: list[RankedPrediction] = field(default_factory=list)
-    sets: list[SetPrediction] = field(default_factory=list)
+    __slots__ = ("ranked", "sets")
+
+    def __init__(self, ranked: list[RankedPrediction] | None = None, sets: list[SetPrediction] | None = None):
+        self.ranked = [] if ranked is None else ranked
+        self.sets = [] if sets is None else sets
 
 
 def _law_label_frequencies(view: ShapedViews) -> Counter:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from regeval.errors import LengthMismatch, UniverseTooSmall
-from regeval.jurisdiction import JurisdictionRegistry
+from regeval.jurisdiction import Jurisdiction, JurisdictionRegistry
 from regeval.multilabel import (
     PointerMatchReport,
     SetPrediction,
@@ -142,7 +141,11 @@ class TestUniversePermutation:
         orders = [order for _, order in samples]
         match = {"LGPD": Task2Match(golds=golds, orders=orders, report=PointerMatchReport())}
         jur = registry.get("LGPD")
-        reordered = JurisdictionRegistry({"LGPD": dataclasses.replace(jur, universe=tuple(permuted))})
+        reordered = JurisdictionRegistry(
+            {"LGPD": Jurisdiction(
+                jur.code, tuple(permuted), jur.citation_style, jur.prefixes, jur.id_pattern, jur.allow_bare_ids
+            )}
+        )
         base = score_task2(match, registry)["LGPD"]
         moved = score_task2(match, reordered)["LGPD"]
         for name in ("micro_f1", "jaccard", "one_minus_hamming"):
