@@ -22,6 +22,7 @@ from .harness import (
     MockTransport,
     ReplayTransport,
     RunConfig,
+    build_prompt_items,
     execute_run,
 )
 from .ingest import (
@@ -191,18 +192,19 @@ def cmd_run(args) -> int:
         backoff_seconds=args.backoff,
         context_window=args.context_window,
     )
-    corpus = load_dataset(args.dataset, registry) if args.dataset else None
     if args.transport == "mock":
-        reply = profile_reply_fn(views, registry, args.profile, seed=args.seed)
-        transport = MockTransport(reply, fail_times=args.fail_times)
+        transport = MockTransport(profile_reply_fn(views, registry, args.profile, seed=args.seed), args.fail_times)
     elif args.transport == "failing":
         transport = FailingTransport()
-    else:
-        transport = ReplayTransport(args.replay)
+    corpus = load_dataset(args.dataset, registry) if args.dataset else None
     tasks = ("task1", "task2") if args.task == "both" else (args.task,)
-    result = execute_run(
-        config, views, transport, args.out_dir, registry, corpus=corpus, tasks=tasks
-    )
+    items = build_prompt_items(views, corpus, config.context_window, tasks)
+    # The items hold what the run needs of the views and the corpus; let go
+    # of both before the replay index and the request rows are built.
+    del views, corpus
+    if args.transport == "replay":
+        transport = ReplayTransport(args.replay)
+    result = execute_run(config, items, transport, args.out_dir, registry)
     print(f"wrote {result.responses_path} ({result.record_count} records)")
     print(f"wrote {result.config_path}")
     print(f"wrote {result.log_path}")

@@ -5,11 +5,17 @@ decoding controls; bounded retries with fixed backoff; and a response log
 whose content is independent of completion interleaving. Every lane sends its
 requests in one canonical order, builds each request just before sending it,
 and appends each record and log line to its own partial files in the out
-dir, so a run holds only the shared prompt items. On close the record
-partials are concatenated in model order (which is identity order), the log
-partials are merged by timestamp, and the partials are removed. Real provider
-adapters live out of tree; the package ships a scripted mock and a replay
-transport.
+dir. On close the record partials are concatenated in model order (which is
+identity order), the log partials are merged by timestamp, and the partials
+are removed. Real provider adapters live out of tree; the package ships a
+scripted mock and a replay transport.
+
+A run holds each request once: `execute_run` takes the prompt items, not the
+views or the corpus they were built from, and keeps one (task, law, key
+JSON, item) row per item, shared by every lane. The `run` command loads the
+views, builds the mock's answers from them, loads the corpus, builds the
+prompt items, and lets go of the views and the corpus before it opens a
+replay file, so neither is alive beside the replay index or the rows.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import ExitStack
-from datetime import datetime, timezone
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -145,21 +151,29 @@ class JudgmentPromptItem(NamedTuple):
 PromptItem = LocalizationPromptItem | JudgmentPromptItem
 
 
+def _preamble(template: PromptTemplate) -> str:
+    """The fixed head of every prompt of `template`'s law, through the blank
+    line after its exceptions."""
+    return (
+        f"You are auditing an Android application for {template.law} compliance.\n"
+        f"Law scope: {template.scope_summary}\n"
+        "Decision cues: " + ", ".join(template.decision_cues) + ".\n"
+        "Legitimate exceptions: " + "; ".join(template.exceptions) + ".\n\n"
+    )
+
+
 def render_prompt(template: PromptTemplate, item: PromptItem) -> str:
     """Deterministic prompt text for one request."""
     if template.law != item.law:
         raise LawMismatch(f"template law {template.law} != item law {item.law}")
-    lines = [
-        f"You are auditing an Android application for {template.law} compliance.",
-        f"Law scope: {template.scope_summary}",
-        "Decision cues: " + ", ".join(template.decision_cues) + ".",
-        "Legitimate exceptions: " + "; ".join(template.exceptions) + ".",
-        "",
-    ]
+    return _render(_preamble(template), template, item)
+
+
+def _render(preamble: str, template: PromptTemplate, item: PromptItem) -> str:
+    """`render_prompt`'s text, after a preamble of `template` already joined."""
     if isinstance(item, LocalizationPromptItem):
         key = item.key
-        lines.append(f"Anchor granularity: {key.granularity}")
-        lines.append(f"File path: {key.file_path}")
+        lines = [f"Anchor granularity: {key.granularity}", f"File path: {key.file_path}"]
         if key.module is not None:
             lines.append(f"Module: {key.module}")
         if key.start is not None:
@@ -172,14 +186,16 @@ def render_prompt(template: PromptTemplate, item: PromptItem) -> str:
             "Rank the provisions this anchor implicates, most likely first."
         )
     else:
-        lines.append(f"File path: {item.pointer.file_path}")
-        lines.append(f"Lines: {item.pointer.span.render()}")
-        lines.append("Code window:")
-        lines.append(item.snippet)
-        lines.append("")
-        lines.append("List every provision this code window implicates.")
+        lines = [
+            f"File path: {item.pointer.file_path}",
+            f"Lines: {item.pointer.span.render()}",
+            "Code window:",
+            item.snippet,
+            "",
+            "List every provision this code window implicates.",
+        ]
     lines.append(template.output_constraint)
-    return "\n".join(lines)
+    return preamble + "\n".join(lines)
 
 
 def _trim_context(snippet: str, window: int) -> str:
@@ -239,18 +255,14 @@ def build_prompt_items(
 # --- transports ----------------------------------------------------------------
 
 
-def request_key(target: RetrievalKey | SnippetPointer) -> dict:
-    """The key fields of a task-1 anchor or a task-2 snippet request."""
-    if isinstance(target, RetrievalKey):
-        key = target.to_dict()
-        key.pop("law", None)
+def request_key(item: PromptItem) -> dict:
+    """The key fields of a prompt item's request: a task-1 anchor without its
+    law, or a task-2 snippet pointer."""
+    if isinstance(item, LocalizationPromptItem):
+        key = item.key.to_dict()
+        del key["law"]
         return key
-    return target.to_dict()
-
-
-def request_identity(model: str, task: str, law: str, key: Mapping) -> tuple[str, str, str, str]:
-    """Hashable identity of one request; its order is the canonical record order."""
-    return (model, task, law, encode_sorted(dict(key)))
+    return item.pointer.to_dict()
 
 
 class _TransportRequest(NamedTuple):
@@ -311,6 +323,8 @@ class MockTransport:
         self._lock = threading.Lock()
 
     def send(self, request: TransportRequest) -> str:
+        if not self.fail_times:
+            return self.reply(request)
         identity = request.identity
         with self._lock:
             count = self.in_flight.pop(identity, 0) + 1
@@ -329,16 +343,22 @@ class FailingTransport:
 
 
 class ReplayTransport:
-    """Re-serves the text of a previous run's raw_responses.jsonl."""
+    """Re-serves the text of a previous run's raw_responses.jsonl.
+
+    Every model of a run answers the same keys, so the index holds one string
+    per distinct model, task, law and key JSON, shared by the identities of
+    all the file's records."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         if not self.path.exists():
             raise TransportConfigError(f"replay file not found: {self.path}")
-        self._responses: dict[tuple, str] = {
-            request_identity(record["model"], record["task"], record["law"], record["key"]): record["text"]
-            for record in load_responses(self.path, require=("model", "text", "key"))
-        }
+        intern = {}.setdefault
+        self._responses: dict[tuple, str] = {}
+        for record in load_responses(self.path, require=("model", "text", "key")):
+            model, task, law, key_json = record["model"], record["task"], record["law"], encode_sorted(record["key"])
+            identity = (intern(model, model), intern(task, task), intern(law, law), intern(key_json, key_json))
+            self._responses[identity] = record["text"]
 
     def prepare(self, identities: Iterable[tuple[str, str, str, str]]) -> None:
         """Refuse, before anything is sent, a run whose requests the file
@@ -364,8 +384,16 @@ class ReplayTransport:
 # --- run execution ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _second_text(seconds: int) -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+
+
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="microseconds")
+    """The UTC time as `YYYY-MM-DDTHH:MM:SS.ffffff+00:00`, fixed width; the
+    text of the second is made once per second."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    return f"{_second_text(seconds)}.{micros:06d}+00:00"
 
 
 class RunResult(NamedTuple):
@@ -377,32 +405,32 @@ class RunResult(NamedTuple):
     log_path: Path
 
 
-def _prompt_rows(items: Iterable[PromptItem]) -> list[tuple[str, str, str, dict, PromptItem]]:
-    """One (task, law, key JSON, key, item) row per prompt item, sorted by
-    (task, law, key JSON): the request identity without the model, so every
-    lane sends in identity order. Each item's key and key JSON are made once
-    and shared by every lane."""
-    rows = []
-    for item in items:
-        if isinstance(item, LocalizationPromptItem):
-            task, key = "task1", request_key(item.key)
-        else:
-            task, key = "task2", request_key(item.pointer)
-        rows.append((task, item.law, encode_sorted(key), key, item))
+def _prompt_rows(items: Iterable[PromptItem]) -> list[tuple[str, str, str, PromptItem]]:
+    """One (task, law, key JSON, item) row per prompt item, sorted by (task,
+    law, key JSON): the request identity without the model, so every lane
+    sends in identity order. Each item's key JSON is made once and shared by
+    every lane; a lane makes the key itself (`request_key`) as it sends."""
+    rows = [
+        (
+            "task1" if isinstance(item, LocalizationPromptItem) else "task2",
+            item.law,
+            encode_sorted(request_key(item)),
+            item,
+        )
+        for item in items
+    ]
     rows.sort(key=itemgetter(0, 1, 2))
     return rows
 
 
 def execute_run(
     config: RunConfig,
-    views: Mapping[str, ShapedViews],
+    items: Iterable[PromptItem],
     transport: Transport,
     out_dir: str | Path,
     registry: JurisdictionRegistry,
-    corpus: Sequence[RawInstance] | None = None,
-    tasks: Sequence[str] = ("task1", "task2"),
 ) -> RunResult:
-    """Attempt every (model, instance) pair and write the run artifacts.
+    """Attempt every (model, prompt item) pair and write the run artifacts.
 
     Each model gets one serial request lane; lanes run concurrently. Any
     exception from `send` is a failed attempt, retried up to `retries` times
@@ -425,9 +453,12 @@ def execute_run(
 
     if not config.models:
         raise TransportConfigError("run config lists no models")
-    templates = {law: default_template(registry.get(law)) for law in views}
-
-    rows = _prompt_rows(build_prompt_items(views, corpus, config.context_window, tasks))
+    rows = _prompt_rows(items)
+    # Each law's template and its prompts' preamble, joined once.
+    templates = {}
+    for law in {row[1] for row in rows}:
+        template = default_template(registry.get(law))
+        templates[law] = (_preamble(template), template)
     prepare = getattr(transport, "prepare", None)
     if callable(prepare):
         prepare((model, *row[:3]) for model in sorted(config.models) for row in rows)
@@ -456,15 +487,15 @@ def execute_run(
         total = len(rows)
         max_attempts = config.retries + 1
         with open(records_path, "w", encoding="utf-8") as records, open(log_path, "w", encoding="utf-8") as log:
-            for task, law, key_json, key, item in rows:
+            for task, law, key_json, item in rows:
                 if stop.is_set():
                     break
                 request = TransportRequest(
                     model=model,
                     task=task,
                     law=law,
-                    key=key,
-                    prompt=render_prompt(templates[law], item),
+                    key=request_key(item),
+                    prompt=_render(*templates[law], item),
                     temperature=config.temperature,
                     max_tokens=config.max_tokens,
                     timeout_seconds=config.timeout_seconds,
@@ -492,17 +523,7 @@ def execute_run(
                 else:
                     failed += 1
                 finished = _timestamp()
-                record = {
-                    "model": model,
-                    "task": task,
-                    "law": law,
-                    "key": key,
-                    "text": text if status == "ok" else "",
-                    "status": status,
-                    "attempts": attempts,
-                    "timestamps": {"started": started, "finished": finished},
-                }
-                records.write(_record_line(record, key_json))
+                records.write(_record_line(model, task, law, key_json, text, status, attempts, started, finished))
                 log.write(f"{finished} {model} progress {done + failed}/{total} ok={done} failed={failed}\n")
         return done
 
@@ -544,17 +565,18 @@ def execute_run(
     )
 
 
-def _record_line(record: dict, key_json: str) -> str:
-    """`encode_sorted(record) + "\n"` for a record whose key encodes to
-    `key_json`: the fields in sorted order, each string escaped as the encoder
-    escapes it, so the key is not encoded again."""
+def _record_line(
+    model: str, task: str, law: str, key_json: str, text: str, status: str, attempts: int, started: str, finished: str
+) -> str:
+    """`encode_sorted(record) + "\n"` for the response record of these fields,
+    whose key encodes to `key_json`: the fields in sorted order, each string
+    escaped as the encoder escapes it, so the key is not encoded again."""
     quote = encode_basestring_ascii
-    stamps = record["timestamps"]
     return (
-        f'{{"attempts": {record["attempts"]}, "key": {key_json}, "law": {quote(record["law"])}, '
-        f'"model": {quote(record["model"])}, "status": {quote(record["status"])}, '
-        f'"task": {quote(record["task"])}, "text": {quote(record["text"])}, '
-        f'"timestamps": {{"finished": {quote(stamps["finished"])}, "started": {quote(stamps["started"])}}}}}\n'
+        f'{{"attempts": {attempts}, "key": {key_json}, "law": {quote(law)}, '
+        f'"model": {quote(model)}, "status": {quote(status)}, '
+        f'"task": {quote(task)}, "text": {quote(text)}, '
+        f'"timestamps": {{"finished": {quote(finished)}, "started": {quote(started)}}}}}\n'
     )
 
 

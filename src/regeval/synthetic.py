@@ -16,11 +16,10 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import Checked, LineSpan, RawInstance, check_field, check_member, check_object, read_json, write_json
 from .errors import InvalidSpec, RegevalError
-from .harness import request_identity, request_key
 from .jurisdiction import JurisdictionRegistry
 from .multilabel import SetPrediction
 from .retrieval import RankedPrediction, gold_keys_for_records
-from .shaping import ShapedViews
+from .shaping import ShapedViews, decode_anchor, decode_pointer
 
 PROFILES = ("PERFECT", "BREADTH_ONLY", "RANKING_ONLY", "MAJORITY_LABEL", "RANDOM")
 
@@ -267,22 +266,22 @@ def profile_reply_fn(
     profile: str,
     seed: int = 0,
 ):
-    """Build a MockTransport reply function that answers like a profile."""
+    """Build a MockTransport reply function that answers like a profile.
+
+    Each answer's text is rendered once, indexed by the views' own task-1
+    keys and (law, task-2 pointer) pairs; a request's key decodes to one of
+    them."""
     scripted = scripted_model(profile, views, registry, seed)
-    # Answers are indexed by request identity without its leading model name.
-    answers = {
-        request_identity("", "task1", p.key.law, request_key(p.key))[1:]: p.ranking
-        for p in scripted.ranked
+    answers: dict[tuple, str] = {
+        p.key: render_response_text(p.ranking, registry.get(p.key.law)) for p in scripted.ranked
     }
-    answers.update(
-        (request_identity("", "task2", p.law, request_key(p.pointer))[1:], p.labels)
-        for p in scripted.sets
-    )
+    answers.update(((p.law, p.pointer), render_response_text(p.labels, registry.get(p.law))) for p in scripted.sets)
 
     def reply(request) -> str:
-        labels = answers.get(request.identity[1:])
-        if labels is None:
-            return "no violations found"
-        return render_response_text(labels, registry.get(request.law))
+        if request.task == "task1":
+            target = decode_anchor(request.law, request.key)
+        else:
+            target = (request.law, decode_pointer(request.key))
+        return answers.get(target, "no violations found")
 
     return reply

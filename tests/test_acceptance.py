@@ -32,6 +32,7 @@ from regeval.harness import (
     FailingTransport,
     MockTransport,
     RunConfig,
+    build_prompt_items,
     execute_run,
     load_responses,
 )
@@ -230,7 +231,7 @@ def test_criterion_8_harness_determinism_and_faults(registry, tmp_path):
         config = RunConfig(models=("model-x", "model-y"), backoff_seconds=0.0)
 
         def run(out, transport):
-            return execute_run(config, views, transport, tmp_path / out, registry, corpus=corpus)
+            return execute_run(config, build_prompt_items(views, corpus), transport, tmp_path / out, registry)
 
         def stripped(result):
             return [

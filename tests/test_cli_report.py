@@ -6,6 +6,7 @@ import json
 import re
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import regeval.cli
 import regeval.retrieval
 from regeval.cli import _load_views, main
 from regeval.composites import CompositeConfig
+from regeval.harness import MockTransport, ReplayTransport
 from regeval.ingest import GoldIndex, load_prediction_files
 from regeval.jurisdiction import JurisdictionRegistry
 from regeval.multilabel import T2_METRIC_NAMES
@@ -523,6 +525,69 @@ class TestEvalMemory:
             tracemalloc.stop()
         assert len(rows[0]) > 3000
         assert five - one < loaded / 2, (one, five, loaded)
+
+
+class TestRunMemory:
+    """`run` lets go of the views and the dataset records once the prompt
+    items exist, before the replay index and the request rows are built."""
+
+    @pytest.mark.parametrize("transport", ["mock", "replay"])
+    def test_views_and_dataset_are_gone_before_the_first_send(self, tmp_path, monkeypatch, transport):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        dataset = str(corpus_dir / "dataset.json")
+        assert main(["synth", "--seed", "3", "--files", "4", "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", dataset, "--out-dir", str(views_dir)]) == 0
+        argv = ["run", "--views-dir", str(views_dir), "--models", "a,b", "--backoff", "0", "--dataset", dataset]
+        assert main([*argv, "--out-dir", str(tmp_path / "first")]) == 0
+        if transport == "replay":
+            argv += ["--transport", "replay", "--replay", str(tmp_path / "first" / "raw_responses.jsonl")]
+
+        # Plain dicts and lists take no weak reference; these subclasses do.
+        class Views(dict):
+            pass
+
+        class Records(list):
+            pass
+
+        loaded, alive = [], []
+        load_dataset = regeval.cli.load_dataset
+
+        def load_views(*args, **kwargs):
+            views = Views(_load_views(*args, **kwargs))
+            loaded.append(weakref.ref(views))
+            return views
+
+        def load_records(*args, **kwargs):
+            records = Records(load_dataset(*args, **kwargs))
+            loaded.append(weakref.ref(records))
+            return records
+
+        def check():
+            alive.append([ref() is not None for ref in loaded])
+
+        class Mock(MockTransport):
+            def send(self, request):
+                if not alive:
+                    check()
+                return super().send(request)
+
+        class Replay(ReplayTransport):
+            def __init__(self, path):
+                check()  # before the index is built
+                super().__init__(path)
+
+            def send(self, request):
+                if len(alive) < 2:
+                    check()
+                return super().send(request)
+
+        monkeypatch.setattr(regeval.cli, "_load_views", load_views)
+        monkeypatch.setattr(regeval.cli, "load_dataset", load_records)
+        monkeypatch.setattr(regeval.cli, "MockTransport", Mock)
+        monkeypatch.setattr(regeval.cli, "ReplayTransport", Replay)
+        assert main([*argv, "--out-dir", str(tmp_path / "second")]) == 0
+        assert len(loaded) == 2
+        assert alive == [[False, False]] * (2 if transport == "replay" else 1)
 
 
 class TestComposeFromFixture:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
 from collections import Counter
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from regeval.harness import (
     MockTransport,
     ReplayTransport,
     RunConfig,
+    TransportRequest,
     build_prompt_items,
     default_template,
     execute_run,
@@ -147,7 +149,8 @@ class TestExecuteRun:
             corpus=corpus,
         )
         defaults.update(kw)
-        return execute_run(**defaults)
+        views, corpus = defaults.pop("views"), defaults.pop("corpus")
+        return execute_run(items=build_prompt_items(views, corpus, defaults["config"].context_window), **defaults)
 
     def test_deterministic_modulo_timestamps(self, registry, tmp_path):
         result_a = self._run(registry, tmp_path, out="a")
@@ -209,7 +212,7 @@ class TestExecuteRun:
         transport = MockTransport(sent.append)
         with pytest.raises(TransportConfigError):
             execute_run(
-                RunConfig(models=()), views, transport, tmp_path / "x", registry, corpus=corpus
+                RunConfig(models=()), build_prompt_items(views, corpus), transport, tmp_path / "x", registry
             )
         assert sent == []
 
@@ -237,11 +240,10 @@ class TestExecuteRun:
         models = ("m1", "m2", "m3")
         execute_run(
             RunConfig(models=models, backoff_seconds=0.0),
-            views,
+            build_prompt_items(views, corpus),
             ProbeTransport(),
             tmp_path / "lanes",
             registry,
-            corpus=corpus,
         )
         assert not state["per_model_violation"]
         assert state["max_total"] <= len(models)
@@ -344,8 +346,16 @@ class TestExecuteRun:
             "model": model, "task": task, "law": law, "key": key, "text": text, "status": "ok",
             "attempts": attempts, "timestamps": {"started": started, "finished": finished},
         }
-        line = harness._record_line(record, json.dumps(key, sort_keys=True))
+        key_json = json.dumps(key, sort_keys=True)
+        line = harness._record_line(model, task, law, key_json, text, "ok", attempts, started, finished)
         assert line == json.dumps(record, sort_keys=True) + "\n"
+
+    def test_timestamp_is_fixed_width_utc_isoformat(self):
+        before = datetime.now(timezone.utc)
+        stamp = harness._timestamp()
+        after = datetime.now(timezone.utc)
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", stamp)
+        assert before <= datetime.fromisoformat(stamp) <= after
 
     def test_run_log_has_per_model_counters(self, registry, tmp_path):
         result = self._run(registry, tmp_path, out="logged")
@@ -471,21 +481,19 @@ class TestReplayTransport:
         config = RunConfig(models=("model-y", "model-x"), backoff_seconds=0.0)
         first = execute_run(
             config,
-            views,
+            build_prompt_items(views, corpus),
             MockTransport(profile_reply_fn(views, registry, "RANDOM"), fail_times=2),
             tmp_path / "orig",
             registry,
-            corpus=corpus,
         )
         first_records = list(load_responses(first.responses_path))
         assert all(r["status"] == "ok" and r["attempts"] == 3 for r in first_records)
         second = execute_run(
             config,
-            views,
+            build_prompt_items(views, corpus),
             ReplayTransport(first.responses_path),
             tmp_path / "replayed",
             registry,
-            corpus=corpus,
         )
         second_records = list(load_responses(second.responses_path))
         assert len(second_records) == len(first_records)
@@ -498,6 +506,36 @@ class TestReplayTransport:
         assert order == sorted(order)
         assert {r["model"] for r in second_records} == {"model-x", "model-y"}
 
+    def test_index_holds_one_string_per_key_across_models(self, registry, tmp_path):
+        corpus = small_corpus(registry, files=2)
+        views = shape_views(corpus)
+        first = execute_run(
+            RunConfig(models=("model-x", "model-y"), backoff_seconds=0.0),
+            build_prompt_items(views, corpus),
+            MockTransport(profile_reply_fn(views, registry, "RANDOM")),
+            tmp_path / "orig",
+            registry,
+        )
+        replay = ReplayTransport(first.responses_path)
+        by_key = {}
+        for identity in replay._responses:
+            by_key.setdefault(identity[1:], []).append(identity)
+        records = list(load_responses(first.responses_path))
+        assert len(by_key) == len(records) // 2
+        for x, y in by_key.values():
+            assert (x[0], y[0]) == ("model-x", "model-y")
+            assert all(a is b for a, b in zip(x[1:], y[1:]))
+        identities = []
+        for record in records:
+            key_json = json.dumps(record["key"], sort_keys=True)
+            identities.append((record["model"], record["task"], record["law"], key_json))
+            request = TransportRequest(
+                model=record["model"], task=record["task"], law=record["law"], key=record["key"], prompt="",
+                temperature=0.0, max_tokens=1, timeout_seconds=1.0, key_json=key_json,
+            )
+            assert replay.send(request) == record["text"]
+        replay.prepare(identities)
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(TransportConfigError):
             ReplayTransport(tmp_path / "missing.jsonl")
@@ -507,21 +545,19 @@ class TestReplayTransport:
         views = shape_views(corpus)
         first = execute_run(
             RunConfig(models=("model-x",), backoff_seconds=0.0),
-            views,
+            build_prompt_items(views, corpus),
             MockTransport(profile_reply_fn(views, registry, "PERFECT")),
             tmp_path / "orig",
             registry,
-            corpus=corpus,
         )
         replay = ReplayTransport(first.responses_path)
         with pytest.raises(TransportConfigError):
             execute_run(
                 RunConfig(models=("model-x", "model-unknown"), backoff_seconds=0.0),
-                views,
+                build_prompt_items(views, corpus),
                 replay,
                 tmp_path / "replayed",
                 registry,
-                corpus=corpus,
             )
 
 
@@ -530,11 +566,10 @@ class TestReplayTransport:
         views = shape_views(corpus)
         first = execute_run(
             RunConfig(models=("model-x",), backoff_seconds=0.0),
-            views,
+            build_prompt_items(views, corpus),
             MockTransport(profile_reply_fn(views, registry, "PERFECT")),
             tmp_path / "orig",
             registry,
-            corpus=corpus,
         )
         record = list(load_responses(first.responses_path))[0]
         n = first.record_count
@@ -542,11 +577,10 @@ class TestReplayTransport:
         with pytest.raises(TransportConfigError) as info:
             execute_run(
                 RunConfig(models=("model-x", "model-unknown"), backoff_seconds=0.0),
-                views,
+                build_prompt_items(views, corpus),
                 ReplayTransport(first.responses_path),
                 tmp_path / "replayed",
                 registry,
-                corpus=corpus,
             )
         assert str(info.value) == f"replay file lacks {n} of {2 * n} requests, first: {missing}"
 

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from regeval.corpus import corpus_stats
+from regeval.corpus import corpus_stats, encode_sorted
 from regeval.errors import InvalidSpec, RegevalError
+from regeval.harness import LocalizationPromptItem, TransportRequest, build_prompt_items, request_key
 from regeval.multilabel import evaluate_task2
 from regeval.retrieval import evaluate_task1, gold_keys_for_records
 from regeval.shaping import shape_views
@@ -11,6 +12,8 @@ from regeval.synthetic import (
     PROFILES,
     CorpusSpec,
     generate_corpus,
+    profile_reply_fn,
+    render_response_text,
     scripted_model,
 )
 
@@ -174,3 +177,29 @@ class TestScriptedProfiles:
             scripted = scripted_model(profile, synth_views, registry)
             assert len(scripted.ranked) == anchors
             assert len(scripted.sets) == snippets
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_mock_reply_renders_the_scripted_labels_of_every_item(registry, profile):
+    corpus = generate_corpus(CorpusSpec(seed=13, files_per_law={"LGPD": 4, "PDPA": 4}), registry)
+    views = shape_views(corpus)
+    scripted = scripted_model(profile, views, registry, seed=5)
+    expected = {(p.key.law, p.key): render_response_text(p.ranking, registry.get(p.key.law)) for p in scripted.ranked}
+    expected.update(((p.law, p.pointer), render_response_text(p.labels, registry.get(p.law))) for p in scripted.sets)
+    reply = profile_reply_fn(views, registry, profile, seed=5)
+
+    def request(task, law, key):
+        return TransportRequest(
+            model="m", task=task, law=law, key=key, prompt="", temperature=0.0, max_tokens=1,
+            timeout_seconds=1.0, key_json=encode_sorted(key),
+        )
+
+    answered = {}
+    for item in build_prompt_items(views, corpus):
+        if isinstance(item, LocalizationPromptItem):
+            answered[item.law, item.key] = reply(request("task1", item.law, request_key(item)))
+        else:
+            answered[item.law, item.pointer] = reply(request("task2", item.law, request_key(item)))
+    assert answered == expected
+    stray = {"file_path": "none.kt", "span": [1, 1], "commit_id": "c"}
+    assert reply(request("task2", "LGPD", stray)) == "no violations found"
