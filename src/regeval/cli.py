@@ -407,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_comp = sub.add_parser("compose", help="aggregate base metrics into composite scores")
-    p_comp.add_argument("--base", default=None, help="results_base.json from eval")
-    p_comp.add_argument("--from-rcs", default=None, help="fixture with per-law RCS values")
+    source = p_comp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--base", default=None, help="results_base.json from eval")
+    source.add_argument("--from-rcs", default=None, help="fixture with per-law RCS values")
     p_comp.add_argument("--alpha", type=float, default=1.0)
     p_comp.add_argument("--beta", type=float, default=2.0)
     p_comp.add_argument("--gamma", type=float, default=2.0)
@@ -426,8 +427,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run" and args.transport == "replay" and not args.replay:
         parser.error("--transport replay requires --replay")
-    if args.command == "compose" and not (args.base or args.from_rcs):
-        parser.error("compose needs --base or --from-rcs")
     try:
         return args.func(args)
     except (RegevalError, OSError, json.JSONDecodeError) as exc:

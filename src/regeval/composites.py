@@ -53,17 +53,9 @@ class CompositeConfig(Checked, _CompositeConfig):
             raise RegevalError("epsilon must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "ridge": self.ridge,
-            "epsilon": self.epsilon,
-            # RCS estimates one covariance per (law, task); the key stays so
-            # results.json keeps its schema.
-            "pool_covariance_across_laws": False,
-        }
+        # RCS estimates one covariance per (law, task); the pooling key stays
+        # so results.json keeps its schema.
+        return {**self._asdict(), "pool_covariance_across_laws": False}
 
 
 def _population_variance(values: Sequence[float]) -> float:

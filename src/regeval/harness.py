@@ -81,16 +81,7 @@ class RunConfig(Checked, _RunConfig):
         return {name: value for name, value in self._asdict().items() if name != "models" and value != defaults[name]}
 
     def to_dict(self) -> dict:
-        return {
-            "models": list(self.models),
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "timeout_seconds": self.timeout_seconds,
-            "retries": self.retries,
-            "backoff_seconds": self.backoff_seconds,
-            "concurrency": self.effective_concurrency,
-            "context_window": self.context_window,
-        }
+        return {**self._asdict(), "models": list(self.models), "concurrency": self.effective_concurrency}
 
 
 class PromptTemplate(NamedTuple):
@@ -317,6 +308,8 @@ class MockTransport:
     """
 
     def __init__(self, reply: Callable[[TransportRequest], str], fail_times: int = 0):
+        if fail_times < 0:
+            raise TransportConfigError(f"fail_times must be >= 0, got {fail_times}")
         self.reply = reply
         self.fail_times = fail_times
         self.in_flight: dict[tuple, int] = {}

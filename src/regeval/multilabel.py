@@ -15,129 +15,6 @@ from .jurisdiction import JurisdictionRegistry
 from .retrieval import left_sum
 from .shaping import SnippetPointer, Task2Record
 
-def _check_lengths(golds: Sequence, preds: Sequence) -> None:
-    if len(golds) != len(preds):
-        raise LengthMismatch(f"{len(golds)} gold sets vs {len(preds)} predictions")
-    if not golds:
-        raise LengthMismatch("no samples to score")
-
-
-def f1_suite(
-    golds: Sequence[frozenset[str] | set[str]],
-    preds: Sequence[frozenset[str] | set[str]],
-    universe: Sequence[str],
-) -> tuple[float, float, float]:
-    """(micro, macro, weighted) F1.
-
-    Micro pools TP/FP/FN over every (sample, label) cell. Macro and weighted
-    average per-label F1 over labels that occur in gold at least once; labels
-    never present in gold are excluded so large configured universes cannot
-    inflate the averages with trivial negatives.
-    """
-    _check_lengths(golds, preds)
-    tp: Counter = Counter()
-    fp: Counter = Counter()
-    fn: Counter = Counter()
-    gold_freq: Counter = Counter()
-    for gold, pred in zip(golds, preds):
-        for label in gold:
-            gold_freq[label] += 1
-            if label in pred:
-                tp[label] += 1
-            else:
-                fn[label] += 1
-        for label in pred:
-            if label not in gold:
-                fp[label] += 1
-
-    pooled_tp = sum(tp.values())
-    pooled_fp = sum(fp.values())
-    pooled_fn = sum(fn.values())
-    denom = 2 * pooled_tp + pooled_fp + pooled_fn
-    micro = (2 * pooled_tp / denom) if denom else 0.0
-
-    present = [label for label in universe if gold_freq[label] > 0]
-    if not present:
-        return micro, 0.0, 0.0
-    per_label = {}
-    for label in present:
-        d = 2 * tp[label] + fp[label] + fn[label]
-        per_label[label] = (2 * tp[label] / d) if d else 0.0
-    macro = left_sum(per_label.values()) / len(present)
-    total_freq = sum(gold_freq[label] for label in present)
-    weighted = left_sum(per_label[label] * gold_freq[label] for label in present) / total_freq
-    return micro, macro, weighted
-
-
-def jaccard_samples(
-    golds: Sequence[frozenset[str] | set[str]],
-    preds: Sequence[frozenset[str] | set[str]],
-) -> float:
-    """Mean per-sample set overlap; an empty-empty pair scores 1."""
-    _check_lengths(golds, preds)
-    total = 0.0
-    for gold, pred in zip(golds, preds):
-        union = set(gold) | set(pred)
-        if not union:
-            total += 1.0
-        else:
-            total += len(set(gold) & set(pred)) / len(union)
-    return total / len(golds)
-
-
-def hamming_loss(
-    golds: Sequence[frozenset[str] | set[str]],
-    preds: Sequence[frozenset[str] | set[str]],
-    universe: Sequence[str],
-) -> float:
-    """Fraction of misassigned label bits over the N x L grid (lower is better)."""
-    _check_lengths(golds, preds)
-    if not universe:
-        raise UniverseTooSmall("hamming loss needs a non-empty universe")
-    wrong = 0
-    for gold, pred in zip(golds, preds):
-        wrong += len(set(gold) ^ set(pred))
-    return wrong / (len(golds) * len(universe))
-
-
-def prediction_first_ranking(
-    prediction_order: Sequence[str], universe: Sequence[str]
-) -> list[str]:
-    """Total label ranking: predicted labels first (in output order), then the
-    remaining universe labels in stable universe order."""
-    seen = set(prediction_order)
-    return list(prediction_order) + [label for label in universe if label not in seen]
-
-
-def normalized_coverage_error(
-    golds: Sequence[frozenset[str] | set[str]],
-    prediction_orders: Sequence[Sequence[str]],
-    universe: Sequence[str],
-) -> float:
-    """Normalized depth needed to cover every true label (lower is better).
-
-    Each sample contributes (max rank over true labels - 1) / (L - 1) under
-    the prediction-first ranking; samples with no true labels contribute 0.
-    Labels the model did not predict are not tied: they follow the predicted
-    ones in the order of `universe`, so the score depends on that order. An
-    empty prediction for gold {"1"} over universe 1..5 scores 0.0, and 1.0
-    with the universe reversed. Every other task-2 metric reads the universe
-    as a set.
-    """
-    _check_lengths(golds, prediction_orders)
-    size = len(universe)
-    if size < 2:
-        raise UniverseTooSmall(f"coverage error needs >= 2 labels, got {size}")
-    total = 0.0
-    for gold, order in zip(golds, prediction_orders):
-        if not gold:
-            continue
-        ranking = prediction_first_ranking(order, universe)
-        position = {label: rank for rank, label in enumerate(ranking, start=1)}
-        deepest = max(position[label] for label in gold)
-        total += (deepest - 1) / (size - 1)
-    return total / len(golds)
-
 
 class JudgmentMetrics(NamedTuple):
     """Oriented higher-is-better six-vector for one law's judgment slice; the
@@ -156,6 +33,91 @@ class JudgmentMetrics(NamedTuple):
 
 
 T2_METRIC_NAMES = JudgmentMetrics._fields
+
+
+def score_judgment(
+    golds: Sequence[frozenset[str] | set[str]],
+    orders: Sequence[Sequence[str]],
+    universe: Sequence[str],
+) -> JudgmentMetrics:
+    """The six task-2 metrics of N samples, each a gold label set G and the
+    output order of its predicted labels, whose set is P, over a universe of
+    L labels.
+
+    - Micro F1: 2TP / (2TP + FP + FN), with TP, FP and FN pooled over every
+      (sample, label) cell; 0 when all three are 0.
+    - Macro F1: the mean per-label F1 over the labels of `universe` that
+      occur in some G. Labels never in gold are no term of their own, so a
+      large universe cannot inflate the mean with trivial negatives; no such
+      label gives 0.
+    - Weighted F1: the same per-label F1s, weighted by how many G hold the
+      label.
+    - Jaccard: the mean of |G & P| / |G | P|; an empty-empty pair scores 1.
+    - 1 - NCE: one minus the mean normalized coverage error. A sample's
+      error is (deepest rank of a gold label - 1) / (L - 1) in the ranking
+      of the predicted labels first, in output order, then the unpredicted
+      labels in the order of `universe`; an empty G contributes 0. Labels the
+      model did not predict are not tied, so this score depends on the
+      universe order: an empty prediction for G = {"1"} over universe 1..5
+      has error 0.0, and 1.0 with the universe reversed. Every other metric
+      reads the universe as a set.
+    - 1 - Hamming: one minus the share of the N x L label bits that differ,
+      (FP + FN) / (N * L).
+
+    One pass over the samples fills the counts. The F1 means are summed in
+    universe order, and the Jaccard and coverage means in sample order.
+    Unequal or empty inputs raise LengthMismatch, and fewer than 2 labels
+    raise UniverseTooSmall.
+    """
+    samples = len(golds)
+    if samples != len(orders):
+        raise LengthMismatch(f"{samples} gold sets vs {len(orders)} predictions")
+    if not samples:
+        raise LengthMismatch("no samples to score")
+    size = len(universe)
+    if size < 2:
+        raise UniverseTooSmall(f"coverage error needs >= 2 labels, got {size}")
+    tp: Counter = Counter()
+    predicted: Counter = Counter()
+    freq: Counter = Counter()
+    jaccard = 0.0
+    coverage = 0.0
+    for gold, order in zip(golds, orders):
+        pred = frozenset(order)
+        for label in pred:
+            predicted[label] += 1
+        hits = 0
+        for label in gold:
+            freq[label] += 1
+            if label in pred:
+                tp[label] += 1
+                hits += 1
+        union = len(gold) + len(pred) - hits
+        jaccard += hits / union if union else 1.0
+        if gold:
+            ranking = [*order, *(label for label in universe if label not in pred)]
+            position = {label: rank for rank, label in enumerate(ranking, start=1)}
+            coverage += (max(position[label] for label in gold) - 1) / (size - 1)
+
+    # 2TP + FP + FN, of one label or pooled, is its predicted plus its gold count.
+    pooled_tp = sum(tp.values())
+    cells = sum(predicted.values()) + sum(freq.values())
+    micro = 2 * pooled_tp / cells if cells else 0.0
+    present = [label for label in universe if freq[label]]
+    macro = weighted = 0.0
+    if present:
+        per_label = [2 * tp[label] / (predicted[label] + freq[label]) for label in present]
+        weights = [freq[label] for label in present]
+        macro = left_sum(per_label) / len(present)
+        weighted = left_sum(f1 * weight for f1, weight in zip(per_label, weights)) / sum(weights)
+    return JudgmentMetrics(
+        micro,
+        macro,
+        weighted,
+        jaccard / samples,
+        1.0 - coverage / samples,
+        1.0 - (cells - 2 * pooled_tp) / (samples * size),
+    )
 
 
 class SetPrediction(NamedTuple):
@@ -278,21 +240,10 @@ def score_task2(
 ) -> dict[str, JudgmentMetrics]:
     """Per-law oriented metric vector; unmatched gold pointers score as empty
     predictions."""
-    results: dict[str, JudgmentMetrics] = {}
-    for law, match in matches.items():
-        universe = registry.get(law).universe
-        golds = match.golds
-        pred_sets = [frozenset(order) for order in match.orders]
-        micro, macro, weighted = f1_suite(golds, pred_sets, universe)
-        results[law] = JudgmentMetrics(
-            micro_f1=micro,
-            macro_f1=macro,
-            weighted_f1=weighted,
-            jaccard=jaccard_samples(golds, pred_sets),
-            one_minus_coverage_error=1.0 - normalized_coverage_error(golds, match.orders, universe),
-            one_minus_hamming=1.0 - hamming_loss(golds, pred_sets, universe),
-        )
-    return results
+    return {
+        law: score_judgment(match.golds, match.orders, registry.get(law).universe)
+        for law, match in matches.items()
+    }
 
 
 def evaluate_task2(

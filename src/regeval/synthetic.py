@@ -61,13 +61,9 @@ class CorpusSpec(Checked, _CorpusSpec):
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
+            **self._asdict(),
             "files_per_law": dict(self.files_per_law),
             "instances_per_file": list(self.instances_per_file),
-            "max_labels_per_file": self.max_labels_per_file,
-            "max_labels_per_instance": self.max_labels_per_instance,
-            "skew": self.skew,
-            "repos": self.repos,
         }
 
     @classmethod

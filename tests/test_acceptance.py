@@ -28,6 +28,7 @@ from regeval.composites import (
     rcs_scores,
     sgs,
 )
+from regeval.errors import UniverseTooSmall
 from regeval.harness import (
     FailingTransport,
     MockTransport,
@@ -37,13 +38,7 @@ from regeval.harness import (
     load_responses,
 )
 from regeval.ingest import parse_responses
-from regeval.multilabel import (
-    evaluate_task2,
-    f1_suite,
-    hamming_loss,
-    jaccard_samples,
-    normalized_coverage_error,
-)
+from regeval.multilabel import evaluate_task2, score_judgment
 from regeval.retrieval import evaluate_task1, score_ranking
 from regeval.shaping import dump_views, shape_views
 from regeval.synthetic import CorpusSpec, generate_corpus, profile_reply_fn, scripted_model
@@ -133,24 +128,26 @@ def test_criterion_5_multilabel_oracle_equivalence():
             assert len(subsets) == 2**size
             for gold in subsets:
                 for pred in subsets:
-                    micro, macro, weighted = f1_suite([gold], [pred], universe)
-                    assert abs(micro - oracles.oracle_micro_f1([gold], [pred], universe)) <= 1e-12
-                    assert abs(macro - oracles.oracle_macro_f1([gold], [pred], universe)) <= 1e-12
-                    assert abs(weighted - oracles.oracle_weighted_f1([gold], [pred], universe)) <= 1e-12
-                    assert abs(
-                        hamming_loss([gold], [pred], universe)
-                        - oracles.oracle_hamming([gold], [pred], universe)
-                    ) <= 1e-12
-                    assert abs(
-                        jaccard_samples([gold], [pred]) - oracles.oracle_jaccard([gold], [pred], True)
-                    ) <= 1e-12
-                    if size >= 2:
-                        # Every possible prediction-first order of the set.
-                        for order in itertools.permutations(sorted(pred)):
-                            assert abs(
-                                normalized_coverage_error([gold], [list(order)], universe)
-                                - oracles.oracle_nce([gold], [list(order)], universe)
-                            ) <= 1e-12
+                    if size < 2:
+                        # A coverage error needs a second label to rank.
+                        with pytest.raises(UniverseTooSmall):
+                            score_judgment([gold], [sorted(pred)], universe)
+                        continue
+                    preds = [set(pred)]
+                    # Every possible prediction-first order of the set.
+                    for order in itertools.permutations(sorted(pred)):
+                        orders = [list(order)]
+                        row = score_judgment([gold], orders, universe)
+                        assert abs(row.micro_f1 - oracles.oracle_micro_f1([gold], preds, universe)) <= 1e-12
+                        assert abs(row.macro_f1 - oracles.oracle_macro_f1([gold], preds, universe)) <= 1e-12
+                        assert abs(row.weighted_f1 - oracles.oracle_weighted_f1([gold], preds, universe)) <= 1e-12
+                        assert abs(
+                            row.one_minus_hamming - (1 - oracles.oracle_hamming([gold], preds, universe))
+                        ) <= 1e-12
+                        assert abs(row.jaccard - oracles.oracle_jaccard([gold], preds, True)) <= 1e-12
+                        assert abs(
+                            row.one_minus_coverage_error - (1 - oracles.oracle_nce([gold], orders, universe))
+                        ) <= 1e-12
 
 
 def test_criterion_6_composite_algebra():

@@ -619,9 +619,18 @@ class TestCliErrors:
         payload = json.loads(line)
         assert "error" in payload and "message" in payload
 
-    def test_compose_requires_input(self):
-        with pytest.raises(SystemExit):
-            main(["compose", "--out-dir", "x"])
+    def test_compose_requires_input(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compose", "--out-dir", str(tmp_path / "final")])
+        assert excinfo.value.code == 2
+
+    def test_compose_takes_one_source(self, pipeline, tmp_path):
+        out_dir = tmp_path / "final"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compose", "--base", str(pipeline / "base.json"), "--from-rcs", str(REFERENCE_FIXTURE),
+                  "--out-dir", str(out_dir)])
+        assert excinfo.value.code == 2
+        assert not out_dir.exists()
 
     def test_task_filter_limits_run_and_eval(self, tmp_path):
         corpus_dir = tmp_path / "corpus"
@@ -754,7 +763,7 @@ class TestCliErrors:
         "flag, value",
         [
             ("--retries", "-1"), ("--max-tokens", "0"), ("--timeout", "0"), ("--backoff", "-1"),
-            ("--context-window", "-1"),
+            ("--context-window", "-1"), ("--fail-times", "-2"),
         ],
     )
     def test_out_of_range_run_settings_exit_2_before_any_request(self, tmp_path, capsys, flag, value):

@@ -189,6 +189,10 @@ class TestExecuteRun:
         assert all(rec["status"] == "ok" for rec in records)
         assert all(rec["attempts"] == 3 for rec in records)
 
+    def test_negative_fail_times_rejected(self):
+        with pytest.raises(TransportConfigError, match="fail_times"):
+            MockTransport(lambda request: "", fail_times=-2)
+
     def test_exhausted_retries_scores_empty(self, registry, tmp_path):
         corpus = small_corpus(registry, files=2)
         views = shape_views(corpus)

@@ -15,69 +15,72 @@ from regeval.multilabel import (
     T2_METRIC_NAMES,
     Task2Match,
     evaluate_task2,
-    f1_suite,
-    hamming_loss,
     index_pointers,
-    jaccard_samples,
     match_task2,
-    normalized_coverage_error,
-    prediction_first_ranking,
+    score_judgment,
     score_task2,
 )
 from regeval.shaping import SnippetPointer, shape_task2
 from test_corpus import make_instance
 
 U3 = ["a", "b", "c"]
+U6 = ["a", "b", "c", "d", "e", "f"]
 
 
-class TestF1Suite:
+class TestF1:
     def test_micro_example(self):
-        micro, _, _ = f1_suite([{"a"}], [{"a", "b"}], U3)
-        assert micro == pytest.approx(2 / 3, abs=1e-12)
+        metrics = score_judgment([{"a"}], [("a", "b")], U3)
+        assert metrics.micro_f1 == pytest.approx(2 / 3, abs=1e-12)
 
     def test_macro_example(self):
-        micro, macro, _ = f1_suite([{"a"}, {"b"}], [{"a"}, set()], U3)
-        assert macro == pytest.approx(0.5, abs=1e-12)
-        assert micro == pytest.approx(2 / 3, abs=1e-12)
+        metrics = score_judgment([{"a"}, {"b"}], [("a",), ()], U3)
+        assert metrics.macro_f1 == pytest.approx(0.5, abs=1e-12)
+        assert metrics.micro_f1 == pytest.approx(2 / 3, abs=1e-12)
 
     def test_perfect(self):
         golds = [{"a"}, {"b", "c"}]
-        assert f1_suite(golds, golds, U3) == (1.0, 1.0, 1.0)
+        metrics = score_judgment(golds, [("a",), ("b", "c")], U3)
+        assert metrics[:3] == (1.0, 1.0, 1.0)
 
     def test_gold_absent_labels_excluded_from_macro(self):
         # "c" never appears in gold: predicting it hurts micro but is not a
         # macro/weighted term of its own.
-        _, macro_without, _ = f1_suite([{"a"}], [{"a"}], U3)
-        _, macro_with, _ = f1_suite([{"a"}], [{"a", "c"}], U3)
-        assert macro_without == 1.0
-        assert macro_with == 1.0
+        assert score_judgment([{"a"}], [("a",)], U3).macro_f1 == 1.0
+        assert score_judgment([{"a"}], [("a", "c")], U3).macro_f1 == 1.0
 
     def test_weighted_uses_gold_frequency(self):
         golds = [{"a"}, {"a"}, {"b"}]
-        preds = [{"a"}, {"a"}, set()]
-        _, macro, weighted = f1_suite(golds, preds, U3)
-        assert macro == pytest.approx(0.5, abs=1e-12)
-        assert weighted == pytest.approx(2 / 3, abs=1e-12)
+        metrics = score_judgment(golds, [("a",), ("a",), ()], U3)
+        assert metrics.macro_f1 == pytest.approx(0.5, abs=1e-12)
+        assert metrics.weighted_f1 == pytest.approx(2 / 3, abs=1e-12)
 
+
+class TestInputs:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            f1_suite([{"a"}], [], U3)
+            score_judgment([{"a"}], [], U3)
         with pytest.raises(LengthMismatch):
-            f1_suite([], [], U3)
+            score_judgment([], [], U3)
+
+    def test_universe_too_small(self):
+        with pytest.raises(UniverseTooSmall):
+            score_judgment([{"a"}], [["a"]], ["a"])
+        with pytest.raises(UniverseTooSmall):
+            score_judgment([{"a"}], [["a"]], [])
 
 
 class TestJaccard:
     def test_examples(self):
-        assert jaccard_samples([{"a", "b"}], [{"b", "c"}]) == pytest.approx(1 / 3, abs=1e-12)
-        assert jaccard_samples([{"a"}], [{"a"}]) == 1.0
-        assert jaccard_samples([set()], [set()]) == 1.0
+        assert score_judgment([{"a", "b"}], [("b", "c")], U3).jaccard == pytest.approx(1 / 3, abs=1e-12)
+        assert score_judgment([{"a"}], [("a",)], U3).jaccard == 1.0
+        assert score_judgment([set()], [()], U3).jaccard == 1.0
 
 
 class TestHamming:
     def test_examples(self):
-        assert hamming_loss([{"a"}], [{"a", "b"}], U3) == pytest.approx(1 / 3, abs=1e-12)
-        assert hamming_loss([{"a"}], [{"a"}], U3) == 0.0
-        assert hamming_loss([{"a"}], [{"b"}], ["a", "b"]) == 1.0
+        assert score_judgment([{"a"}], [("a", "b")], U3).one_minus_hamming == pytest.approx(2 / 3, abs=1e-12)
+        assert score_judgment([{"a"}], [("a",)], U3).one_minus_hamming == 1.0
+        assert score_judgment([{"a"}], [("b",)], ["a", "b"]).one_minus_hamming == 0.0
 
     def test_equals_pooled_confusion(self):
         golds = [{"a", "b"}, {"c"}, set()]
@@ -85,35 +88,35 @@ class TestHamming:
         counts = oracles.confusion_counts(golds, preds, U3)
         fp = sum(c["fp"] for c in counts.values())
         fn = sum(c["fn"] for c in counts.values())
-        assert hamming_loss(golds, preds, U3) == pytest.approx(
-            (fp + fn) / (len(golds) * len(U3)), abs=1e-12
-        )
+        metrics = score_judgment(golds, [sorted(pred) for pred in preds], U3)
+        assert metrics.one_minus_hamming == pytest.approx(1 - (fp + fn) / (len(golds) * len(U3)), abs=1e-12)
 
 
 class TestCoverageError:
-    def test_prediction_first_ranking(self):
-        assert prediction_first_ranking(["c"], U3) == ["c", "a", "b"]
-        assert prediction_first_ranking([], U3) == U3
+    def test_unpredicted_labels_follow_the_predicted_ones(self):
+        """The ranking is the predicted labels in output order, then the rest
+        in universe order: c, a, b for ("c",) and a, b, c for no prediction.
+        A gold label at rank r over 3 labels has error (r - 1) / 2."""
+        for order, ranking in ((("c",), ["c", "a", "b"]), ((), U3)):
+            for depth, label in enumerate(ranking):
+                metrics = score_judgment([{label}], [order], U3)
+                assert metrics.one_minus_coverage_error == 1 - depth / 2
 
     def test_examples(self):
-        assert normalized_coverage_error([{"a", "c"}], [["c"]], U3) == pytest.approx(0.5, abs=1e-12)
-        assert normalized_coverage_error([{"a"}], [["a"]], U3) == 0.0
-        assert normalized_coverage_error([{"c"}], [[]], U3) == 1.0
+        assert score_judgment([{"a", "c"}], [["c"]], U3).one_minus_coverage_error == pytest.approx(0.5, abs=1e-12)
+        assert score_judgment([{"a"}], [["a"]], U3).one_minus_coverage_error == 1.0
+        assert score_judgment([{"c"}], [[]], U3).one_minus_coverage_error == 0.0
 
     def test_empty_gold_contributes_zero(self):
-        assert normalized_coverage_error([set(), {"a"}], [[], ["a"]], U3) == 0.0
-
-    def test_universe_too_small(self):
-        with pytest.raises(UniverseTooSmall):
-            normalized_coverage_error([{"a"}], [["a"]], ["a"])
+        assert score_judgment([set(), {"a"}], [[], ["a"]], U3).one_minus_coverage_error == 1.0
 
     def test_unpredicted_labels_are_ranked_in_universe_order(self):
         """Today's convention: labels the model did not predict follow in
         universe order, so an empty prediction's coverage error depends on
         where the gold labels sit in the universe."""
         universe = ["1", "2", "3", "4", "5"]
-        assert normalized_coverage_error([{"1"}], [[]], universe) == 0.0
-        assert normalized_coverage_error([{"1"}], [[]], universe[::-1]) == 1.0
+        assert score_judgment([{"1"}], [[]], universe).one_minus_coverage_error == 1.0
+        assert score_judgment([{"1"}], [[]], universe[::-1]).one_minus_coverage_error == 0.0
 
 
 LGPD_UNIVERSE = JurisdictionRegistry.default().get("LGPD").universe
@@ -154,6 +157,21 @@ class TestUniversePermutation:
             assert getattr(moved, name) == pytest.approx(getattr(base, name), abs=1e-12)
 
 
+def assert_matches_oracles(metrics, golds, orders, universe):
+    """All six fields of `metrics` against the brute-force oracles."""
+    preds = [set(order) for order in orders]
+    expected = (
+        oracles.oracle_micro_f1(golds, preds, universe),
+        oracles.oracle_macro_f1(golds, preds, universe),
+        oracles.oracle_weighted_f1(golds, preds, universe),
+        oracles.oracle_jaccard(golds, preds, True),
+        1 - oracles.oracle_nce(golds, orders, universe),
+        1 - oracles.oracle_hamming(golds, preds, universe),
+    )
+    for name, value, oracle in zip(T2_METRIC_NAMES, metrics, expected):
+        assert value == pytest.approx(oracle, abs=1e-12), name
+
+
 class TestExhaustiveOracleSlice:
     def test_universe_3_exhaustive(self):
         labels = U3
@@ -161,21 +179,29 @@ class TestExhaustiveOracleSlice:
         for gold in subsets:
             for pred in subsets:
                 order = [l for l in labels if l in pred]
-                micro, macro, weighted = f1_suite([gold], [pred], labels)
-                assert micro == pytest.approx(oracles.oracle_micro_f1([gold], [pred], labels), abs=1e-12)
-                assert macro == pytest.approx(oracles.oracle_macro_f1([gold], [pred], labels), abs=1e-12)
-                assert weighted == pytest.approx(
-                    oracles.oracle_weighted_f1([gold], [pred], labels), abs=1e-12
-                )
-                assert hamming_loss([gold], [pred], labels) == pytest.approx(
-                    oracles.oracle_hamming([gold], [pred], labels), abs=1e-12
-                )
-                assert jaccard_samples([gold], [pred]) == pytest.approx(
-                    oracles.oracle_jaccard([gold], [pred], True), abs=1e-12
-                )
-                assert normalized_coverage_error([gold], [order], labels) == pytest.approx(
-                    oracles.oracle_nce([gold], [order], labels), abs=1e-12
-                )
+                assert_matches_oracles(score_judgment([gold], [order], labels), [gold], [order], labels)
+
+
+class TestSampleListsMatchOracles:
+    """Sums over several samples, in a universe of any order, meet the
+    oracles too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.sets(st.sampled_from(U6), max_size=4).map(frozenset),
+                st.lists(st.sampled_from(U6), max_size=6, unique=True).map(tuple),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        universe=st.permutations(U6),
+    )
+    def test_all_six_fields(self, samples, universe):
+        golds = [gold for gold, _ in samples]
+        orders = [order for _, order in samples]
+        assert_matches_oracles(score_judgment(golds, orders, universe), golds, orders, universe)
 
 
 label_sets = st.sets(st.sampled_from(["a", "b", "c", "d"]), max_size=4).map(frozenset)
@@ -196,19 +222,8 @@ class TestMonotoneSafety:
         order_full = [l for l in universe if l in pred]
         order_small = [l for l in universe if l in smaller]
 
-        def oriented(p, order):
-            micro, macro, weighted = f1_suite([gold], [p], universe)
-            return (
-                micro,
-                macro,
-                weighted,
-                jaccard_samples([gold], [p]),
-                1 - normalized_coverage_error([gold], [order], universe),
-                1 - hamming_loss([gold], [p], universe),
-            )
-
-        before = oriented(pred, order_full)
-        after = oriented(smaller, order_small)
+        before = score_judgment([gold], [order_full], universe)
+        after = score_judgment([gold], [order_small], universe)
         for b, a in zip(before, after):
             assert a >= b - 1e-12
 

@@ -119,6 +119,56 @@ def test_run_config_overrides_name_every_changed_setting():
     assert RunConfig(models=("a",)).overrides() == {}
 
 
+def test_to_dict_of_a_non_default_record():
+    run = RunConfig(
+        models=("b", "a"),
+        temperature=0.7,
+        max_tokens=64,
+        timeout_seconds=5.0,
+        retries=1,
+        backoff_seconds=0.0,
+        context_window=0,
+    )
+    assert run.to_dict() == {
+        "models": ["b", "a"],
+        "temperature": 0.7,
+        "max_tokens": 64,
+        "timeout_seconds": 5.0,
+        "retries": 1,
+        "backoff_seconds": 0.0,
+        "concurrency": 2,
+        "context_window": 0,
+    }
+    spec = CorpusSpec(
+        seed=7,
+        files_per_law={"PDPA": 3, "LGPD": 2},
+        instances_per_file=(2, 4),
+        max_labels_per_file=5,
+        max_labels_per_instance=3,
+        skew=0.25,
+        repos=2,
+    )
+    assert spec.to_dict() == {
+        "seed": 7,
+        "files_per_law": {"PDPA": 3, "LGPD": 2},
+        "instances_per_file": [2, 4],
+        "max_labels_per_file": 5,
+        "max_labels_per_instance": 3,
+        "skew": 0.25,
+        "repos": 2,
+    }
+    composite = CompositeConfig(alpha=0.5, beta=1.0, gamma=3.0, delta=0.0, ridge=0.2, epsilon=1e-5)
+    assert composite.to_dict() == {
+        "alpha": 0.5,
+        "beta": 1.0,
+        "gamma": 3.0,
+        "delta": 0.0,
+        "ridge": 0.2,
+        "epsilon": 1e-5,
+        "pool_covariance_across_laws": False,
+    }
+
+
 def test_transport_request_identity_follows_its_fields():
     request = TransportRequest(
         model="m",
