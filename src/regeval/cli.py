@@ -16,7 +16,7 @@ from pathlib import Path
 from . import report as report_mod
 from .composites import CompositeConfig, compose_from_rcs
 from .corpus import corpus_stats, load_dataset, read_json, save_dataset, write_json
-from .errors import MalformedBase, MalformedView, RegevalError, UnmatchedPredictions
+from .errors import MalformedBase, MalformedView, RegevalError, TransportConfigError, UnmatchedPredictions
 from .harness import (
     FailingTransport,
     MockTransport,
@@ -80,12 +80,13 @@ def _check_gold(path: Path, golds, jur: Jurisdiction) -> None:
             raise MalformedView(f"{path}: record {index}: gold labels not in the {jur.code} universe: {stray}")
 
 
-def _view_records(path: Path, law: str, load) -> list:
+def _view_records(path: Path, law: str, load, held: dict) -> list:
     """The records of the view at `path`, which must hold `law`, the law its
-    file name names; a view of another law raises MalformedView."""
-    held, records = load(path)
-    if held != law:
-        raise MalformedView(f"{path}: holds law {held!r}, but its file name names {law!r}")
+    file name names, decoded sharing the values in `held`; a view of another
+    law raises MalformedView."""
+    view_law, records = load(path, held)
+    if view_law != law:
+        raise MalformedView(f"{path}: holds law {view_law!r}, but its file name names {law!r}")
     return records
 
 
@@ -96,16 +97,18 @@ def _load_views(
     law's universe in `registry` (by default the bundled one). With `laws`,
     only the views whose file names name one of them are opened; a code in
     `laws` without views raises RegevalError. A view holds the law its file
-    name names, or MalformedView is raised."""
+    name names, or MalformedView is raised. The records of all the views
+    hold each distinct key string and gold set once."""
     registry = JurisdictionRegistry.default() if registry is None else registry
     root = Path(views_dir)
     t1_paths = [path for path in sorted(root.glob("task1_*.json")) if not laws or path.stem[len("task1_"):] in laws]
     views: dict[str, ShapedViews] = {}
+    held: dict = {}
     for t1_path in t1_paths:
         law = t1_path.stem[len("task1_"):]
         t2_path = root / f"task2_{law}.json"
-        records = _view_records(t1_path, law, load_task1_view)
-        t2_records = _view_records(t2_path, law, load_task2_view)
+        records = _view_records(t1_path, law, load_task1_view, held)
+        t2_records = _view_records(t2_path, law, load_task2_view, held)
         jur = registry.get(law)
         _check_gold(t1_path, (rec.file_gold.union(rec.module_gold, *(g for _, g in rec.lines)) for rec in records), jur)
         _check_gold(t2_path, (rec.gold for rec in t2_records), jur)
@@ -180,6 +183,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.fail_times and args.transport != "mock":
+        raise TransportConfigError(f"--fail-times applies to --transport mock only, not {args.transport}")
     registry = _registry(args)
     views = _load_views(args.views_dir, args.law.split(",") if args.law else None, registry)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
@@ -234,6 +239,10 @@ def cmd_eval(args) -> int:
     registry = _registry(args)
     views = _load_views(args.views_dir, args.law.split(",") if args.law else None, registry)
     gold = GoldIndex.from_views(views)
+    # The index holds all that scoring reads of the views: let go of the
+    # records, snippets and provenance before any prediction is read.
+    laws = set(views)
+    del views
 
     def rows_by_model(pred_dir: Path) -> dict[str, tuple[list, list]]:
         """The task-1 and task-2 rows of `pred_dir` per model: an entry's
@@ -249,11 +258,11 @@ def cmd_eval(args) -> int:
         grouped: dict[str, tuple[list, list]] = {}
         for row in ranked:
             kept = grouped.setdefault(row[2] or pred_dir.name, ([], []))[0]
-            if row[0][0] in views:
+            if row[0][0] in laws:
                 kept.append(row)
         for row in sets:
             kept = grouped.setdefault(row[3] or pred_dir.name, ([], []))[1]
-            if row[0] in views:
+            if row[0] in laws:
                 kept.append(row)
         return grouped
 

@@ -78,15 +78,19 @@ def parse_responses(
     task-2 predictions, and count the responses, the empty predictions and
     the ids dropped as out of universe. A record whose law is unknown or
     whose key or pointer is malformed raises MalformedResponse naming the
-    file and the line."""
+    file and the line. Each distinct key, pointer, law and model name is
+    one object, shared by the rows of every model that answered it."""
     ranked: list[RankedPrediction] = []
     sets: list[SetPrediction] = []
+    anchors: dict[tuple, tuple] = {}
+    names: dict[str, str] = {}
     summary = {"responses": 0, "empty_predictions": 0, "dropped_out_of_universe": 0}
     for number, record in numbered_responses(path):
         law = record["law"]
         task1 = record["task"] == "task1"
         if law not in registry:
             raise MalformedResponse(f"{path}: line {number}: unknown jurisdiction: {law!r}")
+        law = names.setdefault(law, law)
         try:
             if task1:
                 target = RetrievalKey.from_dict(law, record["key"])
@@ -94,12 +98,14 @@ def parse_responses(
                 target = SnippetPointer.from_dict(record["pointer"] if "pointer" in record else record["key"])
         except MalformedPrediction as exc:
             raise MalformedResponse(f"{path}: line {number}: {exc}") from None
+        target = anchors.setdefault(target, target)
         summary["responses"] += 1
         parsed = parse_prediction_text(record.get("text", ""), law, RANKED if task1 else SET, registry)
         summary["dropped_out_of_universe"] += len(parsed.dropped_out_of_universe)
         if parsed.empty:
             summary["empty_predictions"] += 1
         model = record.get("model", "")
+        model = names.setdefault(model, model)
         if task1:
             ranked.append(RankedPrediction(target, parsed.ids, model))
         else:

@@ -334,28 +334,31 @@ def task2_record_to_dict(record: Task2Record, registry: JurisdictionRegistry) ->
     }
 
 
-def _decode_gold(value) -> frozenset[str]:
+def _decode_gold(value, held: dict) -> frozenset[str]:
     if type(value) is not list or not all(type(label) is str for label in value):
         raise MalformedPrediction(f"gold must be a list of strings, got {value!r:.60}")
-    return frozenset(value)
+    gold = frozenset(value)
+    return held.setdefault(gold, gold)
 
 
-def task1_record_from_dict(law: str, data: Mapping) -> Task1Record:
+def task1_record_from_dict(law: str, data: Mapping, held: dict) -> Task1Record:
     """A view record decoded straight to its keys, gold sets and key fields
-    type-checked."""
+    type-checked. A key string or gold set equal to one in `held` is
+    `held`'s object, and a new one is added to it, so the records decoded
+    with one `held` hold each distinct value once."""
     sections = data["sections"]
     name = sections["module"]["name"]
     if name is None:
         raise MalformedPrediction("key fields must be strings")
-    module = RetrievalKey._make(decode_anchor(law, {**data["key"], "granularity": "module", "module": name}))
-    base = module[:5]
+    fields = decode_anchor(law, {**data["key"], "granularity": "module", "module": name})
+    base = tuple(held.setdefault(field, field) for field in fields[:5])
     return Task1Record(
         file=RetrievalKey(*base, "file"),
-        file_gold=_decode_gold(sections["file"]["gold"]),
-        module=module,
-        module_gold=_decode_gold(sections["module"]["gold"]),
+        file_gold=_decode_gold(sections["file"]["gold"], held),
+        module=RetrievalKey(*base, *fields[5:]),
+        module_gold=_decode_gold(sections["module"]["gold"], held),
         lines=tuple(
-            (RetrievalKey(*base, "line", None, *decode_span(entry["span"])), _decode_gold(entry["gold"]))
+            (RetrievalKey(*base, "line", None, *decode_span(entry["span"])), _decode_gold(entry["gold"], held))
             for entry in sections["line"]
         ),
     )
@@ -365,18 +368,20 @@ def _decode_text(value, path: str) -> str:
     return check_field(MalformedPrediction, type(value) is str, value, path, "a string")
 
 
-def task2_record_from_dict(law: str, data: Mapping) -> Task2Record:
+def task2_record_from_dict(law: str, data: Mapping, held: dict) -> Task2Record:
     """A view record decoded, its pointer, gold, snippet and provenance
-    type-checked."""
+    type-checked. Its pointer's path and commit, its gold set and its
+    provenance strings are `held`'s objects, as in `task1_record_from_dict`."""
     provenance = data["provenance"]
-    return Task2Record(
-        law=law,
-        pointer=SnippetPointer.from_dict(data["pointer"]),
-        snippet=_decode_text(data["snippet"], "snippet"),
-        gold=_decode_gold(data["gold"]),
-        repo_url=_decode_text(provenance["repo_url"], "provenance/repo_url"),
-        app_name=_decode_text(provenance["app_name"], "provenance/app_name"),
+    file_path, start, end, commit_id = decode_pointer(data["pointer"])
+    snippet = _decode_text(data["snippet"], "snippet")
+    gold = _decode_gold(data["gold"], held)
+    repo_url = _decode_text(provenance["repo_url"], "provenance/repo_url")
+    app_name = _decode_text(provenance["app_name"], "provenance/app_name")
+    file_path, commit_id, repo_url, app_name = (
+        held.setdefault(text, text) for text in (file_path, commit_id, repo_url, app_name)
     )
+    return Task2Record(law, SnippetPointer(file_path, start, end, commit_id), snippet, gold, repo_url, app_name)
 
 
 def dump_views(
@@ -404,19 +409,22 @@ def dump_views(
     return written
 
 
-def _load_view(path: str | Path, record_from_dict) -> tuple[str, list]:
-    """The law and the decoded records of a view file; a malformed record
-    raises MalformedView naming the file and the record's index."""
+def _load_view(path: str | Path, record_from_dict, held: dict | None) -> tuple[str, list]:
+    """The law and the decoded records of a view file, sharing the values in
+    `held`, or else in a table of this file's own (see
+    `task1_record_from_dict`); a malformed record raises MalformedView naming
+    the file and the record's index."""
     data = read_json(path)
     law, records = (data.get("law"), data.get("records")) if isinstance(data, dict) else (None, None)
     if type(law) is not str or type(records) is not list:
         raise MalformedView(f"{path}: needs a 'law' string and a 'records' list")
-    return law, decode_each(path, records, lambda rec: record_from_dict(law, rec), "record", MalformedView)
+    held = {} if held is None else held
+    return law, decode_each(path, records, lambda rec: record_from_dict(law, rec, held), "record", MalformedView)
 
 
-def load_task1_view(path: str | Path) -> tuple[str, list[Task1Record]]:
-    return _load_view(path, task1_record_from_dict)
+def load_task1_view(path: str | Path, held: dict | None = None) -> tuple[str, list[Task1Record]]:
+    return _load_view(path, task1_record_from_dict, held)
 
 
-def load_task2_view(path: str | Path) -> tuple[str, list[Task2Record]]:
-    return _load_view(path, task2_record_from_dict)
+def load_task2_view(path: str | Path, held: dict | None = None) -> tuple[str, list[Task2Record]]:
+    return _load_view(path, task2_record_from_dict, held)

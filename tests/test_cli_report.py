@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -279,7 +281,7 @@ class TestEvalLawFilter:
         read = []
         for name in ("load_task1_view", "load_task2_view"):
             load = getattr(regeval.cli, name)
-            monkeypatch.setattr(regeval.cli, name, lambda path, load=load: read.append(path) or load(path))
+            monkeypatch.setattr(regeval.cli, name, lambda path, held, load=load: read.append(path) or load(path, held))
         assert main(["eval", "--views-dir", str(views_dir), "--predictions", str(corpus_dir / "predictions_PERFECT"),
                      "--law", "LGPD", "--out", str(tmp_path / "base.json")]) == 0
         assert read == [views_dir / "task1_LGPD.json", views_dir / "task2_LGPD.json"]
@@ -525,6 +527,53 @@ class TestEvalMemory:
             tracemalloc.stop()
         assert len(rows[0]) > 3000
         assert five - one < loaded / 2, (one, five, loaded)
+
+
+# Runs `eval` on the views and predictions named in argv, and checks at the
+# first prediction file read that no view record is left.
+EVAL_KEEPS_NO_VIEW_RECORD = """
+import gc
+import sys
+import regeval.cli
+from regeval.shaping import Task1Record, Task2Record
+
+load_prediction_files = regeval.cli.load_prediction_files
+checked = []
+
+def checked_load(*args, **kwargs):
+    if not checked:
+        gc.collect()
+        kept = sum(isinstance(obj, (Task1Record, Task2Record)) for obj in gc.get_objects())
+        assert kept == 0, f"{kept} view records alive"
+        checked.append(True)
+    return load_prediction_files(*args, **kwargs)
+
+regeval.cli.load_prediction_files = checked_load
+assert regeval.cli.main(["eval", "--views-dir", sys.argv[1], "--predictions", sys.argv[2], "--out", sys.argv[3]]) == 0
+assert checked
+print("ok")
+"""
+
+
+class TestEvalDropsViews:
+    """`eval` keeps the gold index of the views, not their records, snippets
+    and provenance, once the index exists. Checked in a fresh interpreter,
+    because other tests' modules hold view records of their own."""
+
+    def test_no_view_record_is_alive_when_predictions_are_read(self, tmp_path):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "3", "--files", "4", "--profiles", "RANDOM",
+                     "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(regeval.cli.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", EVAL_KEEPS_NO_VIEW_RECORD, str(views_dir), str(corpus_dir / "predictions_RANDOM"),
+             str(tmp_path / "base.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0 and done.stdout.endswith("\nok\n"), done.stderr
 
 
 class TestRunMemory:
@@ -777,6 +826,24 @@ class TestCliErrors:
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "TransportConfigError"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("transport", ["failing", "replay"])
+    @pytest.mark.parametrize("value", ["5", "-2"])
+    def test_fail_times_with_another_transport_exits_2_before_any_request(self, tmp_path, capsys, transport, value):
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        assert main(["synth", "--seed", "3", "--files", "2", "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
+        argv = ["run", "--views-dir", str(views_dir), "--models", "m", "--backoff", "0", "--transport", transport]
+        if transport == "replay":
+            assert main([*argv[:-2], "--out-dir", str(tmp_path / "first")]) == 0
+            argv += ["--replay", str(tmp_path / "first" / "raw_responses.jsonl")]
+        capsys.readouterr()
+        assert main([*argv, "--fail-times", value, "--out-dir", str(tmp_path / "run")]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "TransportConfigError",
+            "message": f"--fail-times applies to --transport mock only, not {transport}",
+        }
         assert not (tmp_path / "run").exists()
 
     def test_negative_stats_top_k_exits_2(self, tmp_path, capsys):

@@ -492,6 +492,24 @@ class TestSharedDecodedObjects:
         for law in views:
             assert len({id(row[0]) for row in loaded_sets if row[0] == law}) == 1
 
+    def test_parse_gives_every_model_one_object_per_key_and_name(self, registry, tmp_path):
+        records = [
+            {"task": "task1", "law": "LGPD", "text": "Art. 7",
+             "key": {"repo_url": "r", "app_name": "a", "commit_id": "a" * 40, "file_path": "app/A.kt",
+                     "granularity": "line", "span": [300, 310]}},
+            {"task": "task2", "law": "PDPA", "text": "s. 24",
+             "key": {"file_path": "app/B.kt", "span": [500, 600], "commit_id": "a" * 40}},
+        ]
+        path = tmp_path / "raw_responses.jsonl"
+        path.write_text("".join(json.dumps(dict(record, model=model)) + "\n"
+                                for model in ("model-a", "model-b") for record in records))
+        ranked, sets, _summary = parse_responses(path, registry)
+        assert [row.model for row in ranked] == [row.model for row in sets] == ["model-a", "model-b"]
+        assert ranked[0].key is ranked[1].key == RetrievalKey.from_dict("LGPD", records[0]["key"])
+        assert sets[0].pointer is sets[1].pointer == SnippetPointer.from_dict(records[1]["key"])
+        assert sets[0].law is sets[1].law
+        assert ranked[0].model is sets[0].model and ranked[1].model is sets[1].model
+
     def test_a_repeated_stray_key_is_stored_once(self, registry, tmp_path):
         entry = {"law": "LGPD", "repo_url": "r", "app_name": "a", "commit_id": "a" * 40,
                  "file_path": "app/Stray.kt", "granularity": "file", "ranking": ["7"]}

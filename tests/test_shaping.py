@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_merge_spans
-from regeval.corpus import LineSpan, RawInstance
+from regeval.cli import _load_views
+from regeval.corpus import LineSpan, RawInstance, read_json, write_json
 from regeval.errors import ConflictingSnippet, EmptyCorpus, RegevalError
 from regeval.retrieval import gold_keys_for_records
 from regeval.shaping import (
@@ -21,7 +22,10 @@ from regeval.shaping import (
     shape_task1,
     shape_task2,
     shape_views,
+    task1_record_from_dict,
+    task2_record_from_dict,
 )
+from regeval.synthetic import CorpusSpec, generate_corpus
 from test_corpus import make_instance
 
 
@@ -258,6 +262,52 @@ class TestDeterminismAndConservation:
         dump_views(views_again, dir_b, registry)
         for name in ("task2_LGPD.json", "task2_PDPA.json", "task1_LGPD.json", "task1_PDPA.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+class TestSharedViewValues:
+    """The records of one `_load_views` call hold each distinct key string
+    and gold set once, and equal the records decoded one at a time."""
+
+    @staticmethod
+    def _dump(registry, views_dir, indented=False):
+        corpus = generate_corpus(CorpusSpec(seed=7, files_per_law={"LGPD": 6, "PDPA": 5}), registry)
+        views = shape_views(corpus)
+        dump_views(views, views_dir, registry)
+        if indented:
+            for path in views_dir.glob("task*.json"):
+                write_json(path, read_json(path))
+        return views
+
+    def test_one_load_holds_each_key_string_and_gold_set_once(self, registry, tmp_path):
+        self._dump(registry, tmp_path)
+        views = _load_views(str(tmp_path), registry=registry)
+        t1 = [rec for view in views.values() for rec in view.task1]
+        t2 = [rec for view in views.values() for rec in view.task2]
+        keys = [key for rec in t1 for key in (rec.file, rec.module, *(key for key, _gold in rec.lines))]
+        shared = {
+            "repo_url": [key.repo_url for key in keys] + [rec.repo_url for rec in t2],
+            "app_name": [key.app_name for key in keys] + [rec.app_name for rec in t2],
+            "commit_id": [key.commit_id for key in keys] + [rec.pointer.commit_id for rec in t2],
+            "file_path": [key.file_path for key in keys] + [rec.pointer.file_path for rec in t2],
+            "gold": [gold for rec in t1 for gold in (rec.file_gold, rec.module_gold, *(g for _key, g in rec.lines))]
+            + [rec.gold for rec in t2],
+        }
+        for name, values in shared.items():
+            assert len({id(value) for value in values}) == len(set(values)) < len(values), name
+
+    @pytest.mark.parametrize("indented", [False, True])
+    def test_shared_records_equal_records_decoded_alone(self, registry, tmp_path, indented):
+        shaped = self._dump(registry, tmp_path, indented)
+        views = _load_views(str(tmp_path), registry=registry)
+        assert sorted(views) == sorted(shaped)
+        for law, view in views.items():
+            for task, records, decode in (
+                ("task1", view.task1, task1_record_from_dict),
+                ("task2", view.task2, task2_record_from_dict),
+            ):
+                alone = [decode(law, rec, {}) for rec in read_json(tmp_path / f"{task}_{law}.json")["records"]]
+                assert records == alone
+            assert (view.task1, view.task2) == (shaped[law].task1, shaped[law].task2)
 
 
 class TestPathFilter:
