@@ -197,18 +197,24 @@ def cmd_run(args) -> int:
         backoff_seconds=args.backoff,
         context_window=args.context_window,
     )
+    # A replay reads no prompt, and no replayed output depends on the dataset.
+    corpus = None
+    if args.dataset and args.transport == "replay":
+        sys.stderr.write("note: --dataset is ignored with --transport replay\n")
+    elif args.dataset:
+        corpus = load_dataset(args.dataset, registry)
+    tasks = ("task1", "task2") if args.task == "both" else (args.task,)
+    items = build_prompt_items(views, corpus, config.context_window, tasks)
+    del corpus
     if args.transport == "mock":
         transport = MockTransport(profile_reply_fn(views, registry, args.profile, seed=args.seed), args.fail_times)
     elif args.transport == "failing":
         transport = FailingTransport()
-    corpus = load_dataset(args.dataset, registry) if args.dataset else None
-    tasks = ("task1", "task2") if args.task == "both" else (args.task,)
-    items = build_prompt_items(views, corpus, config.context_window, tasks)
-    # The items hold what the run needs of the views and the corpus; let go
-    # of both before the replay index and the request rows are built.
-    del views, corpus
-    if args.transport == "replay":
+    else:
         transport = ReplayTransport(args.replay)
+    # The items and the transport hold what the run needs of the views; let
+    # go of them before the request rows and the replay index are built.
+    del views
     result = execute_run(config, items, transport, args.out_dir, registry)
     print(f"wrote {result.responses_path} ({result.record_count} records)")
     print(f"wrote {result.config_path}")

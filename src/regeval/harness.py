@@ -12,10 +12,13 @@ scripted mock and a replay transport.
 
 A run holds each request once: `execute_run` takes the prompt items, not the
 views or the corpus they were built from, and keeps one (task, law, key
-JSON, item) row per item, shared by every lane. The `run` command loads the
-views, builds the mock's answers from them, loads the corpus, builds the
-prompt items, and lets go of the views and the corpus before it opens a
-replay file, so neither is alive beside the replay index or the rows.
+JSON, item) row per item, shared by every lane. The `run` command builds the
+prompt items and lets go of the corpus, picks the transport (the mock's
+answers come from the views), and lets go of the views before the rows
+exist. A replay transport builds its index in `prepare`, which
+`execute_run` calls with the run's own request identities before it writes
+anything: the index holds one text per identity the run requests, keyed by
+the rows' own key JSON strings.
 """
 
 from __future__ import annotations
@@ -338,38 +341,54 @@ class FailingTransport:
 class ReplayTransport:
     """Re-serves the text of a previous run's raw_responses.jsonl.
 
-    Every model of a run answers the same keys, so the index holds one string
-    per distinct model, task, law and key JSON, shared by the identities of
-    all the file's records."""
+    The index is built by `prepare` from the run's own request identities,
+    as {(model, task, law): {key JSON: text}}: one text per identity the
+    run requests, keyed by the request rows' own key JSON strings. Records
+    for other models or keys are read, checked and dropped; of records with
+    one identity, the last wins. `send` answers only what `prepare`
+    indexed."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         if not self.path.exists():
             raise TransportConfigError(f"replay file not found: {self.path}")
-        intern = {}.setdefault
-        self._responses: dict[tuple, str] = {}
-        for record in load_responses(self.path, require=("model", "text", "key")):
-            model, task, law, key_json = record["model"], record["task"], record["law"], encode_sorted(record["key"])
-            identity = (intern(model, model), intern(task, task), intern(law, law), intern(key_json, key_json))
-            self._responses[identity] = record["text"]
+        self._index: dict[tuple[str, str, str], dict[str, str]] = {}
 
     def prepare(self, identities: Iterable[tuple[str, str, str, str]]) -> None:
-        """Refuse, before anything is sent, a run whose requests the file
-        does not all answer; the message names the first missing identity."""
+        """Index the file's text for each of `identities`, or refuse, before
+        anything is sent, a run whose requests the file does not all answer.
+        The message names the first missing identity; `identities` come
+        grouped by (model, task, law), as `execute_run` gives them."""
+        # Until a record answers it, a key's value is how often it is requested.
+        wanted: dict[tuple[str, str, str], dict[str, str | int]] = {}
         total = 0
-        missing = []
         for identity in identities:
             total += 1
-            if identity not in self._responses:
-                missing.append(identity)
-        if missing:
-            raise TransportConfigError(
-                f"replay file lacks {len(missing)} of {total} requests, first: {' '.join(missing[0])}"
-            )
+            group = identity[:3]
+            keys = wanted.get(group)
+            if keys is None:
+                keys = wanted[group] = {}
+            keys[identity[3]] = keys.get(identity[3], 0) + 1
+        for record in load_responses(self.path, require=("model", "text", "key")):
+            keys = wanted.get((record["model"], record["task"], record["law"]))
+            if keys is not None:
+                key_json = encode_sorted(record["key"])
+                if key_json in keys:
+                    keys[key_json] = record["text"]
+        lacking = 0
+        first = None
+        for group, keys in wanted.items():
+            for key_json, value in keys.items():
+                if type(value) is int:
+                    lacking += value
+                    first = first or (*group, key_json)
+        if lacking:
+            raise TransportConfigError(f"replay file lacks {lacking} of {total} requests, first: {' '.join(first)}")
+        self._index = wanted
 
     def send(self, request: TransportRequest) -> str:
         try:
-            return self._responses[request.identity]
+            return self._index[request.identity[:3]][request.key_json]
         except KeyError:
             raise TransportFailure(f"no replayed response for {request.identity}") from None
 

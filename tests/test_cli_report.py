@@ -578,7 +578,8 @@ class TestEvalDropsViews:
 
 class TestRunMemory:
     """`run` lets go of the views and the dataset records once the prompt
-    items exist, before the replay index and the request rows are built."""
+    items exist, before the replay index and the request rows are built; a
+    replay loads no dataset at all."""
 
     @pytest.mark.parametrize("transport", ["mock", "replay"])
     def test_views_and_dataset_are_gone_before_the_first_send(self, tmp_path, monkeypatch, transport):
@@ -621,9 +622,9 @@ class TestRunMemory:
                 return super().send(request)
 
         class Replay(ReplayTransport):
-            def __init__(self, path):
+            def prepare(self, identities):
                 check()  # before the index is built
-                super().__init__(path)
+                super().prepare(identities)
 
             def send(self, request):
                 if len(alive) < 2:
@@ -635,8 +636,45 @@ class TestRunMemory:
         monkeypatch.setattr(regeval.cli, "MockTransport", Mock)
         monkeypatch.setattr(regeval.cli, "ReplayTransport", Replay)
         assert main([*argv, "--out-dir", str(tmp_path / "second")]) == 0
-        assert len(loaded) == 2
-        assert alive == [[False, False]] * (2 if transport == "replay" else 1)
+        if transport == "replay":
+            assert len(loaded) == 1  # the views; --dataset is not opened
+            assert alive == [[False]] * 2
+        else:
+            assert len(loaded) == 2
+            assert alive == [[False, False]]
+
+    def test_replay_ignores_dataset(self, tmp_path, monkeypatch, capsys):
+        """`--dataset` is accepted under replay, never opened, and changes no
+        replayed output; a one-line note on stderr says it is ignored."""
+        corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
+        dataset = str(corpus_dir / "dataset.json")
+        assert main(["synth", "--seed", "3", "--files", "4", "--out-dir", str(corpus_dir)]) == 0
+        assert main(["shape", "--dataset", dataset, "--out-dir", str(views_dir)]) == 0
+        argv = ["run", "--views-dir", str(views_dir), "--models", "a,b", "--backoff", "0"]
+        assert main([*argv, "--dataset", dataset, "--out-dir", str(tmp_path / "first")]) == 0
+        argv += ["--transport", "replay", "--replay", str(tmp_path / "first" / "raw_responses.jsonl")]
+
+        def load_dataset(*args, **kwargs):
+            raise AssertionError("replay opened --dataset")
+
+        monkeypatch.setattr(regeval.cli, "load_dataset", load_dataset)
+        capsys.readouterr()
+        assert main([*argv, "--dataset", dataset, "--out-dir", str(tmp_path / "with")]) == 0
+        assert capsys.readouterr().err == "note: --dataset is ignored with --transport replay\n"
+        assert main([*argv, "--out-dir", str(tmp_path / "without")]) == 0
+        assert capsys.readouterr().err == ""
+
+        def untimed(path):
+            lines = path.read_text().splitlines()
+            if path.suffix == ".jsonl":
+                return [{k: v for k, v in json.loads(line).items() if k != "timestamps"} for line in lines]
+            # The lanes' log lines interleave by time; each lane's own order is fixed.
+            return sorted((line.split(" ", 1)[1] for line in lines), key=lambda line: line.split(" ", 1)[0])
+
+        for name in ("raw_responses.jsonl", "run.log"):
+            assert untimed(tmp_path / "with" / name) == untimed(tmp_path / "without" / name)
+        config = (tmp_path / "with" / "run_config.json").read_bytes()
+        assert config == (tmp_path / "without" / "run_config.json").read_bytes()
 
 
 class TestComposeFromFixture:

@@ -274,6 +274,11 @@ class TestComposeFromRcs:
         for model, expected in REFERENCE["expected"]["ocs"].items():
             assert report.ocs_scores[model] == pytest.approx(expected, abs=1.5e-3)
 
+    def test_default_config_is_the_reference_config(self):
+        default = compose_from_rcs(REFERENCE["models"])
+        assert default.config == CompositeConfig()
+        assert default.to_dict() == compose_from_rcs(REFERENCE["models"], CompositeConfig()).to_dict()
+
 
 def _metrics_fixture(models=("m1", "m2"), laws=("LGPD", "PDPA", "PIPEDA"), seed=3):
     rng = random.Random(seed)
@@ -314,6 +319,12 @@ class TestCompose:
         with pytest.raises(MissingLaw):
             compose(task1, task2)
 
+    def test_task2_law_set_differing_alone_rejected(self):
+        task1, task2 = _metrics_fixture()
+        del task2["m2"]["PIPEDA"]
+        with pytest.raises(MissingLaw, match="m2: models must cover the same laws"):
+            compose(task1, task2)
+
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
@@ -327,3 +338,8 @@ class TestConfigValidation:
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(RegevalError, match=f"{name} must be finite"):
                     CompositeConfig(**{name: value})
+
+    def test_accepts_zero_and_fractional_weights(self):
+        for name in ("alpha", "beta", "gamma", "delta"):
+            for value in (0.0, 0.5):
+                assert getattr(CompositeConfig(**{name: value}), name) == value

@@ -510,35 +510,73 @@ class TestReplayTransport:
         assert order == sorted(order)
         assert {r["model"] for r in second_records} == {"model-x", "model-y"}
 
-    def test_index_holds_one_string_per_key_across_models(self, registry, tmp_path):
+    def _recorded(self, registry, tmp_path, models):
+        """The records of a RANDOM mock run of `models`, and its path."""
         corpus = small_corpus(registry, files=2)
         views = shape_views(corpus)
         first = execute_run(
-            RunConfig(models=("model-x", "model-y"), backoff_seconds=0.0),
+            RunConfig(models=models, backoff_seconds=0.0),
             build_prompt_items(views, corpus),
             MockTransport(profile_reply_fn(views, registry, "RANDOM")),
             tmp_path / "orig",
             registry,
         )
-        replay = ReplayTransport(first.responses_path)
-        by_key = {}
-        for identity in replay._responses:
-            by_key.setdefault(identity[1:], []).append(identity)
-        records = list(load_responses(first.responses_path))
-        assert len(by_key) == len(records) // 2
-        for x, y in by_key.values():
-            assert (x[0], y[0]) == ("model-x", "model-y")
-            assert all(a is b for a, b in zip(x[1:], y[1:]))
-        identities = []
+        return list(load_responses(first.responses_path)), first.responses_path
+
+    @staticmethod
+    def _rows(records):
+        """One (task, law, key JSON) row per distinct request of `records`,
+        sorted, each with a key JSON string of its own."""
+        return sorted({(r["task"], r["law"], json.dumps(r["key"], sort_keys=True)) for r in records})
+
+    @staticmethod
+    def _request(model, task, law, key_json):
+        return TransportRequest(
+            model=model, task=task, law=law, key=json.loads(key_json), prompt="",
+            temperature=0.0, max_tokens=1, timeout_seconds=1.0, key_json=key_json,
+        )
+
+    def test_index_holds_one_string_per_key_across_models(self, registry, tmp_path):
+        records, path = self._recorded(registry, tmp_path, ("model-x", "model-y"))
+        rows = self._rows(records)
+        replay = ReplayTransport(path)
+        replay.prepare((model, *row) for model in ("model-x", "model-y") for row in rows)
+        passed = {row: row[2] for row in rows}
+        assert sum(len(keys) for keys in replay._index.values()) == len(records) == 2 * len(rows)
+        for (model, task, law), keys in replay._index.items():
+            for key_json in keys:
+                assert key_json is passed[(task, law, key_json)]
         for record in records:
-            key_json = json.dumps(record["key"], sort_keys=True)
-            identities.append((record["model"], record["task"], record["law"], key_json))
-            request = TransportRequest(
-                model=record["model"], task=record["task"], law=record["law"], key=record["key"], prompt="",
-                temperature=0.0, max_tokens=1, timeout_seconds=1.0, key_json=key_json,
-            )
+            key_json = passed[(record["task"], record["law"], json.dumps(record["key"], sort_keys=True))]
+            request = self._request(record["model"], record["task"], record["law"], key_json)
             assert replay.send(request) == record["text"]
-        replay.prepare(identities)
+
+    def test_index_holds_only_the_requested_models_and_keys(self, registry, tmp_path):
+        records, path = self._recorded(registry, tmp_path, ("model-x", "model-y", "model-z"))
+        rows = [row for row in self._rows(records) if row[0] == "task1"]
+        assert rows and len(rows) < len(records) // 3
+        replay = ReplayTransport(path)
+        replay.prepare((model, *row) for model in ("model-x", "model-y") for row in rows)
+        assert {group[:2] for group in replay._index} == {("model-x", "task1"), ("model-y", "task1")}
+        assert sum(len(keys) for keys in replay._index.values()) == 2 * len(rows)
+        texts = {(r["model"], r["task"], r["law"], json.dumps(r["key"], sort_keys=True)): r["text"] for r in records}
+        for model in ("model-x", "model-y"):
+            for row in rows:
+                assert replay.send(self._request(model, *row)) == texts[(model, *row)]
+        with pytest.raises(harness.TransportFailure):
+            replay.send(self._request("model-z", *rows[0]))
+
+    def test_duplicate_identity_serves_its_last_text(self, registry, tmp_path):
+        records, path = self._recorded(registry, tmp_path, ("model-x",))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**records[0], "text": "Art. 1, replayed last"}) + "\n")
+        rows = self._rows(records)
+        replay = ReplayTransport(path)
+        replay.prepare(("model-x", *row) for row in rows)
+        key_json = json.dumps(records[0]["key"], sort_keys=True)
+        request = self._request("model-x", records[0]["task"], records[0]["law"], key_json)
+        assert replay.send(request) == "Art. 1, replayed last"
+        assert sum(len(keys) for keys in replay._index.values()) == len(records)
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(TransportConfigError):
@@ -644,8 +682,19 @@ class TestLoadResponses:
         with pytest.raises(MalformedResponse, match="line 2: missing field 'key'"):
             next(records)
 
-    def test_replay_requires_model_and_text(self, tmp_path):
+    def test_replay_requires_model_and_text(self, registry, tmp_path):
+        """The replay index reads the file in `prepare`, which `execute_run`
+        calls before the out dir exists."""
         bare = {k: v for k, v in self.RECORD.items() if k != "text"}
         path = self._write(tmp_path, json.dumps(self.RECORD), json.dumps(bare))
+        corpus = small_corpus(registry, files=1)
+        replay = ReplayTransport(path)
         with pytest.raises(MalformedResponse, match="line 2: missing field 'text'"):
-            ReplayTransport(path)
+            execute_run(
+                RunConfig(models=("m",), backoff_seconds=0.0),
+                build_prompt_items(shape_views(corpus), corpus),
+                replay,
+                tmp_path / "replayed",
+                registry,
+            )
+        assert not (tmp_path / "replayed").exists()
