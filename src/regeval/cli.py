@@ -177,14 +177,22 @@ def cmd_synth(args) -> int:
                 scripted.sets,
                 config_echo={"profile": profile.strip(), "seed": spec.seed},
             )
+            # The next profile's rows are built without this one's.
+            del scripted
             print(f"wrote {t1}")
             print(f"wrote {t2}")
     return 0
 
 
 def cmd_run(args) -> int:
-    if args.fail_times and args.transport != "mock":
-        raise TransportConfigError(f"--fail-times applies to --transport mock only, not {args.transport}")
+    for flag, given, owner in (
+        ("--profile", args.profile is not None, "mock"),
+        ("--seed", args.seed is not None, "mock"),
+        ("--fail-times", args.fail_times, "mock"),
+        ("--replay", args.replay is not None, "replay"),
+    ):
+        if given and args.transport != owner:
+            raise TransportConfigError(f"{flag} applies to --transport {owner} only, not {args.transport}")
     registry = _registry(args)
     views = _load_views(args.views_dir, args.law.split(",") if args.law else None, registry)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
@@ -207,7 +215,8 @@ def cmd_run(args) -> int:
     items = build_prompt_items(views, corpus, config.context_window, tasks)
     del corpus
     if args.transport == "mock":
-        transport = MockTransport(profile_reply_fn(views, registry, args.profile, seed=args.seed), args.fail_times)
+        reply = profile_reply_fn(views, registry, args.profile or "PERFECT", seed=args.seed or 0)
+        transport = MockTransport(reply, args.fail_times)
     elif args.transport == "failing":
         transport = FailingTransport()
     else:
@@ -388,11 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--task", choices=("task1", "task2", "both"), default="both")
     p_run.add_argument("--models", required=True, help="comma-separated model names")
     p_run.add_argument("--transport", choices=("mock", "failing", "replay"), default="mock")
-    p_run.add_argument("--profile", default="PERFECT", choices=PROFILES)
+    p_run.add_argument("--profile", default=None, choices=PROFILES, help="mock answers (default PERFECT)")
     p_run.add_argument("--fail-times", type=int, default=0)
     p_run.add_argument("--replay", default=None, help="raw_responses.jsonl to re-serve")
     p_run.add_argument("--dataset", default=None, help="raw dataset for prompt context")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, default=None, help="mock RANDOM seed (default 0)")
     p_run.add_argument("--temperature", type=float, default=0.0)
     p_run.add_argument("--max-tokens", type=int, default=2048)
     p_run.add_argument("--timeout", type=float, default=180.0)

@@ -152,7 +152,7 @@ def rcs_scores(cohort: Sequence[Sequence[float]], config: CompositeConfig) -> li
     for row in rows:
         d_plus = _distance([value - 1.0 for value in row], factor)
         d_minus = _distance(row, factor)
-        scores.append(d_minus / (d_plus + d_minus) if (d_plus + d_minus) else 0.0)
+        scores.append(d_minus / (d_plus + d_minus))
     return scores
 
 
@@ -189,25 +189,15 @@ class CompositeReport:
 
     __slots__ = ("config", "sgs_tables", "rcs_task1", "rcs_task2", "crgs_task1", "crgs_task2", "coupled", "ocs_scores")
 
-    def __init__(
-        self,
-        config: CompositeConfig,
-        sgs_tables: dict[str, dict[str, dict[str, float]]] | None = None,
-        rcs_task1: dict[str, dict[str, float]] | None = None,
-        rcs_task2: dict[str, dict[str, float]] | None = None,
-        crgs_task1: dict[str, float] | None = None,
-        crgs_task2: dict[str, float] | None = None,
-        coupled: dict[str, dict[str, float]] | None = None,
-        ocs_scores: dict[str, float] | None = None,
-    ):
+    def __init__(self, config: CompositeConfig):
         self.config = config
-        self.sgs_tables = {} if sgs_tables is None else sgs_tables
-        self.rcs_task1 = {} if rcs_task1 is None else rcs_task1
-        self.rcs_task2 = {} if rcs_task2 is None else rcs_task2
-        self.crgs_task1 = {} if crgs_task1 is None else crgs_task1
-        self.crgs_task2 = {} if crgs_task2 is None else crgs_task2
-        self.coupled = {} if coupled is None else coupled
-        self.ocs_scores = {} if ocs_scores is None else ocs_scores
+        self.sgs_tables: dict[str, dict[str, dict[str, float]]] = {}
+        self.rcs_task1: dict[str, dict[str, float]] = {}
+        self.rcs_task2: dict[str, dict[str, float]] = {}
+        self.crgs_task1: dict[str, float] = {}
+        self.crgs_task2: dict[str, float] = {}
+        self.coupled: dict[str, dict[str, float]] = {}
+        self.ocs_scores: dict[str, float] = {}
 
     def to_dict(self) -> dict:
         return {

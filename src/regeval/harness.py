@@ -127,18 +127,20 @@ def default_template(jur: Jurisdiction) -> PromptTemplate:
 
 
 class LocalizationPromptItem(NamedTuple):
-    """Task-1 request: one gold anchor plus compact code context."""
+    """Task-1 request: one gold anchor, a key tuple in `RetrievalKey` layout,
+    plus compact code context."""
 
     law: str
-    key: RetrievalKey
+    key: tuple
     context: str = ""
 
 
 class JudgmentPromptItem(NamedTuple):
-    """Task-2 request: one snippet window."""
+    """Task-2 request: one snippet window at a pointer tuple in
+    `SnippetPointer` layout."""
 
     law: str
-    pointer: SnippetPointer
+    pointer: tuple
     snippet: str
 
 
@@ -166,12 +168,12 @@ def render_prompt(template: PromptTemplate, item: PromptItem) -> str:
 def _render(preamble: str, template: PromptTemplate, item: PromptItem) -> str:
     """`render_prompt`'s text, after a preamble of `template` already joined."""
     if isinstance(item, LocalizationPromptItem):
-        key = item.key
-        lines = [f"Anchor granularity: {key.granularity}", f"File path: {key.file_path}"]
-        if key.module is not None:
-            lines.append(f"Module: {key.module}")
-        if key.start is not None:
-            lines.append(f"Lines: {key.span.render()}")
+        file_path, granularity, module, start, end = item.key[4:]
+        lines = [f"Anchor granularity: {granularity}", f"File path: {file_path}"]
+        if module is not None:
+            lines.append(f"Module: {module}")
+        if start is not None:
+            lines.append(f"Lines: {start}-{end}")
         if item.context:
             lines.append("Context:")
             lines.append(item.context)
@@ -180,9 +182,10 @@ def _render(preamble: str, template: PromptTemplate, item: PromptItem) -> str:
             "Rank the provisions this anchor implicates, most likely first."
         )
     else:
+        file_path, start, end, _commit_id = item.pointer
         lines = [
-            f"File path: {item.pointer.file_path}",
-            f"Lines: {item.pointer.span.render()}",
+            f"File path: {file_path}",
+            f"Lines: {start}-{end}",
             "Code window:",
             item.snippet,
             "",
@@ -222,7 +225,7 @@ def build_prompt_items(
     for inst in ordered_corpus:
         trimmed = _trim_context(inst.snippet, context_window)
         context_by_pointer.setdefault(
-            (inst.law, inst.repo_url, inst.app_name, inst.commit_id, inst.file_path, inst.span),
+            (inst.law, inst.repo_url, inst.app_name, inst.commit_id, inst.file_path, *inst.span),
             trimmed,
         )
         context_by_file.setdefault(
@@ -232,10 +235,10 @@ def build_prompt_items(
     items: list[PromptItem] = []
     for law, view in sorted(views.items()):
         if "task1" in tasks:
-            for key in sorted(gold_keys_for_records(view.task1), key=lambda k: k.sort_key()):
-                file_id = (law, key.repo_url, key.app_name, key.commit_id, key.file_path)
-                if key.granularity == "line" and key.start is not None:
-                    context = context_by_pointer.get(file_id + (key.span,), "")
+            for key in sorted(gold_keys_for_records(view.task1), key=RetrievalKey.sort_key):
+                file_id = key[:5]  # (law, repo_url, app_name, commit_id, file_path)
+                if key[5] == "line" and key[7] is not None:
+                    context = context_by_pointer.get(file_id + key[7:], "")
                     context = context or context_by_file.get(file_id, "")
                 else:
                     context = context_by_file.get(file_id, "")
@@ -253,10 +256,10 @@ def request_key(item: PromptItem) -> dict:
     """The key fields of a prompt item's request: a task-1 anchor without its
     law, or a task-2 snippet pointer."""
     if isinstance(item, LocalizationPromptItem):
-        key = item.key.to_dict()
+        key = RetrievalKey.to_dict(item.key)
         del key["law"]
         return key
-    return item.pointer.to_dict()
+    return SnippetPointer.to_dict(item.pointer)
 
 
 class _TransportRequest(NamedTuple):

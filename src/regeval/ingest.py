@@ -93,9 +93,9 @@ def parse_responses(
         law = names.setdefault(law, law)
         try:
             if task1:
-                target = RetrievalKey.from_dict(law, record["key"])
+                target = decode_anchor(law, record["key"])
             else:
-                target = SnippetPointer.from_dict(record["pointer"] if "pointer" in record else record["key"])
+                target = decode_pointer(record["pointer"] if "pointer" in record else record["key"])
         except MalformedPrediction as exc:
             raise MalformedResponse(f"{path}: line {number}: {exc}") from None
         target = anchors.setdefault(target, target)
@@ -117,7 +117,7 @@ def parse_responses(
 
 
 def ranked_prediction_to_dict(pred: RankedPrediction) -> dict:
-    payload = pred.key.to_dict()
+    payload = RetrievalKey.to_dict(pred.key)
     payload["ranking"] = list(pred.ranking)
     if pred.model:
         payload["model"] = pred.model
@@ -127,7 +127,7 @@ def ranked_prediction_to_dict(pred: RankedPrediction) -> dict:
 def set_prediction_to_dict(pred: SetPrediction) -> dict:
     return {
         "law": pred.law,
-        **pred.pointer.to_dict(),
+        **SnippetPointer.to_dict(pred.pointer),
         "labels": list(pred.labels),
         **({"model": pred.model} if pred.model else {}),
     }
@@ -258,8 +258,8 @@ class DecodeCache:
     - `ids[law]` maps the text of each stored id already resolved for `law`
       to its canonical id (see `_canonical_ids`);
     - `anchors` maps each decoded task-1 key and task-2 pointer to its one
-      plain tuple; `GoldIndex.from_views` seeds it with every gold one, so a
-      matching prediction holds the gold index's strings;
+      tuple; `GoldIndex.from_views` seeds it with every gold one, so a
+      matching prediction holds the gold index's own key or pointer;
     - `names` maps each law and model name to its one string.
 
     Rankings and label tuples are not shared: real model output rarely
@@ -267,15 +267,10 @@ class DecodeCache:
 
     __slots__ = ("ids", "anchors", "names")
 
-    def __init__(
-        self,
-        ids: dict[str, dict[str, str]] | None = None,
-        anchors: dict[tuple, tuple] | None = None,
-        names: dict[str, str] | None = None,
-    ):
-        self.ids = {} if ids is None else ids
+    def __init__(self, anchors: dict[tuple, tuple] | None = None):
+        self.ids: dict[str, dict[str, str]] = {}
         self.anchors = {} if anchors is None else anchors
-        self.names = {} if names is None else names
+        self.names: dict[str, str] = {}
 
 
 def load_prediction_files(
@@ -289,13 +284,11 @@ def load_prediction_files(
     (law, pointer, labels, model), ids canonical. Each key, pointer, law and
     model is the object `cache` holds for it; pass one cache, such as
     `GoldIndex.cache`, to every call of one `eval`."""
-    # Rows, keys and pointers stay exact tuples of strings, ints and None, so
+    # Rows, keys and pointers are exact tuples of strings, ints and None, so
     # the cyclic GC untracks a row once it has untracked the row's items. A
-    # named tuple is never untracked, and a row holding one stays tracked, so
-    # `anchors` maps each key to a plain tuple, never to the gold index's
-    # named tuple. Named-tuple rows made `eval` of the 600-file five-profile
-    # cohort about 10% slower: medians of 16 fresh processes 0.85 -> 0.93 s,
-    # and 0.64 -> 0.70 s under gc.disable().
+    # named tuple is never untracked: named-tuple rows made `eval` of the
+    # 600-file five-profile cohort about 10% slower (medians of 16 fresh
+    # processes 0.85 -> 0.93 s, and 0.64 -> 0.70 s under gc.disable()).
     cache = DecodeCache() if cache is None else cache
     memo, anchors, names = cache.ids, cache.anchors, cache.names
 
@@ -328,16 +321,16 @@ class GoldIndex(NamedTuple):
 
     @classmethod
     def from_views(cls, views: Mapping[str, ShapedViews]) -> "GoldIndex":
-        """The index of `views`, with a `cache` whose `anchors` hold a plain
-        tuple of every gold key and pointer, for this `eval`'s prediction
-        files to share."""
+        """The index of `views`, with a `cache` whose `anchors` hold the
+        views' own tuple of every gold key and pointer, for this `eval`'s
+        prediction files to share."""
         task1 = index_gold_keys(gold_keys_for_records([rec for view in views.values() for rec in view.task1]))
         task2 = index_pointers([rec for view in views.values() for rec in view.task2])
         anchors = chain(
             (key for gold_slice in task1.values() for key in gold_slice.keys),
             (pointer for pointers in task2.values() for pointer in pointers.slot),
         )
-        return cls(task1, task2, DecodeCache(anchors={anchor: anchor for anchor in map(tuple, anchors)}))
+        return cls(task1, task2, DecodeCache(anchors={anchor: anchor for anchor in anchors}))
 
 
 class BindResult:
@@ -350,13 +343,11 @@ class BindResult:
         self,
         task1: dict[tuple[str, str], Task1Match] | None = None,
         task2: dict[str, Task2Match] | None = None,
-        orphan_task1: list[dict] | None = None,
-        cardinality: dict[str, dict[str, dict[int, int]]] | None = None,
     ):
         self.task1 = {} if task1 is None else task1
         self.task2 = {} if task2 is None else task2
-        self.orphan_task1 = [] if orphan_task1 is None else orphan_task1
-        self.cardinality = {} if cardinality is None else cardinality
+        self.orphan_task1: list[dict] = []
+        self.cardinality: dict[str, dict[str, dict[int, int]]] = {}
 
     def to_dict(self) -> dict:
         return {
@@ -386,13 +377,11 @@ def bind_predictions(
     sets: Sequence[tuple],
     policy: str,
 ) -> BindResult:
-    """Join one model's prediction rows (as `load_prediction_files` decodes
-    them, or the named tuples) to the gold index and report coverage."""
+    """Join one model's prediction rows, laid out like `RankedPrediction`
+    and `SetPrediction`, to the gold index and report coverage."""
     task1, orphans = match_task1(gold.task1, ranked, policy)
     result = BindResult(task1=task1, task2=match_task2(gold.task2, sets))
-    result.orphan_task1 = [
-        {"key": RetrievalKey._make(key).to_dict(), "model": model} for key, _ranking, model in orphans
-    ]
+    result.orphan_task1 = [{"key": RetrievalKey.to_dict(key), "model": model} for key, _ranking, model in orphans]
     sizes = {
         "task1": Counter((key[0], len(ranking)) for key, ranking, _model in ranked),
         "task2": Counter((law, len(labels)) for law, _pointer, labels, _model in sets),

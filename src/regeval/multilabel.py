@@ -121,11 +121,11 @@ def score_judgment(
 
 
 class SetPrediction(NamedTuple):
-    """Parsed label set for one snippet pointer, with its output order; the
-    tuple is the row `eval` joins on."""
+    """Parsed label set for one snippet pointer, a tuple in `SnippetPointer`
+    layout, with its output order; the tuple is the row `eval` joins on."""
 
     law: str
-    pointer: SnippetPointer
+    pointer: tuple
     labels: tuple[str, ...]
     model: str = ""
 
@@ -133,10 +133,10 @@ class SetPrediction(NamedTuple):
 class PointerMatchReport:
     __slots__ = ("gold_pointers", "matched_pointers", "orphans")
 
-    def __init__(self, gold_pointers: int = 0, matched_pointers: int = 0, orphans: list[dict] | None = None):
+    def __init__(self, gold_pointers: int = 0):
         self.gold_pointers = gold_pointers
-        self.matched_pointers = matched_pointers
-        self.orphans = [] if orphans is None else orphans
+        self.matched_pointers = 0
+        self.orphans: list[dict] = []
 
     @property
     def coverage(self) -> float:
@@ -163,19 +163,14 @@ class Task2Match(NamedTuple):
 class GoldPointers:
     """One law's gold task-2 records, indexed once per `eval` and shared by
     every model's join: their gold sets in record order, a slot per distinct
-    pointer, and each record's slot."""
+    pointer tuple, and each record's slot."""
 
     __slots__ = ("golds", "slot", "record_slots")
 
-    def __init__(
-        self,
-        golds: list[frozenset[str]] | None = None,
-        slot: dict[tuple, int] | None = None,
-        record_slots: list[int] | None = None,
-    ):
-        self.golds = [] if golds is None else golds
-        self.slot = {} if slot is None else slot
-        self.record_slots = [] if record_slots is None else record_slots
+    def __init__(self):
+        self.golds: list[frozenset[str]] = []
+        self.slot: dict[tuple, int] = {}
+        self.record_slots: list[int] = []
 
 
 def index_pointers(records: Sequence[Task2Record]) -> dict[str, GoldPointers]:
@@ -192,8 +187,8 @@ def match_task2(
     index: Mapping[str, GoldPointers],
     predictions: Sequence[tuple],
 ) -> dict[str, Task2Match]:
-    """Strict pointer matching per law of predictions, `SetPrediction`s or
-    plain tuples laid out like them: one pointer lookup per prediction.
+    """Strict pointer matching per law of predictions, rows laid out like
+    `SetPrediction`: one pointer lookup per prediction.
 
     The first prediction for a pointer is kept. A prediction whose pointer
     matches no gold record is an orphan, listed once per pointer (the first
@@ -227,7 +222,7 @@ def match_task2(
                 report.matched_pointers += 1
                 orders.append(labels)
         report.orphans = [
-            {**SnippetPointer._make(pointer).to_dict(), "model": model}
+            {**SnippetPointer.to_dict(pointer), "model": model}
             for pointer, model in orphans.items()
         ]
         matches[law] = Task2Match(golds=gold.golds, orders=orders, report=report)

@@ -107,18 +107,18 @@ def file_identity(key: tuple) -> tuple:
 
 
 class RankedPrediction(NamedTuple):
-    """Duplicate-free ranked article ids bound to one gold anchor; the tuple
-    is the row `eval` joins on."""
+    """Duplicate-free ranked article ids bound to one gold anchor, a key
+    tuple in `RetrievalKey` layout; the tuple is the row `eval` joins on."""
 
-    key: RetrievalKey
+    key: tuple
     ranking: tuple[str, ...]
     model: str = ""
 
 
-def gold_keys_for_records(records: Sequence[Task1Record]) -> dict[RetrievalKey, frozenset[str]]:
+def gold_keys_for_records(records: Sequence[Task1Record]) -> dict[tuple, frozenset[str]]:
     """The gold anchors of shaped records, each record's file, module and
     line keys in that order, mapped to their gold sets."""
-    gold: dict[RetrievalKey, frozenset[str]] = {}
+    gold: dict[tuple, frozenset[str]] = {}
     for rec in records:
         gold[rec.file] = rec.file_gold
         gold[rec.module] = rec.module_gold
@@ -128,24 +128,19 @@ def gold_keys_for_records(records: Sequence[Task1Record]) -> dict[RetrievalKey, 
 
 class GoldSlice:
     """The gold anchors of one (law, granularity) slice, indexed once per
-    `eval` and shared by every model's join. Slot i holds `keys[i]` and its
-    gold set `golds[i]`, in the order the keys were expanded, which fixes the
-    order in which the metric means are summed; `slot` maps each key to its
-    slot."""
+    `eval` and shared by every model's join. Slot i holds the key tuple
+    `keys[i]` and its gold set `golds[i]`, in the order the keys were
+    expanded, which fixes the order in which the metric means are summed;
+    `slot` maps each key to its slot."""
 
-    def __init__(
-        self,
-        keys: list[RetrievalKey] | None = None,
-        golds: list[frozenset[str]] | None = None,
-        slot: dict[tuple, int] | None = None,
-    ):
-        self.keys = [] if keys is None else keys
-        self.golds = [] if golds is None else golds
-        self.slot = {} if slot is None else slot
+    def __init__(self):
+        self.keys: list[tuple] = []
+        self.golds: list[frozenset[str]] = []
+        self.slot: dict[tuple, int] = {}
 
-    def add(self, key: RetrievalKey, gold_set: frozenset[str]) -> None:
+    def add(self, key: tuple, gold_set: frozenset[str]) -> None:
         if not gold_set:
-            raise EmptyGold(f"gold set empty for key {key.to_dict()}")
+            raise EmptyGold(f"gold set empty for key {RetrievalKey.to_dict(key)}")
         self.slot[key] = len(self.keys)
         self.keys.append(key)
         self.golds.append(gold_set)
@@ -154,19 +149,19 @@ class GoldSlice:
     def sort_order(self) -> list[int]:
         """Slots in `RetrievalKey.sort_key` order: the order in which the
         relaxed fallback visits the gold keys and logs its collisions."""
-        return sorted(range(len(self.keys)), key=lambda slot: self.keys[slot].sort_key())
+        return sorted(range(len(self.keys)), key=lambda slot: RetrievalKey.sort_key(self.keys[slot]))
 
 
-def index_gold_keys(gold: Mapping[RetrievalKey, frozenset[str]]) -> dict[tuple[str, str], GoldSlice]:
+def index_gold_keys(gold: Mapping[tuple, frozenset[str]]) -> dict[tuple[str, str], GoldSlice]:
     """Slice expanded gold keys by (law, granularity): every granularity of
     every law with gold, laws in sorted order, empty slices included."""
     slices = {
         (law, granularity): GoldSlice()
-        for law in sorted({key.law for key in gold})
+        for law in sorted({key[0] for key in gold})
         for granularity in GRANULARITIES
     }
     for key, gold_set in gold.items():
-        slices[(key.law, key.granularity)].add(key, gold_set)
+        slices[(key[0], key[5])].add(key, gold_set)  # (law, granularity)
     return slices
 
 
@@ -175,19 +170,12 @@ class KeyMatchReport:
 
     __slots__ = ("policy", "gold_keys", "matched_keys", "unmatched", "duplicates")
 
-    def __init__(
-        self,
-        policy: str,
-        gold_keys: int = 0,
-        matched_keys: int = 0,
-        unmatched: list[RetrievalKey] | None = None,
-        duplicates: list[dict] | None = None,
-    ):
+    def __init__(self, policy: str, gold_keys: int = 0):
         self.policy = policy
         self.gold_keys = gold_keys
-        self.matched_keys = matched_keys
-        self.unmatched = [] if unmatched is None else unmatched
-        self.duplicates = [] if duplicates is None else duplicates
+        self.matched_keys = 0
+        self.unmatched: list[tuple] = []
+        self.duplicates: list[dict] = []
 
     @property
     def coverage(self) -> float:
@@ -195,8 +183,7 @@ class KeyMatchReport:
 
     def first_kept(self, key: tuple, policy: str) -> None:
         """Log that several predictions claimed `key` and the first one won."""
-        entry = {"key": RetrievalKey._make(key).to_dict(), "policy": policy, "action": "first kept"}
-        self.duplicates.append(entry)
+        self.duplicates.append({"key": RetrievalKey.to_dict(key), "policy": policy, "action": "first kept"})
 
     def to_dict(self) -> dict:
         return {
@@ -204,7 +191,7 @@ class KeyMatchReport:
             "gold_keys": self.gold_keys,
             "matched_keys": self.matched_keys,
             "coverage": self.coverage,
-            "unmatched": [key.to_dict() for key in sorted(self.unmatched, key=lambda k: k.sort_key())],
+            "unmatched": [RetrievalKey.to_dict(key) for key in sorted(self.unmatched, key=RetrievalKey.sort_key)],
             "duplicate_prediction_keys": self.duplicates,
         }
 
@@ -222,8 +209,8 @@ class Task1Match(NamedTuple):
 
 
 def match_keys(gold: GoldSlice, predictions: Sequence[tuple], policy: str = STRICT) -> Task1Match:
-    """Align one slice's predictions, `RankedPrediction`s or plain tuples laid
-    out like them, to its gold keys: one key lookup per prediction.
+    """Align one slice's predictions, rows laid out like `RankedPrediction`,
+    to its gold keys: one key lookup per prediction.
 
     Strict matching needs key equality. Relaxed matching falls back to
     file identity when the key misses, as a coverage-ceiling diagnostic.

@@ -46,9 +46,11 @@ def filter_corpus(
 
 
 class RetrievalKey(NamedTuple):
-    """Full pointer identity for one task-1 gold anchor. The field order is
-    the layout `eval` joins on, and a key compares and hashes equal to the
-    plain tuple of its fields, which is what `decode_anchor` returns."""
+    """The field layout of a task-1 gold anchor key and its codec. A key is
+    stored as the plain tuple of these fields, as `decode_anchor` returns it,
+    from view decode to report; `sort_key` and `to_dict` read it by position,
+    so `RetrievalKey.to_dict(key)` takes a plain tuple. Only
+    `synthetic.scripted_model` wraps its rows' keys in the class."""
 
     law: str
     repo_url: str
@@ -60,42 +62,25 @@ class RetrievalKey(NamedTuple):
     start: int | None = None
     end: int | None = None
 
-    @property
-    def span(self) -> LineSpan | None:
-        return None if self.start is None else LineSpan(self.start, self.end)
-
     def sort_key(self) -> tuple:
-        return (
-            self.law,
-            self.repo_url,
-            self.file_path,
-            self.granularity,
-            self.module or "",
-            self.start or 0,
-            self.end or 0,
-            self.app_name,
-            self.commit_id,
-        )
+        law, repo_url, app_name, commit_id, file_path, granularity, module, start, end = self
+        return (law, repo_url, file_path, granularity, module or "", start or 0, end or 0, app_name, commit_id)
 
     def to_dict(self) -> dict:
+        law, repo_url, app_name, commit_id, file_path, granularity, module, start, end = self
         payload = {
-            "law": self.law,
-            "repo_url": self.repo_url,
-            "app_name": self.app_name,
-            "commit_id": self.commit_id,
-            "file_path": self.file_path,
-            "granularity": self.granularity,
+            "law": law,
+            "repo_url": repo_url,
+            "app_name": app_name,
+            "commit_id": commit_id,
+            "file_path": file_path,
+            "granularity": granularity,
         }
-        if self.module is not None:
-            payload["module"] = self.module
-        if self.start is not None:
-            payload["span"] = [self.start, self.end]
+        if module is not None:
+            payload["module"] = module
+        if start is not None:
+            payload["span"] = [start, end]
         return payload
-
-    @classmethod
-    def from_dict(cls, law: str, data: Mapping) -> "RetrievalKey":
-        """Inverse of `to_dict`; `law` is passed because request keys omit it."""
-        return cls._make(decode_anchor(law, data))
 
 
 def decode_anchor(law: str, data: Mapping) -> tuple:
@@ -126,20 +111,24 @@ def decode_anchor(law: str, data: Mapping) -> tuple:
 
 class Task1Record(NamedTuple):
     """One localization record: the file, module and line anchors of one
-    (repo, app, commit, file), each with its gold set. Law, key fields,
-    module name and spans are read off the keys."""
+    (repo, app, commit, file), each a key tuple in `RetrievalKey` layout
+    with its gold set. Law, key fields, module name and spans are read off
+    the keys."""
 
-    file: RetrievalKey
+    file: tuple
     file_gold: frozenset[str]
-    module: RetrievalKey
+    module: tuple
     module_gold: frozenset[str]
-    lines: tuple[tuple[RetrievalKey, frozenset[str]], ...]
+    lines: tuple[tuple[tuple, frozenset[str]], ...]
 
 
 class SnippetPointer(NamedTuple):
-    """One task-2 snippet: a closed line span of a file at a commit. It
-    compares and hashes equal to the plain tuple of its fields, which is what
-    `decode_pointer` returns."""
+    """The field layout of a task-2 snippet pointer, a closed line span of a
+    file at a commit, and its codec. A pointer is stored as the plain tuple
+    of these fields, as `decode_pointer` returns it; `to_dict` reads it by
+    position, so `SnippetPointer.to_dict(pointer)` takes a plain tuple. Only
+    `synthetic.scripted_model` wraps its rows' pointers in the class, whose
+    `span` is read off them."""
 
     file_path: str
     start: int
@@ -151,11 +140,8 @@ class SnippetPointer(NamedTuple):
         return LineSpan(self.start, self.end)
 
     def to_dict(self) -> dict:
-        return {"file_path": self.file_path, "span": [self.start, self.end], "commit_id": self.commit_id}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SnippetPointer":
-        return cls._make(decode_pointer(data))
+        file_path, start, end, commit_id = self
+        return {"file_path": file_path, "span": [start, end], "commit_id": commit_id}
 
 
 def decode_pointer(data: Mapping) -> tuple:
@@ -172,8 +158,11 @@ def decode_pointer(data: Mapping) -> tuple:
 
 
 class Task2Record(NamedTuple):
+    """One judgment record; `pointer` is a tuple in `SnippetPointer`
+    layout."""
+
     law: str
-    pointer: SnippetPointer
+    pointer: tuple
     snippet: str
     gold: frozenset[str]
     repo_url: str
@@ -233,31 +222,30 @@ def shape_task1(corpus: Sequence[RawInstance]) -> list[Task1Record]:
         lines = merge_line_evidence([(inst.span, inst.articles) for inst in members])
         records.append(
             Task1Record(
-                file=RetrievalKey(*base, "file"),
+                file=(*base, "file", None, None, None),
                 file_gold=union,
-                module=RetrievalKey(*base, "module", derive_module_name(base[4])),
+                module=(*base, "module", derive_module_name(base[4]), None, None),
                 module_gold=union,
-                lines=tuple((RetrievalKey(*base, "line", None, span.start, span.end), gold) for span, gold in lines),
+                lines=tuple(((*base, "line", None, span.start, span.end), gold) for span, gold in lines),
             )
         )
-    records.sort(key=lambda r: r.file.sort_key())
+    records.sort(key=lambda r: RetrievalKey.sort_key(r.file))
     return records
 
 
 def shape_task2(corpus: Sequence[RawInstance]) -> list[Task2Record]:
     """Group one law's instances into judgment records, one per snippet pointer."""
     law = _require_single_law(corpus)
-    groups: dict[SnippetPointer, list[RawInstance]] = {}
+    groups: dict[tuple, list[RawInstance]] = {}
     for inst in corpus:
-        pointer = SnippetPointer(inst.file_path, inst.span.start, inst.span.end, inst.commit_id)
-        groups.setdefault(pointer, []).append(inst)
+        groups.setdefault((inst.file_path, inst.span.start, inst.span.end, inst.commit_id), []).append(inst)
 
     records = []
     for pointer, members in groups.items():
         snippets = {inst.snippet for inst in members}
         if len(snippets) != 1:
             raise ConflictingSnippet(
-                f"pointer {pointer.file_path}:{pointer.span.render()} maps to "
+                f"pointer {pointer[0]}:{members[0].span.render()} maps to "
                 f"{len(snippets)} different snippet texts"
             )
         first = min(members, key=lambda i: (i.repo_url, i.app_name))
@@ -271,9 +259,7 @@ def shape_task2(corpus: Sequence[RawInstance]) -> list[Task2Record]:
                 app_name=first.app_name,
             )
         )
-    records.sort(
-        key=lambda r: (r.repo_url, r.pointer.file_path, r.pointer.start, r.pointer.end, r.pointer.commit_id)
-    )
+    records.sort(key=lambda r: (r.repo_url, *r.pointer))
     return records
 
 
@@ -307,19 +293,14 @@ def shape_views(
 
 
 def task1_record_to_dict(record: Task1Record, registry: JurisdictionRegistry) -> dict:
-    key = record.file
-    jur = registry.get(key.law)
+    law, repo_url, app_name, commit_id, file_path = record.file[:5]
+    jur = registry.get(law)
     return {
-        "key": {
-            "repo_url": key.repo_url,
-            "app_name": key.app_name,
-            "commit_id": key.commit_id,
-            "file_path": key.file_path,
-        },
+        "key": {"repo_url": repo_url, "app_name": app_name, "commit_id": commit_id, "file_path": file_path},
         "sections": {
             "file": {"gold": jur.sort_articles(record.file_gold)},
-            "module": {"name": record.module.module, "gold": jur.sort_articles(record.module_gold)},
-            "line": [{"span": [line.start, line.end], "gold": jur.sort_articles(gold)} for line, gold in record.lines],
+            "module": {"name": record.module[6], "gold": jur.sort_articles(record.module_gold)},
+            "line": [{"span": [line[7], line[8]], "gold": jur.sort_articles(gold)} for line, gold in record.lines],
         },
     }
 
@@ -327,7 +308,7 @@ def task1_record_to_dict(record: Task1Record, registry: JurisdictionRegistry) ->
 def task2_record_to_dict(record: Task2Record, registry: JurisdictionRegistry) -> dict:
     jur = registry.get(record.law)
     return {
-        "pointer": record.pointer.to_dict(),
+        "pointer": SnippetPointer.to_dict(record.pointer),
         "snippet": record.snippet,
         "gold": jur.sort_articles(record.gold),
         "provenance": {"repo_url": record.repo_url, "app_name": record.app_name},
@@ -353,12 +334,12 @@ def task1_record_from_dict(law: str, data: Mapping, held: dict) -> Task1Record:
     fields = decode_anchor(law, {**data["key"], "granularity": "module", "module": name})
     base = tuple(held.setdefault(field, field) for field in fields[:5])
     return Task1Record(
-        file=RetrievalKey(*base, "file"),
+        file=(*base, "file", None, None, None),
         file_gold=_decode_gold(sections["file"]["gold"], held),
-        module=RetrievalKey(*base, *fields[5:]),
+        module=(*base, *fields[5:]),
         module_gold=_decode_gold(sections["module"]["gold"], held),
         lines=tuple(
-            (RetrievalKey(*base, "line", None, *decode_span(entry["span"])), _decode_gold(entry["gold"], held))
+            ((*base, "line", None, *decode_span(entry["span"])), _decode_gold(entry["gold"], held))
             for entry in sections["line"]
         ),
     )
@@ -381,7 +362,7 @@ def task2_record_from_dict(law: str, data: Mapping, held: dict) -> Task2Record:
     file_path, commit_id, repo_url, app_name = (
         held.setdefault(text, text) for text in (file_path, commit_id, repo_url, app_name)
     )
-    return Task2Record(law, SnippetPointer(file_path, start, end, commit_id), snippet, gold, repo_url, app_name)
+    return Task2Record(law, (file_path, start, end, commit_id), snippet, gold, repo_url, app_name)
 
 
 def dump_views(

@@ -12,14 +12,14 @@ import random
 from collections import Counter
 from functools import partial
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Checked, LineSpan, RawInstance, check_field, check_member, check_object, read_json, write_json
 from .errors import InvalidSpec, RegevalError
 from .jurisdiction import JurisdictionRegistry
 from .multilabel import SetPrediction
 from .retrieval import RankedPrediction, gold_keys_for_records
-from .shaping import ShapedViews, decode_anchor, decode_pointer
+from .shaping import RetrievalKey, ShapedViews, SnippetPointer, decode_anchor, decode_pointer
 
 PROFILES = ("PERFECT", "BREADTH_ONLY", "RANKING_ONLY", "MAJORITY_LABEL", "RANDOM")
 
@@ -179,9 +179,9 @@ def load_spec(path: str | Path) -> CorpusSpec:
 class ScriptedPredictions:
     __slots__ = ("ranked", "sets")
 
-    def __init__(self, ranked: list[RankedPrediction] | None = None, sets: list[SetPrediction] | None = None):
-        self.ranked = [] if ranked is None else ranked
-        self.sets = [] if sets is None else sets
+    def __init__(self):
+        self.ranked: list[RankedPrediction] = []
+        self.sets: list[SetPrediction] = []
 
 
 def _law_label_frequencies(view: ShapedViews) -> Counter:
@@ -199,22 +199,18 @@ def _distractor(universe: Sequence[str], gold: frozenset[str]) -> str:
     return universe[0]
 
 
-def scripted_model(
+def _scripted_answers(
     profile: str,
     views: Mapping[str, ShapedViews],
     registry: JurisdictionRegistry,
-    seed: int = 0,
-) -> ScriptedPredictions:
-    """Oracle-adversary prediction generator for one behavior profile.
-
-    PERFECT emits the gold exactly; BREADTH_ONLY keeps all gold inside the top
-    five but never at rank 1; RANKING_ONLY answers with the single most
-    frequent gold item; MAJORITY_LABEL always predicts the law's most frequent
-    label; RANDOM samples uniformly from the universe.
-    """
+    seed: int,
+) -> Iterator[tuple[str, str, tuple, tuple[str, ...]]]:
+    """(task, law, view key or pointer, ids) of a profile's answer to every
+    task-1 gold key (in `RetrievalKey.sort_key` order) and then every task-2
+    record of each law, laws in sorted order; the key or pointer is the
+    view's own tuple. See `scripted_model` for the profiles."""
     if profile not in PROFILES:
         raise RegevalError(f"unknown profile: {profile!r} (choose from {PROFILES})")
-    result = ScriptedPredictions()
     for law, view in sorted(views.items()):
         jur = registry.get(law)
         frequencies = _law_label_frequencies(view)
@@ -236,16 +232,34 @@ def scripted_model(
 
         ranking_size = partial(min, 5, len(jur.universe))
         for key, gold in sorted(
-            gold_keys_for_records(view.task1).items(), key=lambda kv: kv[0].sort_key()
+            gold_keys_for_records(view.task1).items(), key=lambda kv: RetrievalKey.sort_key(kv[0])
         ):
-            result.ranked.append(
-                RankedPrediction(key=key, ranking=answer(gold, ranking_size), model=profile)
-            )
+            yield "task1", law, key, answer(gold, ranking_size)
         label_count = partial(rng.randint, 1, min(3, len(jur.universe)))
         for rec in view.task2:
-            result.sets.append(
-                SetPrediction(law=law, pointer=rec.pointer, labels=answer(rec.gold, label_count), model=profile)
-            )
+            yield "task2", law, rec.pointer, answer(rec.gold, label_count)
+
+
+def scripted_model(
+    profile: str,
+    views: Mapping[str, ShapedViews],
+    registry: JurisdictionRegistry,
+    seed: int = 0,
+) -> ScriptedPredictions:
+    """Oracle-adversary prediction generator for one behavior profile.
+
+    PERFECT emits the gold exactly; BREADTH_ONLY keeps all gold inside the top
+    five but never at rank 1; RANKING_ONLY answers with the single most
+    frequent gold item; MAJORITY_LABEL always predicts the law's most frequent
+    label; RANDOM samples uniformly from the universe. Each row's key is a
+    `RetrievalKey` and each pointer a `SnippetPointer`, read by field name.
+    """
+    result = ScriptedPredictions()
+    for task, law, target, ids in _scripted_answers(profile, views, registry, seed):
+        if task == "task1":
+            result.ranked.append(RankedPrediction(RetrievalKey._make(target), ids, profile))
+        else:
+            result.sets.append(SetPrediction(law, SnippetPointer._make(target), ids, profile))
     return result
 
 
@@ -267,11 +281,10 @@ def profile_reply_fn(
     Each answer's text is rendered once, indexed by the views' own task-1
     keys and (law, task-2 pointer) pairs; a request's key decodes to one of
     them."""
-    scripted = scripted_model(profile, views, registry, seed)
     answers: dict[tuple, str] = {
-        p.key: render_response_text(p.ranking, registry.get(p.key.law)) for p in scripted.ranked
+        target if task == "task1" else (law, target): render_response_text(ids, registry.get(law))
+        for task, law, target, ids in _scripted_answers(profile, views, registry, seed)
     }
-    answers.update(((p.law, p.pointer), render_response_text(p.labels, registry.get(p.law))) for p in scripted.sets)
 
     def reply(request) -> str:
         if request.task == "task1":

@@ -385,7 +385,11 @@ def oracle_eval_base(
     the (model, law) pairs, sorted, whose rows of that law match no gold key
     (relaxed fallbacks count) and no gold pointer, for which `eval` writes
     nothing and fails instead."""
-    gold = gold_keys_for_records([rec for view in views.values() for rec in view.task1])
+    # The views hold plain key tuples; the seed's join read them by field name.
+    gold = {
+        RetrievalKey._make(key): gold_set
+        for key, gold_set in gold_keys_for_records([rec for view in views.values() for rec in view.task1]).items()
+    }
     for gold_set in gold.values():
         if not gold_set:
             raise EmptyGold("gold set empty")

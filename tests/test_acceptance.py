@@ -309,7 +309,7 @@ def test_criterion_9_shaping_determinism(registry, tmp_path):
                     ]
                     assert inst.articles <= owner.file_gold
                     pointer_rec = pointers[
-                        next(p for p in pointers if (p.file_path, p.span, p.commit_id) == inst.pointer)
+                        next(p for p in pointers if (p[0], (p[1], p[2]), p[3]) == inst.pointer)
                     ]
                     assert inst.articles <= pointer_rec.gold
                 assert frozenset().union(*(i.articles for i in members)) == frozenset().union(

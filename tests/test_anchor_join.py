@@ -31,7 +31,9 @@ import oracles
 from regeval.cli import main
 from regeval.jurisdiction import JurisdictionRegistry
 from regeval.retrieval import gold_keys_for_records
-from regeval.shaping import ShapedViews, dump_views, load_task1_view, load_task2_view, shape_views
+from regeval.shaping import (
+    RetrievalKey, ShapedViews, SnippetPointer, dump_views, load_task1_view, load_task2_view, shape_views,
+)
 from regeval.synthetic import CorpusSpec, generate_corpus
 
 REGISTRY = JurisdictionRegistry.default()
@@ -61,8 +63,8 @@ def _gold_views() -> dict[str, ShapedViews]:
 
 
 GOLD_VIEWS = _gold_views()
-KEYS = [key.to_dict() for key in gold_keys_for_records([r for v in GOLD_VIEWS.values() for r in v.task1])]
-POINTERS = [{"law": rec.law, **rec.pointer.to_dict()} for v in GOLD_VIEWS.values() for rec in v.task2]
+KEYS = [RetrievalKey.to_dict(key) for key in gold_keys_for_records([r for v in GOLD_VIEWS.values() for r in v.task1])]
+POINTERS = [{"law": rec.law, **SnippetPointer.to_dict(rec.pointer)} for v in GOLD_VIEWS.values() for rec in v.task2]
 
 
 @pytest.fixture(scope="module")

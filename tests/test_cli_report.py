@@ -866,21 +866,41 @@ class TestCliErrors:
         assert payload["error"] == "TransportConfigError"
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("transport", ["failing", "replay"])
-    @pytest.mark.parametrize("value", ["5", "-2"])
-    def test_fail_times_with_another_transport_exits_2_before_any_request(self, tmp_path, capsys, transport, value):
+    @pytest.mark.parametrize(
+        "transport, flag, value",
+        [
+            *(
+                pytest.param(transport, "--fail-times", value, id=f"{value}-{transport}")
+                for value in ("5", "-2") for transport in ("failing", "replay")
+            ),
+            # An explicit default is refused too.
+            *(
+                pytest.param(transport, flag, value, id=f"{flag[2:]}-{value}-{transport}")
+                for transport in ("failing", "replay")
+                for flag, value in (("--profile", "RANDOM"), ("--profile", "PERFECT"), ("--seed", "9"), ("--seed", "0"))
+            ),
+            pytest.param("mock", "--replay", None, id="replay-mock"),
+            pytest.param("failing", "--replay", None, id="replay-failing"),
+        ],
+    )
+    def test_fail_times_with_another_transport_exits_2_before_any_request(
+        self, tmp_path, capsys, transport, flag, value
+    ):
         corpus_dir, views_dir = tmp_path / "corpus", tmp_path / "views"
         assert main(["synth", "--seed", "3", "--files", "2", "--out-dir", str(corpus_dir)]) == 0
         assert main(["shape", "--dataset", str(corpus_dir / "dataset.json"), "--out-dir", str(views_dir)]) == 0
         argv = ["run", "--views-dir", str(views_dir), "--models", "m", "--backoff", "0", "--transport", transport]
-        if transport == "replay":
+        replay = str(tmp_path / "first" / "raw_responses.jsonl")
+        if "replay" in (transport, flag):
             assert main([*argv[:-2], "--out-dir", str(tmp_path / "first")]) == 0
-            argv += ["--replay", str(tmp_path / "first" / "raw_responses.jsonl")]
+        if transport == "replay":
+            argv += ["--replay", replay]
         capsys.readouterr()
-        assert main([*argv, "--fail-times", value, "--out-dir", str(tmp_path / "run")]) == 2
+        assert main([*argv, flag, value or replay, "--out-dir", str(tmp_path / "run")]) == 2
+        owner = "replay" if flag == "--replay" else "mock"
         assert json.loads(capsys.readouterr().err) == {
             "error": "TransportConfigError",
-            "message": f"--fail-times applies to --transport mock only, not {transport}",
+            "message": f"{flag} applies to --transport {owner} only, not {transport}",
         }
         assert not (tmp_path / "run").exists()
 

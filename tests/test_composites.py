@@ -106,6 +106,16 @@ class TestMahalanobis:
         with pytest.raises(SingularCovariance):
             mahalanobis([1.0, 1.0], [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
+    def test_one_by_one_covariance(self):
+        assert mahalanobis([2.0], [0.0], [[4.0]]) == 1.0
+
+    @pytest.mark.parametrize(
+        "cov", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]], ids=["2x3", "3x2"]
+    )
+    def test_non_square_covariance(self, cov):
+        with pytest.raises(RegevalError, match="covariance must be 2 x 2 for 2-vectors"):
+            mahalanobis([1.0, 0.0], [0.0, 0.0], cov)
+
     def test_ridge_regularization(self):
         cohort = np.array([[0.5, 0.5], [0.5, 0.5]])
         cov = regularized_covariance(cohort, ridge=0.1)
@@ -155,6 +165,11 @@ class TestRcs:
     def test_needs_two_metrics(self):
         with pytest.raises(RegevalError):
             rcs_scores([[1.0]], CompositeConfig())
+
+    @pytest.mark.parametrize("cohort", [[], [[0.5, 0.5], [0.5]]], ids=["empty", "ragged"])
+    def test_cohort_must_be_a_non_empty_matrix(self, cohort):
+        with pytest.raises(RegevalError, match="cohort must be a non-empty 2-D array of equal-length rows"):
+            rcs_scores(cohort, CompositeConfig())
 
 
 def _ulps(a: float, b: float) -> int:

@@ -109,6 +109,17 @@ class TestRenderPrompt:
         prompt = render_prompt(template, item)
         assert "val xyz = secretSink(42)" in prompt
 
+    def test_items_hold_the_views_own_key_and_pointer_tuples(self):
+        corpus = [make_instance(span=(3, 5)), make_instance(span=(8, 9), articles=("12",))]
+        views = shape_views(corpus)
+        own = {id(rec.pointer) for rec in views["LGPD"].task2}
+        for rec in views["LGPD"].task1:
+            own.update(id(key) for key in (rec.file, rec.module, *(key for key, _gold in rec.lines)))
+        items = build_prompt_items(views, corpus)
+        anchors = [item.key if isinstance(item, LocalizationPromptItem) else item.pointer for item in items]
+        assert len(anchors) == len(own) == 6
+        assert all(type(anchor) is tuple and id(anchor) in own for anchor in anchors)
+
     def test_law_mismatch(self, registry):
         template = self._template(registry, law="PDPA")
         with pytest.raises(LawMismatch):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regeval.cli import _load_views
 from regeval.corpus import encode_sorted, read_json
 from regeval.errors import MalformedPrediction, RegevalError
 from regeval import ingest
@@ -31,7 +32,7 @@ from regeval.ingest import (
 from regeval.jurisdiction import JurisdictionRegistry
 from regeval.multilabel import SetPrediction, score_task2
 from regeval.retrieval import RankedPrediction, gold_keys_for_records, score_task1
-from regeval.shaping import RetrievalKey, SnippetPointer, shape_views
+from regeval.shaping import RetrievalKey, SnippetPointer, decode_anchor, decode_pointer, dump_views, shape_views
 from regeval.synthetic import CorpusSpec, generate_corpus, render_response_text, scripted_model
 from oracles import oracle_prediction_entries
 from test_corpus import make_instance
@@ -453,7 +454,7 @@ def test_an_id_list_longer_than_the_universe_decodes_to_distinct_universe_ids(re
     loaded_ranked, loaded_sets = load_prediction_files(t1, t2, registry)
     parsed_ranked, parsed_sets, _summary = parse_responses(responses, registry)
     decoded = [(row[0][0], row[1]) for row in loaded_ranked] + [(row[0], row[2]) for row in loaded_sets]
-    decoded += [(pred.key.law, pred.ranking) for pred in parsed_ranked]
+    decoded += [(pred.key[0], pred.ranking) for pred in parsed_ranked]
     decoded += [(pred.law, pred.labels) for pred in parsed_sets]
     assert len(decoded) == 4 * len(registry.codes)
     for law, ids in decoded:
@@ -492,6 +493,25 @@ class TestSharedDecodedObjects:
         for law in views:
             assert len({id(row[0]) for row in loaded_sets if row[0] == law}) == 1
 
+    def test_gold_index_holds_the_views_own_untracked_tuples(self, registry, tmp_path):
+        corpus = generate_corpus(CorpusSpec(seed=5, files_per_law={"LGPD": 4, "PDPA": 4}), registry)
+        dump_views(shape_views(corpus), tmp_path, registry)
+        views = _load_views(str(tmp_path), registry=registry)
+        keys = [
+            key for view in views.values() for rec in view.task1
+            for key in (rec.file, rec.module, *(key for key, _gold in rec.lines))
+        ]
+        pointers = [rec.pointer for view in views.values() for rec in view.task2]
+        gold = GoldIndex.from_views(views)
+        indexed = [key for s in gold.task1.values() for key in s.keys] + [p for g in gold.task2.values() for p in g.slot]
+        gc.collect()
+        assert keys and pointers and len(indexed) == len(gold.cache.anchors)
+        for anchor in keys + pointers + indexed:
+            assert type(anchor) is tuple and not gc.is_tracked(anchor)
+        # The cache holds the views' own objects, not copies.
+        own = {id(anchor) for anchor in keys + pointers}
+        assert all(key is value and id(value) in own for key, value in gold.cache.anchors.items())
+
     def test_parse_gives_every_model_one_object_per_key_and_name(self, registry, tmp_path):
         records = [
             {"task": "task1", "law": "LGPD", "text": "Art. 7",
@@ -505,8 +525,9 @@ class TestSharedDecodedObjects:
                                 for model in ("model-a", "model-b") for record in records))
         ranked, sets, _summary = parse_responses(path, registry)
         assert [row.model for row in ranked] == [row.model for row in sets] == ["model-a", "model-b"]
-        assert ranked[0].key is ranked[1].key == RetrievalKey.from_dict("LGPD", records[0]["key"])
-        assert sets[0].pointer is sets[1].pointer == SnippetPointer.from_dict(records[1]["key"])
+        assert type(ranked[0].key) is type(sets[0].pointer) is tuple
+        assert ranked[0].key is ranked[1].key == decode_anchor("LGPD", records[0]["key"])
+        assert sets[0].pointer is sets[1].pointer == decode_pointer(records[1]["key"])
         assert sets[0].law is sets[1].law
         assert ranked[0].model is sets[0].model and ranked[1].model is sets[1].model
 
@@ -548,7 +569,7 @@ class TestBindPredictions:
     def test_coverage_ratio(self, registry):
         views = self._views()
         gold = gold_keys_for_records(views["LGPD"].task1)
-        keys = sorted(gold, key=lambda k: k.sort_key())
+        keys = sorted(gold, key=RetrievalKey.sort_key)
         preds = [RankedPrediction(key=k, ranking=("7",), model="m") for k in keys[:3]]
         result = bind_predictions(GoldIndex.from_views(views), preds, [], "strict")
         total_gold = sum(rep["gold_keys"] for rep in result.to_dict()["task1"].values())

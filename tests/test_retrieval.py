@@ -20,7 +20,9 @@ from regeval.retrieval import (
     match_task1,
     score_ranking,
 )
-from regeval.shaping import RetrievalKey, SnippetPointer, Task1Record, decode_anchor, shape_task1, shape_task2
+from regeval.shaping import (
+    RetrievalKey, SnippetPointer, Task1Record, decode_anchor, decode_pointer, shape_task1, shape_task2,
+)
 from test_corpus import make_instance
 
 VOCAB = ["a", "b", "c", "d", "e"]
@@ -137,10 +139,11 @@ class TestKeyCodec:
     @pytest.mark.parametrize("granularity", ["file", "module", "line"])
     def test_retrieval_key_round_trip(self, granularity):
         records = shape_task1([make_instance(path="app/A.kt", span=(3, 5))])
-        [key] = [k for k in gold_keys_for_records(records) if k.granularity == granularity]
-        assert RetrievalKey.from_dict(key.law, key.to_dict()) == key
-        # The plain tuple `eval` decodes is the key for dict lookups.
-        decoded = decode_anchor(key.law, key.to_dict())
+        [key] = [k for k in gold_keys_for_records(records) if k[5] == granularity]
+        # A shaped key is the plain tuple `eval` decodes, so it is the key for
+        # dict lookups.
+        assert type(key) is tuple
+        decoded = decode_anchor(key[0], RetrievalKey.to_dict(key))
         assert type(decoded) is tuple
         assert decoded == key and hash(decoded) == hash(key)
 
@@ -148,13 +151,13 @@ class TestKeyCodec:
         key = _key("line", span=(3, 5))
         data = key.to_dict()
         del data["law"]
-        assert RetrievalKey.from_dict("LGPD", data) == key
+        assert decode_anchor("LGPD", data) == key
 
     def test_snippet_pointer_round_trip(self):
         [record] = shape_task2([make_instance(path="app/A.kt", span=(3, 5))])
-        data = record.pointer.to_dict()
-        assert data == {"file_path": "app/A.kt", "span": [3, 5], "commit_id": record.pointer.commit_id}
-        assert SnippetPointer.from_dict(data) == record.pointer
+        data = SnippetPointer.to_dict(record.pointer)
+        assert data == {"file_path": "app/A.kt", "span": [3, 5], "commit_id": record.pointer[3]}
+        assert type(record.pointer) is tuple and decode_pointer(data) == record.pointer
 
 
 def _match_keys(gold_keys, preds, policy):
@@ -242,7 +245,7 @@ class TestEvaluateTask1:
     def test_mean_over_keys(self):
         records = self._records()
         gold = gold_keys_for_records(records)
-        file_keys = [k for k in gold if k.granularity == "file"]
+        file_keys = [k for k in gold if k[5] == "file"]
         preds = [RankedPrediction(key=file_keys[0], ranking=tuple(gold[file_keys[0]]))]
         results = evaluate_task1(records, preds, "strict")
         metrics = results[("LGPD", "file")]

@@ -35,11 +35,11 @@ def task2_as_instances(records) -> list[RawInstance]:
         RawInstance(
             app_name=rec.app_name,
             repo_url=rec.repo_url,
-            commit_id=rec.pointer.commit_id,
+            commit_id=rec.pointer[3],
             law=rec.law,
             articles=rec.gold,
-            file_path=rec.pointer.file_path,
-            span=rec.pointer.span,
+            file_path=rec.pointer[0],
+            span=LineSpan(rec.pointer[1], rec.pointer[2]),
             snippet=rec.snippet,
         )
         for rec in records
@@ -48,7 +48,7 @@ def task2_as_instances(records) -> list[RawInstance]:
 
 def _line_sections(record) -> list:
     """(span, gold) of each line section of a task-1 record."""
-    return [(key.span, gold) for key, gold in record.lines]
+    return [(LineSpan(*key[7:]), gold) for key, gold in record.lines]
 
 
 class TestShapeTask1:
@@ -61,7 +61,7 @@ class TestShapeTask1:
         assert len(records) == 1
         assert records[0].file_gold == frozenset({"7", "12"})
         assert records[0].module_gold == frozenset({"7", "12"})
-        assert records[0].module.module == "A"
+        assert records[0].module[6] == "A"
 
     def test_overlapping_identical_sets_merge(self):
         corpus = [
@@ -78,7 +78,7 @@ class TestShapeTask1:
         ]
         [record] = shape_task1(corpus)
         assert len(record.lines) == 2
-        spans = {key.span for key, _gold in record.lines}
+        spans = {LineSpan(*key[7:]) for key, _gold in record.lines}
         assert spans == {LineSpan(10, 12), LineSpan(11, 14)}
 
     def test_identical_span_evidence_unions(self):
@@ -231,7 +231,7 @@ class TestDeterminismAndConservation:
                 key = (inst.repo_url, inst.app_name, inst.commit_id, inst.file_path)
                 assert key in by_key
                 assert inst.pointer in {
-                    (p.file_path, p.span, p.commit_id) for p in by_pointer
+                    (path, LineSpan(start, end), commit) for path, start, end, commit in by_pointer
                 }
                 owner = next(r for r in t1 if r.file[1:5] == key)
                 assert inst.articles <= owner.file_gold
@@ -285,10 +285,10 @@ class TestSharedViewValues:
         t2 = [rec for view in views.values() for rec in view.task2]
         keys = [key for rec in t1 for key in (rec.file, rec.module, *(key for key, _gold in rec.lines))]
         shared = {
-            "repo_url": [key.repo_url for key in keys] + [rec.repo_url for rec in t2],
-            "app_name": [key.app_name for key in keys] + [rec.app_name for rec in t2],
-            "commit_id": [key.commit_id for key in keys] + [rec.pointer.commit_id for rec in t2],
-            "file_path": [key.file_path for key in keys] + [rec.pointer.file_path for rec in t2],
+            "repo_url": [key[1] for key in keys] + [rec.repo_url for rec in t2],
+            "app_name": [key[2] for key in keys] + [rec.app_name for rec in t2],
+            "commit_id": [key[3] for key in keys] + [rec.pointer[3] for rec in t2],
+            "file_path": [key[4] for key in keys] + [rec.pointer[0] for rec in t2],
             "gold": [gold for rec in t1 for gold in (rec.file_gold, rec.module_gold, *(g for _key, g in rec.lines))]
             + [rec.gold for rec in t2],
         }

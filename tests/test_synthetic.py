@@ -7,7 +7,7 @@ from regeval.errors import InvalidSpec, RegevalError
 from regeval.harness import LocalizationPromptItem, TransportRequest, build_prompt_items, request_key
 from regeval.multilabel import evaluate_task2
 from regeval.retrieval import evaluate_task1, gold_keys_for_records
-from regeval.shaping import shape_views
+from regeval.shaping import RetrievalKey, SnippetPointer, decode_anchor, shape_views
 from regeval.synthetic import (
     PROFILES,
     CorpusSpec,
@@ -91,6 +91,22 @@ class TestScriptedProfiles:
     def test_unknown_profile(self, registry, synth_views):
         with pytest.raises(RegevalError):
             scripted_model("CLEVER", synth_views, registry)
+
+    def test_rows_expose_keys_and_pointers_by_field_name(self, registry, synth_views):
+        # The views hold plain tuples; `perfbench/check_round.py` reads the
+        # scripted rows' keys and pointers by field name.
+        scripted = scripted_model("RANDOM", synth_views, registry, seed=3)
+        for pred in scripted.ranked:
+            assert type(pred.key) is RetrievalKey
+            data = pred.key.to_dict()
+            assert data["law"] == pred.key.law and decode_anchor(pred.key.law, data) == pred.key
+        for pred in scripted.sets:
+            pointer = pred.pointer
+            assert type(pointer) is SnippetPointer
+            assert pointer.span.as_list() == [pointer.start, pointer.end]
+            assert pointer.to_dict() == {
+                "file_path": pointer.file_path, "span": pointer.span.as_list(), "commit_id": pointer.commit_id
+            }
 
     def test_perfect_task1_hits_everything_after_rank1(self, registry, synth_views):
         scripted = scripted_model("PERFECT", synth_views, registry)
